@@ -37,13 +37,14 @@ from .selection import (
     score_subset,
 )
 from .baselines import RiseTriggerConfig, WeekTriggerConfig, fit_baseline, rise_trigger, week_trigger
-from .evaluate import EvaluationReport, LeadReport, SweepSpec, lead_vs_threshold, score, sweep
+from .evaluate import EvaluationReport, LeadReport, lead_vs_threshold, score
 from .pipeline import (
     ModelEvaluation,
     PipelineResult,
     evaluate_baseline_cv,
     evaluate_mewma_cv,
     select_and_evaluate,
+    sweep,
 )
 from .config import ExperimentConfig, load_config
 

@@ -82,7 +82,8 @@ def rise_trigger(panel: AlignedPanel, config: RiseTriggerConfig) -> AlarmTrace:
     )
 
 
-def _trace_for(panel: AlignedPanel, kind: str, param: int) -> AlarmTrace:
+def baseline_trace(panel: AlignedPanel, kind: str, param: int) -> AlarmTrace:
+    """Alarm trace of the ``week`` or ``rise`` trigger with parameter ``param``."""
     if kind == "week":
         return week_trigger(panel, WeekTriggerConfig(param))
     if kind == "rise":
@@ -109,7 +110,7 @@ def fit_baseline(
     best_param = None
     best_score = -np.inf
     for param in sorted(set(int(p) for p in grid)):
-        trace = _trace_for(panel, kind, int(param))
+        trace = baseline_trace(panel, kind, int(param))
         fold_scores = [
             evaluate.performance(trace, windows.select(folds.folds[f].test_seasons))
             for f in range(folds.n_folds)

@@ -240,8 +240,6 @@ def optimize_params(
     sims: int = DEFAULT_SIMS,
     seed=0,
     tol: float = 0.5,
-    week_mask: np.ndarray | None = None,
-    segments=None,
     table: SharedScanTable | None = None,
     null: NullModel | None = None,
     curve: list | None = None,
@@ -264,7 +262,7 @@ def optimize_params(
         if table is not None:
             null = table.null.subset(subset)
         else:
-            null = estimate_null(panel, events, subset, week_mask)
+            null = estimate_null(panel, events, subset)
     elif set(subset) - set(null.predictor_names):
         raise ValueError("null model does not cover the requested subset")
     if null.predictor_names != subset:
@@ -289,7 +287,7 @@ def optimize_params(
         if table is not None:
             trace = table.scan(lam, subset, h)
         else:
-            trace = run_scan(panel, null, DetectorConfig(subset, lam, h), segments)
+            trace = run_scan(panel, null, DetectorConfig(subset, lam, h))
         perf = evaluate.performance(trace, windows)
         point = ConstraintCurvePoint(lam=lam, h=h, performance=perf, atfs=evals[-1][1])
         if curve is not None:

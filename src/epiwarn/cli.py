@@ -96,8 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid experiments along one axis")
     p.add_argument("--config", required=True)
-    p.add_argument("--axis", required=True,
-                   choices=["epsilon", "window", "atfs", "train"])
+    p.add_argument("--axis", required=True, choices=pipeline.SWEEP_AXES)
     p.add_argument("--values", required=True,
                    help="comma-separated grid, train axis takes LENGTH:GAP pairs")
     p.add_argument("--out")
@@ -155,7 +154,7 @@ def cmd_detect(args) -> int:
     if args.baseline_spec:
         kind, param = _parse_baseline_spec(args.baseline_spec)
         try:
-            trace = baselines._trace_for(panel, kind, param)
+            trace = baselines.baseline_trace(panel, kind, param)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         label = f"{kind}-trigger"
@@ -187,9 +186,9 @@ def cmd_detect(args) -> int:
     if len(events):
         report = evaluate.score(trace, windows)
         leads = None
-        if config.reporting_threshold >= config.epsilon:
+        if config.lead_threshold is not None:
             leads = evaluate.lead_vs_threshold(
-                trace, panel.gold, config.reporting_threshold, events, windows
+                trace, panel.gold, config.lead_threshold, events, windows
             )
         evaluate.write_event_report_csv(report, leads, out / "event_report.csv")
         evaluate.write_summary_csv(report, out / "summary.csv")
@@ -223,41 +222,12 @@ def _trace_from_json(payload: dict) -> SelectionTrace:
     return SelectionTrace(steps=steps, stop_reason=payload["stop_reason"])
 
 
-def _replicate_params(config: ExperimentConfig) -> dict:
-    return {
-        "epsilon": config.epsilon,
-        "min_duration": config.min_duration,
-        "window": config.window,
-        "lead": config.lead,
-        "phi": config.atfs,
-        "sims": config.sims,
-        "lambda_grid": config.lambda_grid,
-        "k_max": config.k_max,
-        "min_improvement": config.min_improvement,
-    }
-
-
-def _run_replicate(manifest: Path, params: dict, held_out: int, seed: int) -> SelectionTrace:
-    """Worker entry point: everything rebuilt from paths so it pickles cheaply."""
-    panel = load_panel_from_manifest(manifest)
-    events = detect_events(panel.gold, params["epsilon"], params["min_duration"])
-    folds = make_folds(events, held_out, panel.n_weeks)
-    return pipeline.run_selection(
-        panel,
-        panel.candidate_names(),
-        folds,
-        epsilon=params["epsilon"],
-        min_duration=params["min_duration"],
-        window=params["window"],
-        lead=params["lead"],
-        phi=params["phi"],
-        sims=params["sims"],
-        lambda_grid=params["lambda_grid"],
-        k_max=params["k_max"],
-        replicates=1,
-        seed=seed,
-        min_improvement=params["min_improvement"],
-    )[0]
+def _run_replicate(config: ExperimentConfig, seed: int) -> SelectionTrace:
+    """Worker entry point: takes only the picklable config and reloads the panel."""
+    panel = load_panel_from_manifest(config.manifest)
+    events = detect_events(panel.gold, config.epsilon, config.min_duration)
+    folds = make_folds(events, config.held_out, panel.n_weeks)
+    return pipeline.run_selection(panel, config, folds, (seed,))[0]
 
 
 def cmd_select(args) -> int:
@@ -266,7 +236,6 @@ def cmd_select(args) -> int:
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     fingerprint = config.fingerprint()
-    params = _replicate_params(config)
 
     traces: dict[int, SelectionTrace] = {}
     pending: list[int] = []
@@ -288,15 +257,10 @@ def cmd_select(args) -> int:
     workers = max(1, min(args.workers, len(pending) or 1))
     if workers == 1 or len(pending) <= 1:
         for r in pending:
-            _store(r, _run_replicate(config.manifest, params, config.held_out, config.seed + r))
+            _store(r, _run_replicate(config, config.seed + r))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                r: pool.submit(
-                    _run_replicate, config.manifest, params, config.held_out, config.seed + r
-                )
-                for r in pending
-            }
+            futures = {r: pool.submit(_run_replicate, config, config.seed + r) for r in pending}
             for r, fut in futures.items():
                 _store(r, fut.result())
 
@@ -326,31 +290,14 @@ def cmd_evaluate(args) -> int:
     results = []
     for m in model_names:
         if m == "optimized":
-            select_folds = make_folds(events, config.held_out, panel.n_weeks)
-            traces = pipeline.run_selection(
-                panel, panel.candidate_names(), select_folds,
-                epsilon=config.epsilon, min_duration=config.min_duration,
-                window=config.window, lead=config.lead, phi=config.atfs,
-                sims=config.sims, lambda_grid=config.lambda_grid,
-                k_max=config.k_max, replicates=config.replicates,
-                seed=config.seed, min_improvement=config.min_improvement,
-            )
-            subset = aggregate_replicates(traces, config.k_max).selected()[: config.k_max]
-            results.append(
-                pipeline.evaluate_mewma_cv(
-                    panel, subset, events, windows, compare_folds, config.atfs,
-                    sims=config.sims, lambda_grid=config.lambda_grid,
-                    seed=config.seed, reporting_threshold=config.reporting_threshold,
-                    name="optimized",
-                )
-            )
+            results.append(pipeline.select_and_evaluate(panel, config).model)
         elif m == "univariate-gold":
             gpanel = panel.with_gold_candidate()
             results.append(
                 pipeline.evaluate_mewma_cv(
                     gpanel, (gpanel.gold.name,), events, windows, compare_folds,
                     config.atfs, sims=config.sims, lambda_grid=config.lambda_grid,
-                    seed=config.seed, reporting_threshold=config.reporting_threshold,
+                    seed=config.seed, reporting_threshold=config.lead_threshold,
                     name="univariate-gold",
                 )
             )
@@ -358,14 +305,14 @@ def cmd_evaluate(args) -> int:
             results.append(
                 pipeline.evaluate_baseline_cv(
                     panel, "week", range(1, 54), events, windows, compare_folds,
-                    config.reporting_threshold,
+                    config.lead_threshold,
                 )
             )
         else:
             results.append(
                 pipeline.evaluate_baseline_cv(
                     panel, "rise", range(2, 21), events, windows, compare_folds,
-                    config.reporting_threshold,
+                    config.lead_threshold,
                 )
             )
 
@@ -407,25 +354,9 @@ def cmd_sweep(args) -> int:
         values = tuple(int(v) for v in args.values.split(","))
     else:
         values = tuple(float(v) for v in args.values.split(","))
-    spec = evaluate.SweepSpec(
-        axis=args.axis,
-        values=values,
-        epsilon=config.epsilon,
-        min_duration=config.min_duration,
-        window=config.window,
-        lead=config.lead,
-        phi=config.atfs,
-        sims=config.sims,
-        lambda_grid=config.lambda_grid,
-        k_max=config.k_max,
-        replicates=config.replicates,
-        held_out=config.held_out,
-        seed=config.seed,
-        reporting_threshold=config.reporting_threshold,
-    )
-    rows = evaluate.sweep(panel, spec)
+    rows = pipeline.sweep(panel, config, args.axis, values)
     out = _prepare_out(config, "sweep", args.out)
-    evaluate.write_sweep_csv(rows, out / "sweep.csv")
+    pipeline.write_sweep_csv(rows, out / "sweep.csv")
     print(out)
     return 0
 

@@ -54,6 +54,13 @@ class ExperimentConfig:
     def held_out(self) -> int:
         return FOLD_PRESETS[self.fold_preset]
 
+    @property
+    def lead_threshold(self) -> float | None:
+        """Reporting threshold for lead tables, or None (no lead tables) when it
+        is below the event threshold: events then start above it, so there is
+        no crossing for an alarm to lead."""
+        return self.reporting_threshold if self.reporting_threshold >= self.epsilon else None
+
     def resolved_text(self) -> str:
         """All keys with defaults materialized, one ``key = value`` line each."""
         lines = []

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +57,6 @@ def score(
     windows: DetectionWindowSet,
     *,
     onset_mask: np.ndarray | None = None,
-    raw_alarm_precision: bool = False,
 ) -> EvaluationReport:
     """Full evaluation of a trace against a window set.
 
@@ -67,17 +65,13 @@ def score(
     everything else is false. With no onsets at all, precision is reported
     as 1 with the ``precision_undefined`` flag set so sweeps never divide by
     zero. ``onset_mask`` restricts which weeks' onsets are considered (e.g.
-    held-out weeks only); ``raw_alarm_precision`` classifies every alarm week
-    instead of cluster onsets, as a diagnostic.
+    held-out weeks only).
     """
     if len(windows) == 0:
         raise ValueError("cannot score against an empty window set")
     onsets = trace.cluster_onsets
-    marks = trace.alarm_weeks if raw_alarm_precision else onsets
     if onset_mask is not None:
-        onset_mask = np.asarray(onset_mask, dtype=bool)
-        onsets = onsets[onset_mask[onsets]]
-        marks = marks[onset_mask[marks]]
+        onsets = onsets[np.asarray(onset_mask, dtype=bool)[onsets]]
 
     t_w = windows.window_length
     delta_t: list[float] = []
@@ -94,7 +88,7 @@ def score(
             missed.append(k)
 
     true_count = false_count = late_count = 0
-    for w in marks:
+    for w in onsets:
         in_window = any(ws <= w <= we for ws, we in windows.windows)
         if in_window:
             true_count += 1
@@ -201,111 +195,3 @@ def write_summary_csv(report: EvaluationReport, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["performance", "precision", "recall"])
         writer.writerow([repr(report.performance), repr(report.precision), repr(report.recall)])
-
-
-# ---------------------------------------------------------------------------
-# Sweep harness
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A grid of pipeline runs along one experimental axis.
-
-    ``axis`` is one of ``epsilon`` (event threshold), ``window`` (detection
-    window length), ``atfs`` (false-signal budget), or ``train`` (training
-    length in seasons, optionally (length, gap-to-test) pairs). All other
-    parameters stay at the given base values.
-    """
-
-    axis: str
-    values: tuple
-    epsilon: float = 1.25
-    min_duration: int = 3
-    window: int = 16
-    lead: int | None = None
-    phi: float = 20.0
-    sims: int = 1000
-    lambda_grid: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 10))
-    k_max: int = 8
-    replicates: int = 1
-    held_out: int = 1
-    seed: int = 0
-    reporting_threshold: float | None = None
-
-    def __post_init__(self):
-        if self.axis not in ("epsilon", "window", "atfs", "train"):
-            raise ValueError(f"unknown sweep axis {self.axis!r}")
-        if not self.values:
-            raise ValueError("sweep grid must be nonempty")
-
-
-def sweep(panel, spec: SweepSpec) -> list[dict]:
-    """Run the select-and-evaluate pipeline once per grid point.
-
-    Returns one row (dict) per point; per-point failures are recorded in the
-    row's ``error`` field and the sweep continues.
-    """
-    from . import pipeline  # deferred: pipeline builds on this module
-
-    rows: list[dict] = []
-    for value in spec.values:
-        params = {
-            "epsilon": spec.epsilon,
-            "window": spec.window,
-            "phi": spec.phi,
-        }
-        train_spec = None
-        if spec.axis == "train":
-            train_spec = value if isinstance(value, tuple) else (int(value), 0)
-        elif spec.axis == "window":
-            params["window"] = int(value)
-        elif spec.axis == "atfs":
-            params["phi"] = float(value)
-        else:
-            params["epsilon"] = float(value)
-        row = {
-            "axis": spec.axis,
-            "value": repr(value),
-            "epsilon": params["epsilon"],
-            "window": params["window"],
-            "phi": params["phi"],
-            "selected": "",
-            "performance": "",
-            "precision": "",
-            "recall": "",
-            "error": "",
-        }
-        try:
-            result = pipeline.select_and_evaluate(
-                panel,
-                epsilon=params["epsilon"],
-                min_duration=spec.min_duration,
-                window=params["window"],
-                lead=spec.lead,
-                phi=params["phi"],
-                sims=spec.sims,
-                lambda_grid=spec.lambda_grid,
-                k_max=spec.k_max,
-                replicates=spec.replicates,
-                held_out=spec.held_out,
-                seed=spec.seed,
-                train_spec=train_spec,
-                reporting_threshold=spec.reporting_threshold,
-            )
-            row["selected"] = "|".join(result.subset)
-            row["performance"] = repr(result.report.performance)
-            row["precision"] = repr(result.report.precision)
-            row["recall"] = repr(result.report.recall)
-        except Exception as exc:  # per-point failures must not kill the sweep
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    return rows
-
-
-def write_sweep_csv(rows: Sequence[dict], path) -> None:
-    fields = ["axis", "value", "epsilon", "window", "phi",
-              "selected", "performance", "precision", "recall", "error"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)

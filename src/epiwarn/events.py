@@ -94,9 +94,8 @@ class DetectionWindowSet:
     """One scoring window per event, nominally starting ``lead`` weeks early.
 
     ``flags[k]`` records departures from the nominal placement for window k:
-    ``clipped_start``/``clipped_end`` at panel boundaries, ``onset_floor``
-    when the start was raised to the pre-event local minimum. ``events``
-    keeps the matching event spans so scoring can classify late alarms.
+    ``clipped_start``/``clipped_end`` at panel boundaries. ``events`` keeps
+    the matching event spans so scoring can classify late alarms.
     """
 
     window_length: int
@@ -141,16 +140,12 @@ def build_windows(
     window_length: int,
     lead: int | None = None,
     gold: Series | None = None,
-    *,
-    onset_floor: bool = False,
 ) -> DetectionWindowSet:
     """Construct detection windows of ``window_length`` weeks, one per event.
 
     The window starts ``lead`` weeks before the event start (default: half
     the window, so alarms at the window start are a half-window early).
-    With ``onset_floor`` the start is raised so it does not precede the last
-    pre-event local minimum of the gold series. Windows running past the
-    panel edges are clipped and flagged.
+    Windows running past the panel edges are clipped and flagged.
     """
     if gold is None:
         raise ValueError("build_windows needs the gold series for panel bounds")
@@ -162,21 +157,12 @@ def build_windows(
         raise ValueError("lead must be in [0, window_length]")
 
     n = len(gold)
-    values = gold.values
     windows: list[tuple[int, int]] = []
     flags: list[tuple[str, ...]] = []
     prev_event_end = -1
     for k, (es, ee) in enumerate(events.events):
         wflags: list[str] = []
         ws = es - lead
-        if onset_floor:
-            search_lo = prev_event_end + 1
-            pre = values[search_lo : es + 1]
-            # last occurrence of the minimum = start of the final rise
-            onset_min = search_lo + (len(pre) - 1) - int(np.argmin(pre[::-1]))
-            if ws < onset_min:
-                ws = onset_min
-                wflags.append("onset_floor")
         we = ws + window_length - 1
         if ws < 0:
             ws = 0

@@ -184,19 +184,13 @@ def estimate_null(
     )
 
 
-def _scan_state(X: np.ndarray, mu: np.ndarray, lam: float, segments) -> np.ndarray:
-    """One-sided EWMA recursion over (n, d) observations.
-
-    The state starts at zero at the beginning of each segment; weeks outside
-    every segment are left NaN.
-    """
-    n, d = X.shape
-    S = np.full((n, d), np.nan)
-    for lo, hi in segments:
-        s = np.zeros(d)
-        for t in range(lo, hi + 1):
-            s = np.maximum(0.0, lam * (X[t] - mu) + (1.0 - lam) * s)
-            S[t] = s
+def _scan_state(X: np.ndarray, mu: np.ndarray, lam: float) -> np.ndarray:
+    """One-sided EWMA recursion over (n, d) observations, starting from zero."""
+    S = np.empty(X.shape)
+    s = np.zeros(X.shape[1])
+    for t in range(X.shape[0]):
+        s = np.maximum(0.0, lam * (X[t] - mu) + (1.0 - lam) * s)
+        S[t] = s
     return S
 
 
@@ -207,30 +201,12 @@ def _quad_form(S: np.ndarray, smoothed_cov: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", Z, Z)
 
 
-def _full_segments(n: int, segments) -> tuple[tuple[int, int], ...]:
-    if segments is None:
-        return ((0, n - 1),)
-    segs = tuple((int(lo), int(hi)) for lo, hi in segments)
-    prev_hi = -1
-    for lo, hi in segs:
-        if not (0 <= lo <= hi < n) or lo <= prev_hi:
-            raise ValueError(f"bad scan segments {segs}")
-        prev_hi = hi
-    return segs
-
-
 def run_scan(
     panel: AlignedPanel,
     null: NullModel,
     config: DetectorConfig,
-    segments=None,
 ) -> AlarmTrace:
-    """Run the scan over the panel; alarms are weeks with E > h, never reset.
-
-    ``segments`` (optional, disjoint sorted (lo, hi) week spans) restarts the
-    smoothed state from zero at each span, for fold-independent scans over
-    concatenated seasons. The default is a single scan over all weeks.
-    """
+    """Run the scan over the panel; alarms are weeks with E > h, never reset."""
     if null.predictor_names != config.predictor_names:
         raise ValueError(
             f"null model covers {null.predictor_names}, config asks for "
@@ -241,8 +217,7 @@ def run_scan(
         raise ValueError(f"panel has no candidate series {missing[0]!r}")
 
     X = panel.candidate_matrix(config.predictor_names)
-    segs = _full_segments(panel.n_weeks, segments)
-    S = _scan_state(X, null.mu, config.lam, segs)
+    S = _scan_state(X, null.mu, config.lam)
     E = _quad_form(S, null.smoothed_cov(config.lam))
     return _trace_from_statistic(E, config.h, S)
 
@@ -265,7 +240,6 @@ class SharedScanTable:
     null: NullModel
     lambdas: tuple[float, ...]
     states: Mapping[float, np.ndarray]
-    segments: tuple[tuple[int, int], ...]
 
     def scan(self, lam: float, subset: Sequence[str], h: float) -> AlarmTrace:
         if lam not in self.states:
@@ -281,20 +255,12 @@ def precompute_shared_states(
     panel: AlignedPanel,
     full_null: NullModel,
     lambda_grid: Sequence[float],
-    segments=None,
 ) -> SharedScanTable:
     """Scan the full candidate set once per lambda and store the states."""
     X = panel.candidate_matrix(full_null.predictor_names)
-    segs = _full_segments(panel.n_weeks, segments)
-    states = {
-        float(lam): _scan_state(X, full_null.mu, float(lam), segs)
-        for lam in lambda_grid
-    }
+    states = {float(lam): _scan_state(X, full_null.mu, float(lam)) for lam in lambda_grid}
     return SharedScanTable(
-        null=full_null,
-        lambdas=tuple(float(l) for l in lambda_grid),
-        states=states,
-        segments=segs,
+        null=full_null, lambdas=tuple(float(l) for l in lambda_grid), states=states
     )
 
 

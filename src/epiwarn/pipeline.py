@@ -4,17 +4,20 @@ The two-stage protocol selects predictor combinations under one fold plan
 (by default one season held out per fold) and compares finished models under
 a coarser plan (two seasons held out). Out-of-sample results are pooled over
 folds so every event is scored exactly once, by the fold that held it out.
+The sweep harness reruns the whole protocol along one config axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import csv
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import calibrate, evaluate
-from .baselines import fit_baseline, _trace_for
+from .baselines import baseline_trace, fit_baseline
+from .config import ExperimentConfig
 from .events import DetectionWindowSet, EventSet, build_windows, detect_events
 from .mewma import AlarmTrace
 from .panel import AlignedPanel
@@ -24,10 +27,15 @@ from .selection import (
     FoldPlan,
     SelectionTrace,
     aggregate_replicates,
+    fit_folds,
     forward_select,
     make_folds,
     prepare_fold_contexts,
 )
+
+SWEEP_AXES = ("epsilon", "window", "atfs", "train")
+SWEEP_FIELDS = ("axis", "value", "epsilon", "window", "phi",
+                "selected", "performance", "precision", "recall", "error")
 
 
 @dataclass(frozen=True)
@@ -43,10 +51,11 @@ class ModelEvaluation:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """Replicate selection traces and the pooled evaluation of the chosen subset."""
+
     subset: tuple[str, ...]
     traces: tuple[SelectionTrace, ...]
-    report: evaluate.EvaluationReport
-    leads: evaluate.LeadReport | None
+    model: ModelEvaluation
 
 
 def _restrict_trace(trace: AlarmTrace, mask: np.ndarray) -> AlarmTrace:
@@ -151,44 +160,20 @@ def evaluate_mewma_cv(
     audit: AuditLog | None = None,
 ) -> ModelEvaluation:
     """Calibrate a fixed subset per fold on training weeks, score held-out events."""
-    subset = tuple(subset)
     if contexts is None:
         contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid)
-    traces = []
-    fold_params = []
-    for ctx in contexts:
-        point = calibrate.optimize_params(
-            panel,
-            EventSet(events.threshold, events.min_duration, ctx.train_windows.events),
-            ctx.train_windows,
-            subset,
-            phi,
-            lambda_grid,
-            sims=sims,
-            seed=(*calibrate._seed_tuple(seed), ctx.fold),
-            table=ctx.table,
-        )
-        traces.append(ctx.table.scan(point.lam, subset, point.h))
-        fold_params.append((ctx.fold, point.lam, point.h))
-        if audit is not None:
-            audit.entries.append(
-                {
-                    "fold": ctx.fold,
-                    "subset": subset,
-                    "baseline_weeks": ctx.baseline_weeks.copy(),
-                    "train_mask": ctx.train_mask.copy(),
-                    "test_mask": ctx.test_mask.copy(),
-                    "lam": point.lam,
-                    "h": point.h,
-                }
-            )
-    report, leads = pooled_cv_report(panel, events, windows, folds, traces, reporting_threshold)
+    fits = fit_folds(
+        panel, subset, contexts, phi, lambda_grid, sims=sims, seed=seed, audit=audit
+    )
+    report, leads = pooled_cv_report(
+        panel, events, windows, folds, [fit.trace for fit in fits], reporting_threshold
+    )
     return ModelEvaluation(
         name=name,
         parameter="+".join(subset),
         report=report,
         leads=leads,
-        fold_params=tuple(fold_params),
+        fold_params=tuple((fit.context.fold, fit.point.lam, fit.point.h) for fit in fits),
     )
 
 
@@ -204,7 +189,7 @@ def evaluate_baseline_cv(
     """Grid-fit a trigger baseline and report its pooled out-of-sample scores."""
     config = fit_baseline(panel, events, windows, grid, kind, folds)
     param = config.trigger_week if kind == "week" else config.n_consecutive
-    trace = _trace_for(panel, kind, param)
+    trace = baseline_trace(panel, kind, param)
     report, leads = pooled_cv_report(
         panel, events, windows, folds, [trace] * folds.n_folds, reporting_threshold
     )
@@ -217,47 +202,31 @@ def evaluate_baseline_cv(
 
 
 def run_selection(
-    panel: AlignedPanel,
-    candidates: Sequence[str],
-    folds: FoldPlan,
-    *,
-    epsilon: float,
-    min_duration: int,
-    window: int,
-    lead: int | None,
-    phi: float,
-    sims: int,
-    lambda_grid: Sequence[float],
-    k_max: int,
-    replicates: int,
-    seed: int,
-    min_improvement: float = 0.0,
+    panel: AlignedPanel, config: ExperimentConfig, folds: FoldPlan, seeds: Sequence[int]
 ) -> tuple[SelectionTrace, ...]:
-    """Run replicate forward selections serially; replicate r seeds with seed + r."""
-    events = detect_events(panel.gold, epsilon, min_duration)
-    windows = build_windows(events, window, lead, panel.gold)
-    contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid)
-    traces = []
-    for r in range(replicates):
-        traces.append(
-            forward_select(
-                panel,
-                candidates,
-                k_max,
-                phi,
-                folds,
-                seed=seed + r,
-                epsilon=epsilon,
-                window=window,
-                min_duration=min_duration,
-                lead=lead,
-                sims=sims,
-                lambda_grid=lambda_grid,
-                min_improvement=min_improvement,
-                contexts=contexts,
-            )
+    """Run one forward selection over every panel candidate per seed, serially."""
+    events = detect_events(panel.gold, config.epsilon, config.min_duration)
+    windows = build_windows(events, config.window, config.lead, panel.gold)
+    contexts = prepare_fold_contexts(panel, events, windows, folds, config.lambda_grid)
+    return tuple(
+        forward_select(
+            panel,
+            panel.candidate_names(),
+            config.k_max,
+            config.atfs,
+            folds,
+            seed=seed,
+            epsilon=config.epsilon,
+            window=config.window,
+            min_duration=config.min_duration,
+            lead=config.lead,
+            sims=config.sims,
+            lambda_grid=config.lambda_grid,
+            min_improvement=config.min_improvement,
+            contexts=contexts,
         )
-    return tuple(traces)
+        for seed in seeds
+    )
 
 
 def train_spec_folds(
@@ -296,72 +265,91 @@ def train_spec_folds(
 
 def select_and_evaluate(
     panel: AlignedPanel,
+    config: ExperimentConfig,
     *,
-    epsilon: float,
-    min_duration: int,
-    window: int,
-    lead: int | None,
-    phi: float,
-    sims: int,
-    lambda_grid: Sequence[float],
-    k_max: int,
-    replicates: int,
-    held_out: int,
-    seed: int,
     train_spec: tuple[int, int] | None = None,
-    reporting_threshold: float | None = None,
 ) -> PipelineResult:
-    """Full pipeline for one parameter point: select predictors, then score them.
+    """Full pipeline for one config: select predictors, then score them.
 
-    Selection runs under ``held_out`` seasons per fold (or the single custom
-    fold from ``train_spec``); the aggregated subset is then evaluated out of
-    sample under two-held-out folds when enough events exist.
+    Selection runs ``config.replicates`` replicates (replicate r seeds with
+    ``config.seed + r``) under ``config.held_out`` seasons per fold, or under
+    the folds of ``train_spec`` = (training seasons, gap); the aggregated
+    subset is then evaluated out of sample under two-held-out folds when
+    enough events exist, as the ``optimized`` model.
     """
-    events = detect_events(panel.gold, epsilon, min_duration)
+    events = detect_events(panel.gold, config.epsilon, config.min_duration)
     if len(events) < 2:
         raise ValueError(
-            f"found {len(events)} event(s) at threshold {epsilon}; need >= 2"
+            f"found {len(events)} event(s) at threshold {config.epsilon}; need >= 2"
         )
-    windows = build_windows(events, window, lead, panel.gold)
+    windows = build_windows(events, config.window, config.lead, panel.gold)
     if train_spec is not None:
         select_folds, compare_folds = train_spec_folds(events, panel.n_weeks, *train_spec)
     else:
-        select_folds = make_folds(events, held_out, panel.n_weeks)
-        compare_held_out = 2 if len(events) > 2 else 1
-        compare_folds = make_folds(events, compare_held_out, panel.n_weeks)
+        select_folds = make_folds(events, config.held_out, panel.n_weeks)
+        compare_folds = make_folds(events, 2 if len(events) > 2 else 1, panel.n_weeks)
 
-    traces = run_selection(
-        panel,
-        panel.candidate_names(),
-        select_folds,
-        epsilon=epsilon,
-        min_duration=min_duration,
-        window=window,
-        lead=lead,
-        phi=phi,
-        sims=sims,
-        lambda_grid=lambda_grid,
-        k_max=k_max,
-        replicates=replicates,
-        seed=seed,
-    )
-    aggregate = aggregate_replicates(traces, k_max)
-    subset = aggregate.selected()[:k_max]
+    seeds = range(config.seed, config.seed + config.replicates)
+    traces = run_selection(panel, config, select_folds, seeds)
+    subset = aggregate_replicates(traces, config.k_max).selected()[: config.k_max]
     if not subset:
         raise ValueError("selection chose no predictors")
-
     model = evaluate_mewma_cv(
         panel,
         subset,
         events,
         windows,
         compare_folds,
-        phi,
-        sims=sims,
-        lambda_grid=lambda_grid,
-        seed=seed,
-        reporting_threshold=reporting_threshold,
+        config.atfs,
+        sims=config.sims,
+        lambda_grid=config.lambda_grid,
+        seed=config.seed,
+        reporting_threshold=config.lead_threshold,
     )
-    return PipelineResult(
-        subset=subset, traces=traces, report=model.report, leads=model.leads
-    )
+    # named here: the perfbench tracer's wrapper cannot forward a `name` keyword
+    return PipelineResult(subset=subset, traces=traces, model=replace(model, name="optimized"))
+
+
+def sweep(
+    panel: AlignedPanel, config: ExperimentConfig, axis: str, values: Sequence
+) -> list[dict]:
+    """Run the select-and-evaluate pipeline once per value along one axis.
+
+    ``axis`` is ``epsilon`` (event threshold), ``window`` (detection window
+    length), ``atfs`` (false-signal budget) or ``train`` (training length in
+    seasons, or (length, gap-to-test) pairs); every other parameter keeps its
+    ``config`` value. Returns one row (dict) per value; per-point failures are
+    recorded in the row's ``error`` field and the sweep continues.
+    """
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    rows: list[dict] = []
+    for value in values:
+        point, train_spec = config, None
+        if axis == "train":
+            train_spec = value if isinstance(value, tuple) else (int(value), 0)
+        elif axis == "window":
+            point = replace(config, window=int(value))
+        elif axis == "atfs":
+            point = replace(config, atfs=float(value))
+        else:
+            point = replace(config, epsilon=float(value))
+        row = dict.fromkeys(SWEEP_FIELDS, "")
+        row.update(axis=axis, value=repr(value), epsilon=point.epsilon,
+                   window=point.window, phi=point.atfs)
+        try:
+            result = select_and_evaluate(panel, point, train_spec=train_spec)
+            report = result.model.report
+            row.update(selected="|".join(result.subset), performance=repr(report.performance),
+                       precision=repr(report.precision), recall=repr(report.recall))
+        except Exception as exc:  # per-point failures must not kill the sweep
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    return rows
+
+
+def write_sweep_csv(rows: Sequence[dict], path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)

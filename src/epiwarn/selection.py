@@ -18,7 +18,7 @@ import numpy as np
 
 from . import calibrate, evaluate
 from .events import DetectionWindowSet, EventSet, build_windows, detect_events
-from .mewma import NullModel, SharedScanTable, estimate_null, precompute_shared_states
+from .mewma import AlarmTrace, NullModel, SharedScanTable, estimate_null, precompute_shared_states
 from .panel import AlignedPanel
 
 
@@ -93,6 +93,7 @@ class FoldContext:
     fold: int
     train_mask: np.ndarray
     test_mask: np.ndarray
+    train_events: EventSet
     train_windows: DetectionWindowSet
     test_windows: DetectionWindowSet
     null: NullModel
@@ -108,31 +109,23 @@ def prepare_fold_contexts(
     lambda_grid: Sequence[float],
     *,
     candidates: Sequence[str] | None = None,
-    reset_folds: bool = False,
 ) -> list[FoldContext]:
-    """Estimate per-fold training nulls and precompute shared scan states.
-
-    With ``reset_folds`` the scan state restarts at every season boundary so
-    folds do not bleed into each other; the default scans the panel in one
-    unbroken pass, matching the reset-free detector.
-    """
+    """Estimate per-fold training nulls and precompute shared scan states."""
     names = tuple(candidates) if candidates is not None else panel.candidate_names()
     n = panel.n_weeks
-    segments = None
-    if reset_folds:
-        segments = tuple((lo, hi) for lo, hi in folds.seasons)
     contexts = []
     for f in range(folds.n_folds):
         train = folds.train_mask(f, n)
         test = folds.test_mask(f, n)
         null = estimate_null(panel, events, names, week_mask=train)
-        table = precompute_shared_states(panel, null, lambda_grid, segments)
+        table = precompute_shared_states(panel, null, lambda_grid)
         base = events.baseline_mask(n) & train
         contexts.append(
             FoldContext(
                 fold=f,
                 train_mask=train,
                 test_mask=test,
+                train_events=events.select(folds.folds[f].train_seasons),
                 train_windows=windows.select(folds.folds[f].train_seasons),
                 test_windows=windows.select(folds.folds[f].test_seasons),
                 null=null,
@@ -148,6 +141,63 @@ class AuditLog:
     """Record of which weeks and parameters each fold's fit actually used."""
 
     entries: list[dict] = field(default_factory=list)
+
+
+@dataclass(frozen=True, eq=False)
+class FoldFit:
+    """One fold's calibrated detector: the chosen (lambda, h) and its full scan."""
+
+    context: FoldContext
+    point: calibrate.ConstraintCurvePoint
+    trace: AlarmTrace
+
+
+def fit_folds(
+    panel: AlignedPanel,
+    subset: Sequence[str],
+    contexts: Sequence[FoldContext],
+    phi: float,
+    lambda_grid: Sequence[float],
+    *,
+    sims: int,
+    seed,
+    audit: AuditLog | None = None,
+) -> list[FoldFit]:
+    """Calibrate a subset on each fold's training weeks and scan it.
+
+    Fold f picks (lambda, h) on its training events under the ATFS target
+    ``phi``, seeding the calibration with ``(*seed, f)``; the scan covers
+    the whole panel, and callers score it on the held-out events. Each fit
+    is recorded in ``audit`` if given.
+    """
+    subset = tuple(subset)
+    fits = []
+    for ctx in contexts:
+        point = calibrate.optimize_params(
+            panel,
+            ctx.train_events,
+            ctx.train_windows,
+            subset,
+            phi,
+            lambda_grid,
+            sims=sims,
+            seed=(*calibrate._seed_tuple(seed), ctx.fold),
+            table=ctx.table,
+        )
+        fits.append(FoldFit(ctx, point, ctx.table.scan(point.lam, subset, point.h)))
+        if audit is not None:
+            audit.entries.append(
+                {
+                    "fold": ctx.fold,
+                    "subset": subset,
+                    "baseline_weeks": ctx.baseline_weeks.copy(),
+                    "train_mask": ctx.train_mask.copy(),
+                    "test_mask": ctx.test_mask.copy(),
+                    "lam": point.lam,
+                    "h": point.h,
+                }
+            )
+    return fits
 
 
 def score_subset(
@@ -170,7 +220,7 @@ def score_subset(
 
     Per fold: the null model and the (lambda, h) pair come from training
     weeks only; the chosen detector's trace is then scored on the held-out
-    events' windows.
+    events' windows, and the score joins the fold's audit entry.
     """
     subset = tuple(subset)
     if not subset:
@@ -180,34 +230,13 @@ def score_subset(
         windows = build_windows(events, window, lead, panel.gold)
         contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid)
 
-    fold_scores = []
-    for ctx in contexts:
-        point = calibrate.optimize_params(
-            panel,
-            EventSet(epsilon, min_duration, ctx.train_windows.events),
-            ctx.train_windows,
-            subset,
-            phi,
-            lambda_grid,
-            sims=sims,
-            seed=(*calibrate._seed_tuple(seed), ctx.fold),
-            table=ctx.table,
-        )
-        trace = ctx.table.scan(point.lam, subset, point.h)
-        fold_scores.append(evaluate.performance(trace, ctx.test_windows))
-        if audit is not None:
-            audit.entries.append(
-                {
-                    "fold": ctx.fold,
-                    "subset": subset,
-                    "baseline_weeks": ctx.baseline_weeks.copy(),
-                    "train_mask": ctx.train_mask.copy(),
-                    "test_mask": ctx.test_mask.copy(),
-                    "lam": point.lam,
-                    "h": point.h,
-                    "fold_score": fold_scores[-1],
-                }
-            )
+    fits = fit_folds(
+        panel, subset, contexts, phi, lambda_grid, sims=sims, seed=seed, audit=audit
+    )
+    fold_scores = [evaluate.performance(fit.trace, fit.context.test_windows) for fit in fits]
+    if audit is not None:  # the entries fit_folds just recorded, one per fold
+        for entry, fold_score in zip(audit.entries[-len(fits):], fold_scores):
+            entry["fold_score"] = fold_score
     return float(np.mean(fold_scores))
 
 
@@ -263,9 +292,7 @@ def forward_select(
     if contexts is None:
         events = detect_events(panel.gold, epsilon, min_duration)
         windows = build_windows(events, window, lead, panel.gold)
-        contexts = prepare_fold_contexts(
-            panel, events, windows, folds, lambda_grid, candidates=panel.candidate_names()
-        )
+        contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid)
 
     chosen: list[str] = []
     steps: list[SelectionStep] = []

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -5,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from epiwarn.cli import main
+from epiwarn.config import load_config
+from epiwarn.panel import load_panel_from_manifest
+from epiwarn.pipeline import select_and_evaluate
 
 
 def run(argv):
@@ -17,6 +21,21 @@ def tree_bytes(root: Path) -> dict:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def csv_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def derived_config(workspace: Path, path: Path, **keys) -> Path:
+    """The workspace config with some keys replaced, written to ``path``."""
+    lines = (workspace / "exp.cfg").read_text().splitlines()
+    values = dict(line.split(" = ", 1) for line in lines)
+    values["manifest"] = str(workspace / "panel" / "panel.manifest")
+    values.update({key: str(value) for key, value in keys.items()})
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +178,54 @@ def test_sweep_singleton_matches_direct_run(workspace, tmp_path):
     assert len(rows1) == 2
     assert rows1[1].split(",")[-1] == ""  # no error
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_evaluate_optimized_matches_select_and_evaluate(workspace, tmp_path):
+    out = tmp_path / "opt"
+    assert run(["evaluate", "--config", workspace / "exp.cfg",
+                "--models", "optimized", "--out", out]) == 0
+    row = csv_rows(out / "model_comparison.csv")[0]
+    config = load_config(workspace / "exp.cfg")
+    result = select_and_evaluate(load_panel_from_manifest(config.manifest), config)
+    assert row["model"] == result.model.name == "optimized"
+    assert row["parameter"] == "+".join(result.subset)
+    assert row["performance"] == repr(result.model.report.performance)
+    assert row["mean_lead_weeks"] == repr(result.model.leads.mean_lead)
+
+
+def test_evaluate_epsilon_above_reporting_threshold_skips_leads(workspace, tmp_path):
+    # reporting_threshold 2.0 below epsilon 2.5: no lead tables, as in detect
+    cfg = derived_config(workspace, tmp_path / "eps.cfg", epsilon=2.5)
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--config", cfg, "--models", "optimized,week-trigger",
+                "--out", out]) == 0
+    rows = csv_rows(out / "model_comparison.csv")
+    assert [r["model"] for r in rows] == ["optimized", "week-trigger"]
+    assert all(r["mean_lead_weeks"] == "" for r in rows)
+    assert all(r["lead_weeks"] == "" for r in csv_rows(out / "optimized_events.csv"))
+
+
+def test_sweep_epsilon_above_reporting_threshold_skips_leads(workspace, tmp_path):
+    out = tmp_path / "seps"
+    assert run(["sweep", "--config", workspace / "exp.cfg", "--axis", "epsilon",
+                "--values", "1.25,2.5", "--out", out]) == 0
+    rows = csv_rows(out / "sweep.csv")
+    assert [r["error"] for r in rows] == ["", ""]
+    assert all(r["selected"] for r in rows)
+
+
+def test_sweep_honours_min_improvement_like_evaluate(workspace, tmp_path):
+    # the second greedy step does not raise the score on this panel, so only a
+    # negative min_improvement makes selection take it: k_max = 2 predictors
+    cfg = derived_config(workspace, tmp_path / "mi.cfg", min_improvement=-1.0)
+    assert run(["evaluate", "--config", cfg, "--models", "optimized",
+                "--out", tmp_path / "eval"]) == 0
+    assert run(["sweep", "--config", cfg, "--axis", "atfs", "--values", "20",
+                "--out", tmp_path / "sweep"]) == 0
+    evaluated = csv_rows(tmp_path / "eval" / "model_comparison.csv")[0]["parameter"]
+    swept = csv_rows(tmp_path / "sweep" / "sweep.csv")[0]["selected"]
+    assert swept.split("|") == evaluated.split("+")
+    assert len(swept.split("|")) == 2
 
 
 def test_sweep_atfs_axis_row_shape(workspace, tmp_path):

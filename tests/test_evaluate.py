@@ -3,7 +3,7 @@ import pytest
 
 from epiwarn.events import DetectionWindowSet, build_windows, detect_events
 from epiwarn.evaluate import lead_vs_threshold, performance, score
-from epiwarn.mewma import AlarmTrace, cluster_onsets
+from epiwarn.mewma import AlarmTrace
 from epiwarn.panel import Series
 
 
@@ -105,19 +105,6 @@ def test_recall_one_iff_every_event_has_onset():
     w = windows_at([30, 100])
     assert score(trace_with_onsets([31, 101]), w).recall == 1.0
     assert score(trace_with_onsets([31]), w).recall == 0.5
-
-
-def test_raw_alarm_precision_flag():
-    w = windows_at([30, 100])
-    # alarm weeks 32,33 form one cluster; onset precision sees one mark,
-    # raw precision sees two plus the false one
-    alarms = np.array([32, 33, 70])
-    trace = AlarmTrace(E=np.zeros(200), alarm_weeks=alarms, cluster_onsets=cluster_onsets(alarms))
-    onsets_rep = score(trace, w)
-    raw_rep = score(trace, w, raw_alarm_precision=True)
-    assert onsets_rep.true_onset_count == 1
-    assert raw_rep.true_onset_count == 2
-    assert raw_rep.false_onset_count == 1
 
 
 def test_onset_mask_restricts_scoring():

@@ -82,24 +82,6 @@ def test_window_clipped_at_panel_start():
     assert "clipped_start" in windows.flags[0]
 
 
-def test_onset_floor_raises_window_start():
-    # event starts at week 40; the pre-event local minimum sits at week 36
-    values = np.ones(80)
-    values[30:36] = [1.2, 1.15, 1.1, 1.05, 1.02, 1.01]
-    values[36] = 0.9  # lowest observation of the onset
-    values[37:40] = [1.05, 1.1, 1.2]
-    values[40:50] = 2.0
-    gold = _series(values)
-    events = detect_events(gold, 1.25, 3)
-    assert events.events[0][0] == 40
-    windows = build_windows(events, 16, 8, gold, onset_floor=True)
-    assert windows.windows[0][0] == 36
-    assert "onset_floor" in windows.flags[0]
-    # without the floor the window starts at 32
-    plain = build_windows(events, 16, 8, gold)
-    assert plain.windows[0][0] == 32
-
-
 def test_overlapping_windows_rejected():
     values = np.ones(60)
     values[10:16] = 2.0

@@ -240,19 +240,6 @@ def test_dimension_mismatch_rejected():
         run_scan(panel, null1, DetectorConfig(("missing",), 0.5, 1.0))
 
 
-def test_segments_reset_state():
-    values = np.ones(20)
-    panel = make_panel(np.zeros(20), [values])
-    null = _null(["c1"], [0.0], [[1.0]])
-    config = DetectorConfig(("c1",), 0.5, 100.0)
-    whole = run_scan(panel, null, config)
-    split = run_scan(panel, null, config, segments=[(0, 9), (10, 19)])
-    # the state rebuilds from zero at week 10 in the split scan
-    assert split.S[10, 0] == pytest.approx(0.5)
-    assert whole.S[10, 0] > split.S[10, 0]
-    assert np.array_equal(split.S[:10], whole.S[:10])
-
-
 def test_condition_covariance_leaves_good_matrices_alone():
     sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
     out, ridged, delta = condition_covariance(sigma)

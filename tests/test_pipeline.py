@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epiwarn.evaluate import SweepSpec, sweep, write_sweep_csv
+from epiwarn.config import ExperimentConfig
 from epiwarn.events import build_windows, detect_events
 from epiwarn.mewma import AlarmTrace
 from epiwarn.panel import AlignedPanel, Series, SyntheticPanelSpec, generate_synthetic
@@ -10,9 +10,11 @@ from epiwarn.pipeline import (
     evaluate_mewma_cv,
     pooled_cv_report,
     select_and_evaluate,
+    sweep,
     train_spec_folds,
+    write_sweep_csv,
 )
-from epiwarn.selection import make_folds
+from epiwarn.selection import AuditLog, make_folds, prepare_fold_contexts, score_subset
 
 
 def two_predictor_panel(seasons=6, seed=21, weeks=40):
@@ -33,10 +35,12 @@ def two_predictor_panel(seasons=6, seed=21, weeks=40):
     )
 
 
-COMMON = dict(
-    epsilon=1.25, min_duration=3, window=16, lead=8, phi=20.0,
-    sims=60, lambda_grid=(0.3, 0.6), k_max=2, replicates=2, held_out=1,
-)
+def small_config(**overrides):
+    """Default config with a cheap calibration; the panel is passed in directly."""
+    return ExperimentConfig(
+        **{"manifest": "unused.manifest", "sims": 60, "lambda_grid": (0.3, 0.6),
+           "k_max": 2, "replicates": 2, **overrides}
+    )
 
 
 def test_pooled_report_scores_each_event_once():
@@ -99,9 +103,10 @@ def test_train_spec_folds_rejects_short_panels():
 
 def test_select_and_evaluate_picks_leading_predictor():
     panel = two_predictor_panel()
-    result = select_and_evaluate(panel, seed=0, **COMMON)
+    result = select_and_evaluate(panel, small_config())
     assert result.subset[0] == "lead3"
-    assert result.report.performance > 0.5
+    assert result.model.name == "optimized"
+    assert result.model.report.performance > 0.5
     assert len(result.traces) == 2
 
 
@@ -114,8 +119,8 @@ def test_training_length_sweep_is_stationary():
     spread = []
     for L in (4, 8):
         runs = [
-            select_and_evaluate(panel, seed=seed, train_spec=(L, 0), **COMMON)
-            .report.performance
+            select_and_evaluate(panel, small_config(seed=seed), train_spec=(L, 0))
+            .model.report.performance
             for seed in (0, 1)
         ]
         perf[L] = float(np.mean(runs))
@@ -126,20 +131,16 @@ def test_training_length_sweep_is_stationary():
 
 def test_gap_between_train_and_test_supported():
     panel = two_predictor_panel(seasons=8)
-    r0 = select_and_evaluate(panel, seed=0, train_spec=(4, 0), **COMMON)
-    r2 = select_and_evaluate(panel, seed=0, train_spec=(4, 2), **COMMON)
+    r0 = select_and_evaluate(panel, small_config(), train_spec=(4, 0))
+    r2 = select_and_evaluate(panel, small_config(), train_spec=(4, 2))
     assert r0.subset and r2.subset
-    assert 0.0 <= r0.report.performance <= 1.0
-    assert 0.0 <= r2.report.performance <= 1.0
+    assert 0.0 <= r0.model.report.performance <= 1.0
+    assert 0.0 <= r2.model.report.performance <= 1.0
 
 
 def test_sweep_records_per_point_failures_and_continues():
     panel = two_predictor_panel()
-    spec = SweepSpec(
-        axis="epsilon", values=(99.0, 1.25), sims=60, lambda_grid=(0.3, 0.6),
-        k_max=2, replicates=1, phi=20.0,
-    )
-    rows = sweep(panel, spec)
+    rows = sweep(panel, small_config(replicates=1), "epsilon", (99.0, 1.25))
     assert len(rows) == 2
     assert rows[0]["error"] != "" and rows[0]["performance"] == ""
     assert rows[1]["error"] == "" and rows[1]["selected"] != ""
@@ -147,11 +148,7 @@ def test_sweep_records_per_point_failures_and_continues():
 
 def test_sweep_phi_axis_rows_have_own_selections(tmp_path):
     panel = two_predictor_panel()
-    spec = SweepSpec(
-        axis="atfs", values=(5.0, 20.0), sims=60, lambda_grid=(0.3, 0.6),
-        k_max=2, replicates=1,
-    )
-    rows = sweep(panel, spec)
+    rows = sweep(panel, small_config(replicates=1), "atfs", (5.0, 20.0))
     assert [r["phi"] for r in rows] == [5.0, 20.0]
     assert all(r["error"] == "" for r in rows)
     out = tmp_path / "sweep.csv"
@@ -222,11 +219,8 @@ def test_optimized_model_earliest_among_four_models():
     windows = build_windows(events, 16, 8, panel.gold)
     compare = make_folds(events, 2, panel.n_weeks)
     grid = (0.3, 0.6)
-    traces = run_selection(
-        panel, panel.candidate_names(), make_folds(events, 1, panel.n_weeks),
-        epsilon=1.25, min_duration=3, window=16, lead=8, phi=20.0, sims=80,
-        lambda_grid=grid, k_max=1, replicates=1, seed=0,
-    )
+    config = small_config(sims=80, lambda_grid=grid, k_max=1)
+    traces = run_selection(panel, config, make_folds(events, 1, panel.n_weeks), (0,))
     subset = aggregate_replicates(traces, 1).selected()[:1]
     optimized = evaluate_mewma_cv(
         panel, subset, events, windows, compare, 20.0,
@@ -250,17 +244,36 @@ def test_optimized_model_earliest_among_four_models():
 
 def test_sweep_singleton_row_equals_direct_pipeline_run():
     panel = two_predictor_panel()
-    spec = SweepSpec(
-        axis="epsilon", values=(1.25,), sims=60, lambda_grid=(0.3, 0.6),
-        k_max=2, replicates=1, phi=20.0,
-    )
-    row = sweep(panel, spec)[0]
-    direct = select_and_evaluate(
-        panel, epsilon=1.25, min_duration=3, window=16, lead=None, phi=20.0,
-        sims=60, lambda_grid=(0.3, 0.6), k_max=2, replicates=1, held_out=1, seed=0,
-    )
+    config = small_config(replicates=1)
+    row = sweep(panel, config, "epsilon", (1.25,))[0]
+    direct = select_and_evaluate(panel, config)
     assert row["error"] == ""
     assert row["selected"] == "|".join(direct.subset)
-    assert row["performance"] == repr(direct.report.performance)
-    assert row["precision"] == repr(direct.report.precision)
-    assert row["recall"] == repr(direct.report.recall)
+    assert row["performance"] == repr(direct.model.report.performance)
+    assert row["precision"] == repr(direct.model.report.precision)
+    assert row["recall"] == repr(direct.model.report.recall)
+
+
+def test_score_subset_and_evaluate_mewma_cv_fit_folds_alike():
+    panel = two_predictor_panel()
+    events = detect_events(panel.gold, 1.25, 3)
+    windows = build_windows(events, 16, 8, panel.gold)
+    folds = make_folds(events, 2, panel.n_weeks)
+    grid = (0.3, 0.6)
+    contexts = prepare_fold_contexts(panel, events, windows, folds, grid)
+    subset = ("lead3", "noise1")
+    scored, evaluated = AuditLog(), AuditLog()
+    score_subset(
+        panel, subset, folds, 20.0, 1.25, 16,
+        sims=60, seed=4, lambda_grid=grid, contexts=contexts, audit=scored,
+    )
+    model = evaluate_mewma_cv(
+        panel, subset, events, windows, folds, 20.0,
+        sims=60, lambda_grid=grid, seed=4, contexts=contexts, audit=evaluated,
+    )
+
+    def fold_fits(audit):
+        return [(e["fold"], e["lam"], e["h"]) for e in audit.entries]
+
+    assert len(model.fold_params) == folds.n_folds
+    assert fold_fits(scored) == fold_fits(evaluated) == list(model.fold_params)

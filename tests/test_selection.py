@@ -302,29 +302,3 @@ def test_leakage_audit_flags_contaminated_entry():
     )
     problems = audit_leakage(folds, panel.n_weeks, audit)
     assert any("held-out weeks" in p for p in problems)
-
-
-def test_reset_folds_restarts_state_at_season_boundaries():
-    from epiwarn.events import build_windows
-    panel = mixed_panel(noise_scale=0.05)
-    events = detect_events(panel.gold, 1.25, 3)
-    windows = build_windows(events, 16, 8, panel.gold)
-    folds = make_folds(events, 1, panel.n_weeks)
-    contexts = prepare_fold_contexts(
-        panel, events, windows, folds, GRID, reset_folds=True
-    )
-    ctx = contexts[0]
-    assert ctx.table.segments == folds.seasons
-    # the state at each season's first week reflects only that week
-    lam = GRID[0]
-    S = ctx.table.states[lam]
-    X = panel.candidate_matrix(ctx.null.predictor_names)
-    for lo, _ in folds.seasons:
-        expected = np.maximum(0.0, lam * (X[lo] - ctx.null.mu))
-        assert np.array_equal(S[lo], expected)
-    # scoring still works end to end with resets
-    s = score_subset(
-        panel, ("lead3",), folds, PHI, 1.25, 16,
-        sims=SIMS, seed=0, lambda_grid=GRID, contexts=contexts,
-    )
-    assert 0.0 <= s <= 1.0
