@@ -6,11 +6,17 @@ scan them, and average the spacing between successive alarm weeks. For a
 fixed smoothing parameter the threshold meeting a target ATFS is found with
 a bracketed secant solve over a single set of simulated statistic paths
 (common random numbers), exploiting that ATFS is monotone in the threshold.
+
+Each path's one-sided state is recursed week by week, and the quadratic form
+is then taken once over all (path, week) states. A one-predictor statistic
+does not depend on the null's variance, so all 1-d nulls share one memoized
+solve against the unit null per (lambda, target, simulation size, seed).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -87,13 +93,21 @@ def simulate_statistic_paths(
     L = np.linalg.cholesky(null.sigma)
     deviations = rng.standard_normal((sims, length, d)) @ L.T
 
-    Ls = np.linalg.cholesky(null.smoothed_cov(lam))
+    # the recursion overwrites each step's draws with its state; the quadratic
+    # form is then one in-place triangular solve over every (path, week). E is
+    # allocated before the loop so that it takes the block freed by the raw
+    # draws: allocated after, it finds that block fragmented by the loop's
+    # temporaries, and peak resident memory grows by one path set
     E = np.empty((sims, length))
     s = np.zeros((sims, d))
     for t in range(length):
         s = np.maximum(0.0, lam * deviations[:, t, :] + (1.0 - lam) * s)
-        z = solve_triangular(Ls, s.T, lower=True, check_finite=False)
-        E[:, t] = np.einsum("ij,ij->j", z, z)
+        deviations[:, t, :] = s
+    Ls = np.linalg.cholesky(null.smoothed_cov(lam))
+    z = solve_triangular(
+        Ls, deviations.reshape(-1, d).T, lower=True, check_finite=False, overwrite_b=True
+    )
+    np.einsum("ij,ij->j", z, z, out=E.reshape(-1))
     return E
 
 
@@ -168,22 +182,60 @@ def solve_threshold(
     deterministic and monotone. ``history`` (if given) collects the
     (h, atfs) evaluations in order. Targets phi <= 1 return the boundary
     solution h = 0, where every week alarms.
+
+    A one-predictor statistic s^2 / var(s) does not depend on the null's
+    variance, so every 1-d null is calibrated against the unit null, and that
+    solve is memoized on its other arguments: the singletons of a selection
+    step share one simulation per (lambda, seed).
     """
     if phi < 1.0:
         raise CalibrationError(f"target ATFS must be >= 1 week, got {phi}")
     if length is None:
         length = max(int(10 * phi), 50)
+    args = (lam, phi, tol, max_iter, sims, length)
+    key = _seed_key(seed)
+    if null.dim == 1 and key is not None:
+        h, evals = _solve_unit_null(*args, key, cluster_spacing)
+    else:
+        h, evals = _solve(null, *args, seed, cluster_spacing)
+    if history is not None:
+        history.extend(evals)
+    return h
+
+
+_UNIT_NULL = NullModel(("unit",), np.zeros(1), np.ones((1, 1)), 0)
+
+
+@functools.lru_cache(maxsize=1024)
+def _solve_unit_null(lam, phi, tol, max_iter, sims, length, seed, cluster_spacing):
+    return _solve(_UNIT_NULL, lam, phi, tol, max_iter, sims, length, seed, cluster_spacing)
+
+
+def _seed_key(seed):
+    """An integer seed or seed sequence as a hashable key; None for a seed that
+    carries state of its own (a Generator or SeedSequence), which is not memoized."""
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    if isinstance(seed, (tuple, list)) and all(isinstance(s, (int, np.integer)) for s in seed):
+        return tuple(int(s) for s in seed)
+    return None
+
+
+def _solve(
+    null: NullModel, lam, phi, tol, max_iter, sims, length, seed, cluster_spacing
+) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """Secant solve of ``solve_threshold``: h and the (h, atfs) evaluations."""
     E = simulate_statistic_paths(null, lam, sims, length, seed)
+    evals: list[tuple[float, float]] = []
 
     def f(h: float) -> float:
         atfs = atfs_from_paths(E, h, cluster_spacing)
-        if history is not None:
-            history.append((h, atfs))
+        evals.append((h, atfs))
         return atfs - phi
 
     if phi <= 1.0:
         f(0.0)
-        return 0.0
+        return 0.0, tuple(evals)
 
     # bracket the root; h=0 sits below any phi > 1, the first guess comes from
     # the pooled statistic quantile matching the target alarm rate
@@ -201,7 +253,7 @@ def solve_threshold(
                 f"could not bracket ATFS target {phi} at lam={lam}", (h_lo, h_hi)
             )
     if abs(f_hi) <= tol:
-        return h_hi
+        return h_hi, tuple(evals)
 
     # safeguarded secant within [h_lo, h_hi]; bisection when the secant step
     # is unusable (infinite objective or step outside the bracket)
@@ -216,7 +268,7 @@ def solve_threshold(
             h_next = 0.5 * (h_lo + h_hi)
         f_next = f(h_next)
         if abs(f_next) <= tol:
-            return h_next
+            return h_next, tuple(evals)
         if f_next < 0.0:
             h_lo, f_lo = h_next, f_next
         else:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
 from . import baselines, calibrate, evaluate, pipeline
@@ -21,6 +22,7 @@ from .config import ExperimentConfig, load_config
 from .events import build_windows, detect_events, write_events_csv
 from .mewma import DetectorConfig, run_scan, estimate_null, write_trace_csv
 from .panel import (
+    ParseError,
     SyntheticPanelSpec,
     generate_synthetic,
     load_panel_from_manifest,
@@ -105,6 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(path) -> ExperimentConfig:
+    """Load the experiment config; a bad key or value is a usage error."""
+    try:
+        return load_config(path)
+    except (ValueError, ParseError) as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _prepare_out(config: ExperimentConfig, command: str, override) -> Path:
     out = config.output_dir(command, override)
     out.mkdir(parents=True, exist_ok=True)
@@ -142,7 +152,7 @@ def _parse_baseline_spec(text: str):
 
 
 def cmd_detect(args) -> int:
-    config = load_config(args.config)
+    config = _load_config(args.config)
     panel = load_panel_from_manifest(config.manifest)
     if bool(args.subset) == bool(args.baseline_spec):
         raise UsageError("pass exactly one of --subset or --baseline")
@@ -230,8 +240,20 @@ def _run_replicate(config: ExperimentConfig, seed: int) -> SelectionTrace:
     return pipeline.run_selection(panel, config, folds, (seed,))[0]
 
 
+def _read_checkpoint(path: Path, fingerprint: str) -> SelectionTrace | None:
+    """A replicate's checkpointed trace, or None when it must be re-run: the
+    file is missing, unreadable or truncated, or another config wrote it."""
+    try:
+        payload = json.loads(path.read_text())
+        if not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint:
+            return None
+        return _trace_from_json(payload)
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
 def cmd_select(args) -> int:
-    config = load_config(args.config)
+    config = _load_config(args.config)
     out = _prepare_out(config, "select", args.out)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
@@ -240,29 +262,41 @@ def cmd_select(args) -> int:
     traces: dict[int, SelectionTrace] = {}
     pending: list[int] = []
     for r in range(config.replicates):
-        path = ckpt_dir / f"replicate_{r:03d}.json"
-        if path.exists():
-            payload = json.loads(path.read_text())
-            if payload.get("fingerprint") == fingerprint:
-                traces[r] = _trace_from_json(payload)
-                continue
-        pending.append(r)
+        trace = _read_checkpoint(ckpt_dir / f"replicate_{r:03d}.json", fingerprint)
+        if trace is None:
+            pending.append(r)
+        else:
+            traces[r] = trace
 
-    def _store(r: int, trace: SelectionTrace) -> None:
-        traces[r] = trace
-        payload = {"fingerprint": fingerprint, "replicate": r, **_trace_to_json(trace)}
+    failures: dict[int, Exception] = {}
+
+    def _store(r: int, run) -> None:
+        """Checkpoint a replicate as soon as it finishes; record its failure."""
+        try:
+            traces[r] = run()
+        except Exception as exc:
+            failures[r] = exc
+            return
+        payload = {"fingerprint": fingerprint, "replicate": r, **_trace_to_json(traces[r])}
         path = ckpt_dir / f"replicate_{r:03d}.json"
-        path.write_text(json.dumps(payload, sort_keys=True))
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(json.dumps(payload, sort_keys=True))
+        os.replace(tmp, path)
 
     workers = max(1, min(args.workers, len(pending) or 1))
     if workers == 1 or len(pending) <= 1:
         for r in pending:
-            _store(r, _run_replicate(config, config.seed + r))
+            _store(r, functools.partial(_run_replicate, config, config.seed + r))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {r: pool.submit(_run_replicate, config, config.seed + r) for r in pending}
-            for r, fut in futures.items():
-                _store(r, fut.result())
+            futures = {pool.submit(_run_replicate, config, config.seed + r): r for r in pending}
+            for fut in as_completed(futures):
+                _store(futures[fut], fut.result)
+    if failures:
+        raise RuntimeError("; ".join(
+            f"replicate {r} failed: {type(exc).__name__}: {exc}"
+            for r, exc in sorted(failures.items())
+        ))
 
     ordered = [traces[r] for r in range(config.replicates)]
     aggregate = aggregate_replicates(ordered, config.k_max)
@@ -273,7 +307,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = load_config(args.config)
+    config = _load_config(args.config)
     panel = load_panel_from_manifest(config.manifest)
     model_names = [m.strip() for m in args.models.split(",") if m.strip()]
     known = {"optimized", "week-trigger", "rise-trigger", "univariate-gold"}
@@ -342,7 +376,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config)
+    config = _load_config(args.config)
     panel = load_panel_from_manifest(config.manifest)
     if args.axis == "train":
         values = []

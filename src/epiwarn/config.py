@@ -45,8 +45,17 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        for key in ("min_duration", "window", "sims", "k_max", "replicates"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not 0 <= self.lead <= self.window:
+            raise ValueError(f"lead must be in [0, window={self.window}], got {self.lead}")
+        if not self.atfs >= 1.0:
+            raise ValueError(f"atfs must be >= 1 week, got {self.atfs}")
         object.__setattr__(self, "manifest", Path(self.manifest))
         object.__setattr__(self, "lambda_grid", tuple(float(l) for l in self.lambda_grid))
+        if not self.lambda_grid or not all(0.0 < l < 1.0 for l in self.lambda_grid):
+            raise ValueError(f"lambda_grid must be nonempty, in (0, 1), got {self.lambda_grid}")
         if self.out is not None:
             object.__setattr__(self, "out", Path(self.out))
 
@@ -105,6 +114,12 @@ def _panel_files(manifest: Path) -> list[Path]:
 
 _INT_KEYS = {"min_duration", "window", "lead", "sims", "k_max", "replicates", "seed"}
 _FLOAT_KEYS = {"epsilon", "atfs", "reporting_threshold", "min_improvement"}
+_PARSERS = {
+    **dict.fromkeys(_INT_KEYS, int),
+    **dict.fromkeys(_FLOAT_KEYS, float),
+    "lambda_grid": lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()),
+    "fold_preset": str,
+}
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -119,18 +134,13 @@ def load_config(path, **overrides) -> ExperimentConfig:
     for key, raw in read_kv_file(path):
         if key in values:
             raise ParseError(f"{path}: repeated key {key!r}")
-        if key == "manifest":
+        if key in ("manifest", "out"):
             values[key] = base / raw
-        elif key == "out":
-            values[key] = base / raw
-        elif key == "lambda_grid":
-            values[key] = tuple(float(v) for v in raw.split(",") if v.strip())
-        elif key in _INT_KEYS:
-            values[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(raw)
-        elif key == "fold_preset":
-            values[key] = raw
+        elif key in _PARSERS:
+            try:
+                values[key] = _PARSERS[key](raw)
+            except ValueError:
+                raise ParseError(f"{path}: bad value {raw!r} for {key!r}") from None
         else:
             raise ParseError(f"{path}: unknown config key {key!r}")
     if "manifest" not in values:

@@ -325,19 +325,19 @@ def sweep(
         raise ValueError(f"unknown sweep axis {axis!r}")
     rows: list[dict] = []
     for value in values:
-        point, train_spec = config, None
+        changes, train_spec = {}, None
         if axis == "train":
             train_spec = value if isinstance(value, tuple) else (int(value), 0)
-        elif axis == "window":
-            point = replace(config, window=int(value))
-        elif axis == "atfs":
-            point = replace(config, atfs=float(value))
         else:
-            point = replace(config, epsilon=float(value))
+            changes = {axis: int(value) if axis == "window" else float(value)}
+        shown = {"epsilon": config.epsilon, "window": config.window, "atfs": config.atfs,
+                 **changes}
         row = dict.fromkeys(SWEEP_FIELDS, "")
-        row.update(axis=axis, value=repr(value), epsilon=point.epsilon,
-                   window=point.window, phi=point.atfs)
+        row.update(axis=axis, value=repr(value), epsilon=shown["epsilon"],
+                   window=shown["window"], phi=shown["atfs"])
         try:
+            # an invalid grid value fails its own row, not the sweep
+            point = replace(config, **changes)
             result = select_and_evaluate(panel, point, train_spec=train_spec)
             report = result.model.report
             row.update(selected="|".join(result.subset), performance=repr(report.performance),

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 
+from epiwarn import calibrate
 from epiwarn.calibrate import (
     CalibrationError,
     DEFAULT_LAMBDA_GRID,
@@ -203,3 +206,116 @@ def test_pooled_estimator_matches_long_run_time_average():
             pooled = atfs_from_paths(short, h)
             reference = atfs_from_paths(long_run, h)
             assert abs(pooled - reference) / reference < 0.04
+
+
+def per_step_paths(null, lam, sims, length, seed):
+    """Reference: the statistic formed week by week, one solve per step."""
+    d = null.dim
+    rng = np.random.default_rng(seed)
+    L = np.linalg.cholesky(null.sigma)
+    deviations = rng.standard_normal((sims, length, d)) @ L.T
+    Ls = np.linalg.cholesky(null.smoothed_cov(lam))
+    E = np.empty((sims, length))
+    s = np.zeros((sims, d))
+    for t in range(length):
+        s = np.maximum(0.0, lam * deviations[:, t, :] + (1.0 - lam) * s)
+        z = solve_triangular(Ls, s.T, lower=True, check_finite=False)
+        E[:, t] = np.einsum("ij,ij->j", z, z)
+    return E
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    sims=st.integers(1, 60),
+    length=st.integers(1, 60),
+    lam=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_paths_match_per_step_reference(d, sims, length, lam, seed):
+    null = unit_null(d, seed=seed % 1000 + 1)
+    E = simulate_statistic_paths(null, lam, sims, length, seed)
+    reference = per_step_paths(null, lam, sims, length, seed)
+    assert E.shape == (sims, length)
+    np.testing.assert_allclose(E, reference, rtol=1e-12, atol=0.0)
+
+
+def scaled_null(variance):
+    return NullModel(("y",), np.array([3.0]), np.array([[variance]]), 50)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    variance=st.floats(1e-6, 1e6),
+    lam=st.sampled_from(DEFAULT_LAMBDA_GRID),
+    seed=st.integers(0, 1000),
+)
+def test_one_dimensional_threshold_ignores_variance(variance, lam, seed):
+    kwargs = dict(sims=40, length=100, seed=(seed, 2))
+    h = solve_threshold(scaled_null(variance), lam, 10.0, **kwargs)
+    assert h == solve_threshold(unit_null(), lam, 10.0, **kwargs)
+    # the shared solve stands in for a solve on the null's own paths
+    own, _ = calibrate._solve(scaled_null(variance), lam, 10.0, 0.5, 100, 40, 100,
+                              (seed, 2), False)
+    assert h == pytest.approx(own, rel=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lam=st.sampled_from(DEFAULT_LAMBDA_GRID), phi=st.floats(2.0, 30.0),
+       seed=st.integers(0, 1000))
+def test_cached_solve_equals_cold_solve(lam, phi, seed):
+    cached_history, cold_history = [], []
+    solve_threshold(unit_null(), lam, phi, sims=30, seed=[seed, 1])
+    cached = solve_threshold(unit_null(), lam, phi, sims=30, seed=(seed, 1),
+                             history=cached_history)
+    calibrate._solve_unit_null.cache_clear()
+    cold = solve_threshold(unit_null(), lam, phi, sims=30, seed=(seed, 1),
+                           history=cold_history)
+    assert cached == cold
+    assert cached_history == cold_history
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.floats(0.05, 0.95), h1=st.floats(0.0, 30.0), h2=st.floats(0.0, 30.0),
+       d=st.integers(1, 3))
+def test_atfs_monotone_in_threshold(lam, h1, h2, d):
+    E = simulate_statistic_paths(unit_null(d), lam, 30, 80, 4)
+    lo, hi = sorted((h1, h2))
+    assert atfs_from_paths(E, lo) <= atfs_from_paths(E, hi)
+
+
+def test_one_dimensional_nulls_share_one_simulation(monkeypatch):
+    calls = []
+    simulate = calibrate.simulate_statistic_paths
+
+    def counted(null, lam, sims, length, seed):
+        calls.append(null.dim)
+        return simulate(null, lam, sims, length, seed)
+
+    monkeypatch.setattr(calibrate, "simulate_statistic_paths", counted)
+    calibrate._solve_unit_null.cache_clear()
+    for variance in (0.01, 1.0, 37.0):
+        solve_threshold(scaled_null(variance), 0.3, 20.0, sims=50, seed=(0, 1, 2))
+    solve_threshold(scaled_null(2.0), 0.3, 20.0, sims=50, seed=[0, 1, 2])
+    assert calls == [1]
+    # a new seed, a new lambda and every multivariate null simulate again
+    solve_threshold(scaled_null(2.0), 0.3, 20.0, sims=50, seed=(0, 1, 3))
+    solve_threshold(scaled_null(2.0), 0.6, 20.0, sims=50, seed=(0, 1, 2))
+    for _ in range(2):
+        solve_threshold(unit_null(2), 0.3, 20.0, sims=50, seed=(0, 1, 2))
+    assert calls == [1, 1, 1, 2, 2]
+
+
+def test_failed_solve_is_not_memoized():
+    calibrate._solve_unit_null.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ThresholdSolveError):
+            solve_threshold(unit_null(), 0.5, 50.0, sims=5, length=2, seed=0, max_iter=5)
+    assert calibrate._solve_unit_null.cache_info().currsize == 0
+
+
+def test_generator_seed_is_not_memoized():
+    rng = np.random.default_rng(5)
+    first = solve_threshold(unit_null(), 0.4, 20.0, sims=50, seed=rng)
+    second = solve_threshold(unit_null(), 0.4, 20.0, sims=50, seed=rng)
+    assert first != second

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from epiwarn import cli
 from epiwarn.cli import main
 from epiwarn.config import load_config
 from epiwarn.panel import load_panel_from_manifest
@@ -294,3 +295,77 @@ def test_select_single_replicate_two_candidates(tmp_path):
     lines = (out / "selection_trace.csv").read_text().splitlines()
     steps = [l for l in lines[1:] if l.split(",")[0] == "0"]
     assert 1 <= len(steps) <= 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sims", 0),
+    ("replicates", 0),
+    ("k_max", 0),
+    ("window", 0),
+    ("lead", 20),
+    ("lead", -1),
+    ("atfs", 0.5),
+    ("min_duration", 0),
+    ("lambda_grid", ""),
+    ("lambda_grid", "0.3,1.0"),
+    ("seed", -1),
+    ("fold_preset", "weird"),
+    ("window", "abc"),
+])
+def test_invalid_config_value_exits_2(workspace, tmp_path, capsys, key, value):
+    cfg = derived_config(workspace, tmp_path / "bad.cfg", **{key: value})
+    out = tmp_path / "sel"
+    assert run(["select", "--config", cfg, "--out", out, "--workers", 1]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_config_key_exits_2(workspace, tmp_path):
+    cfg = derived_config(workspace, tmp_path / "rep.cfg")
+    cfg.write_text(cfg.read_text() + "sims = 20\n")
+    assert run(["detect", "--config", cfg, "--subset", "pred1",
+                "--out", tmp_path / "x"]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_select_truncated_checkpoint_is_rerun(workspace, tmp_path):
+    full = tmp_path / "full"
+    assert run(["select", "--config", workspace / "exp.cfg",
+                "--out", full, "--workers", 1]) == 0
+    ckpt = full / "checkpoints" / "replicate_000.json"
+    clean = ckpt.read_bytes()
+    ckpt.write_bytes(clean[: len(clean) // 2])
+    assert run(["select", "--config", workspace / "exp.cfg",
+                "--out", full, "--workers", 1]) == 0
+    assert ckpt.read_bytes() == clean
+    assert sorted(p.name for p in ckpt.parent.iterdir()) == [
+        "replicate_000.json", "replicate_001.json"]
+
+
+_run_replicate = cli._run_replicate
+
+
+def _second_replicate_fails(config, seed):
+    if seed == config.seed + 1:
+        raise RuntimeError("forced failure")
+    return _run_replicate(config, seed)
+
+
+def test_parallel_select_keeps_finished_replicates_on_failure(workspace, tmp_path,
+                                                              monkeypatch, capsys):
+    cfg = derived_config(workspace, tmp_path / "three.cfg", replicates=3)
+    clean = tmp_path / "clean"
+    assert run(["select", "--config", cfg, "--out", clean, "--workers", 1]) == 0
+    out = tmp_path / "failing"
+    monkeypatch.setattr(cli, "_run_replicate", _second_replicate_fails)
+    assert run(["select", "--config", cfg, "--out", out, "--workers", 2]) == 1
+    assert "replicate 1 failed: RuntimeError: forced failure" in capsys.readouterr().err
+    ckpts = sorted(p.name for p in (out / "checkpoints").iterdir())
+    assert ckpts == ["replicate_000.json", "replicate_002.json"]
+    for name in ckpts:
+        assert (out / "checkpoints" / name).read_bytes() == (
+            clean / "checkpoints" / name).read_bytes()
+    # the resumed run re-runs only the failed replicate and matches a clean run
+    monkeypatch.setattr(cli, "_run_replicate", _run_replicate)
+    assert run(["select", "--config", cfg, "--out", out, "--workers", 2]) == 0
+    assert tree_bytes(out) == tree_bytes(clean)

@@ -146,6 +146,15 @@ def test_sweep_records_per_point_failures_and_continues():
     assert rows[1]["error"] == "" and rows[1]["selected"] != ""
 
 
+def test_sweep_invalid_grid_value_fails_its_row():
+    # a window shorter than the lead is rejected by the config, row by row
+    panel = two_predictor_panel()
+    rows = sweep(panel, small_config(replicates=1), "window", (4, 16))
+    assert [r["window"] for r in rows] == [4, 16]
+    assert rows[0]["error"].startswith("ValueError: lead must be in [0, window=4]")
+    assert rows[1]["error"] == "" and rows[1]["selected"] != ""
+
+
 def test_sweep_phi_axis_rows_have_own_selections(tmp_path):
     panel = two_predictor_panel()
     rows = sweep(panel, small_config(replicates=1), "atfs", (5.0, 20.0))
