@@ -11,6 +11,14 @@ Each path's one-sided state is recursed week by week, and the quadratic form
 is then taken once over all (path, week) states. A one-predictor statistic
 does not depend on the null's variance, so all 1-d nulls share one memoized
 solve against the unit null per (lambda, target, simulation size, seed).
+
+A greedy selection step scores every extension prefix + (c,) of the chosen
+prefix, and all of them draw the same standard normals for one (lambda,
+seed). The step is therefore simulated once (``step_statistic_paths``): the
+normals are drawn and the prefix's state is recursed once, and each candidate
+adds one Cholesky row, the state recursion of its own coordinate (run in
+candidate blocks of bounded size) and its quadratic form. The paths equal the
+per-subset simulation's, so the thresholds do too.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -32,6 +40,14 @@ from .panel import AlignedPanel
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 10))
 DEFAULT_ATFS = 20.0
 DEFAULT_SIMS = 1000
+DEFAULT_MAX_ITER = 100
+
+# float64 values in one candidate block of a step simulation (512 KiB; a block
+# holds at least one candidate whatever the path-set size), and in the scratch
+# that forms one subset's deviations and quadratic form a chunk of paths at a
+# time (about 128 KiB; two paths at least)
+STEP_BLOCK_VALUES = 1 << 16
+STEP_CHUNK_VALUES = 1 << 14
 
 
 class CalibrationError(RuntimeError):
@@ -111,6 +127,110 @@ def simulate_statistic_paths(
     return E
 
 
+def step_statistic_paths(
+    null: NullModel,
+    prefix: Sequence[str],
+    candidates: Sequence[str],
+    lam: float,
+    sims: int,
+    length: int,
+    seed,
+) -> Iterator[np.ndarray]:
+    """Yield the (sims, length) null statistic paths of each subset prefix + (c,).
+
+    For each candidate c, in order, the paths equal
+    ``simulate_statistic_paths(null.subset(prefix + (c,)), lam, sims, length,
+    seed)``: every subset draws the same standard normals, and each value goes
+    through the same floating-point operations. Every subset's Cholesky
+    factor is the prefix's factor plus one row, so the normals are drawn once
+    and the prefix's one-sided state is recursed once; candidate c adds its
+    last coordinate's draws (the row applied to the normals), their
+    elementwise state recursion, run in candidate blocks of at most
+    ``STEP_BLOCK_VALUES`` float64 values (one candidate at least), and the
+    quadratic form of the prefix's state and its own. Besides one block, the
+    step holds the normals, the prefix's state and a scratch of about
+    ``STEP_CHUNK_VALUES`` values.
+
+    Each yielded array is overwritten by the next candidate's paths. A subset
+    whose covariance is not positive definite raises ``LinAlgError``.
+    """
+    prefix, candidates = tuple(prefix), tuple(candidates)
+    if not prefix:
+        raise ValueError("a step simulation extends a nonempty prefix")
+    if sims < 1 or length < 1:
+        raise ValueError("sims and length must be >= 1")
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"lam must be in (0, 1), got {lam}")
+    a, n = len(prefix), sims * length
+    subsets = [null.subset(prefix + (c,)) for c in candidates]
+    factors = [np.linalg.cholesky(sub.sigma) for sub in subsets]
+    z = np.random.default_rng(seed).standard_normal((sims, length, a + 1))
+
+    # one subset's deviations, path chunk by path chunk, so that the scratch
+    # stays small. The per-path arithmetic does not depend on the chunk as long
+    # as a chunk has two paths or more (a one-column solve takes another code
+    # path), so a one-path remainder joins the chunk before it
+    rows = max(2, STEP_CHUNK_VALUES // (length * (a + 1)))
+    bounds = list(range(rows, sims, rows))
+    if bounds and sims - bounds[-1] < 2:
+        bounds.pop()
+    chunks = [slice(lo, hi) for lo, hi in zip([0, *bounds], [*bounds, sims])]
+    scratch = np.empty((max(p.stop - p.start for p in chunks), length, a + 1))
+
+    # the prefix's state, recursed once: its columns are the same in every
+    # subset's deviations, because every factor starts with the prefix's
+    # factor. The recursions run week-major, where each week is contiguous
+    prefix_state = np.empty((length, sims, a))
+    for p in chunks:
+        d = np.matmul(z[p], factors[0].T, out=scratch[: p.stop - p.start])
+        prefix_state[:, p] = d[..., :a].transpose(1, 0, 2)
+    _recurse_state(prefix_state, lam)
+
+    per_block = min(len(candidates), max(1, STEP_BLOCK_VALUES // n))
+    block = np.empty(n * per_block)
+    for start in range(0, len(candidates), per_block):
+        stop = min(start + per_block, len(candidates))
+        x = block[: n * (stop - start)].reshape(length, sims, stop - start)
+        for j, factor in enumerate(factors[start:stop]):
+            # the whole factor is applied, as the per-subset simulation
+            # applies it, so the kept last column carries the same values
+            for p in chunks:
+                d = np.matmul(z[p], factor.T, out=scratch[: p.stop - p.start])
+                x[:, p, j] = d[..., a].T
+        _recurse_state(x, lam)
+        for j, sub in enumerate(subsets[start:stop]):
+            smoothed = np.linalg.cholesky(sub.smoothed_cov(lam))
+            # the candidate's state, copied out chunk by chunk, makes room
+            # for its statistic
+            E = x[:, :, j].T
+            for p in chunks:
+                d = scratch[: p.stop - p.start]
+                d[..., :a] = prefix_state[:, p].transpose(1, 0, 2)
+                d[..., a] = x[:, p, j].T
+                w = solve_triangular(
+                    smoothed, d.reshape(-1, a + 1).T,
+                    lower=True, check_finite=False, overwrite_b=True,
+                ).reshape(a + 1, p.stop - p.start, length)
+                np.einsum("ijk,ijk->jk", w, w, out=E[p])
+            yield E
+
+
+def _recurse_state(x: np.ndarray, lam: float) -> None:
+    """Overwrite week-major (length, sims, d) deviations with their one-sided state.
+
+    Computes max(0, lam * x_t + (1 - lam) * s_{t-1}) in place, operation for
+    operation as ``simulate_statistic_paths`` does.
+    """
+    np.multiply(x, lam, out=x)
+    s = np.zeros(x.shape[1:])
+    carried = np.empty(x.shape[1:])
+    for xt in x:
+        np.multiply(s, 1.0 - lam, out=carried)
+        np.add(xt, carried, out=xt)
+        np.maximum(0.0, xt, out=xt)
+        s = xt
+
+
 def atfs_from_paths(E: np.ndarray, h: float, cluster_spacing: bool = False) -> float:
     """Time-average spacing between alarms: observed scan weeks per alarm.
 
@@ -167,7 +287,7 @@ def solve_threshold(
     lam: float,
     phi: float,
     tol: float = 0.5,
-    max_iter: int = 100,
+    max_iter: int = DEFAULT_MAX_ITER,
     *,
     sims: int = DEFAULT_SIMS,
     length: int | None = None,
@@ -188,10 +308,7 @@ def solve_threshold(
     solve is memoized on its other arguments: the singletons of a selection
     step share one simulation per (lambda, seed).
     """
-    if phi < 1.0:
-        raise CalibrationError(f"target ATFS must be >= 1 week, got {phi}")
-    if length is None:
-        length = max(int(10 * phi), 50)
+    length = _checked_length(phi, length)
     args = (lam, phi, tol, max_iter, sims, length)
     key = _seed_key(seed)
     if null.dim == 1 and key is not None:
@@ -201,6 +318,13 @@ def solve_threshold(
     if history is not None:
         history.extend(evals)
     return h
+
+
+def _checked_length(phi: float, length: int | None = None) -> int:
+    """Path length for target ``phi``: ``length``, or 10 * phi weeks (at least 50)."""
+    if phi < 1.0:
+        raise CalibrationError(f"target ATFS must be >= 1 week, got {phi}")
+    return max(int(10 * phi), 50) if length is None else length
 
 
 _UNIT_NULL = NullModel(("unit",), np.zeros(1), np.ones((1, 1)), 0)
@@ -226,6 +350,13 @@ def _solve(
 ) -> tuple[float, tuple[tuple[float, float], ...]]:
     """Secant solve of ``solve_threshold``: h and the (h, atfs) evaluations."""
     E = simulate_statistic_paths(null, lam, sims, length, seed)
+    return _solve_paths(E, lam, phi, tol, max_iter, cluster_spacing)
+
+
+def _solve_paths(
+    E: np.ndarray, lam, phi, tol, max_iter, cluster_spacing
+) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """Secant solve on given statistic paths: h and the (h, atfs) evaluations."""
     evals: list[tuple[float, float]] = []
 
     def f(h: float) -> float:
@@ -303,58 +434,118 @@ def optimize_params(
     is computed; the argmax is returned, ties broken by smaller lambda then
     smaller h. ``table``/``null`` let callers reuse precomputed shared states
     and a training null model; ``curve`` (if given) collects every solved
-    grid point, not just the winner.
+    grid point, not just the winner. This is ``optimize_step`` for the one
+    extension ``subset[:-1] + subset[-1:]``.
     """
     subset = tuple(subset)
     if not subset:
         raise ValueError("predictor subset must be nonempty")
+    curves = None if curve is None else [curve]
+    return optimize_step(
+        panel, events, windows, subset[:-1], subset[-1:], phi, lambda_grid,
+        sims=sims, seed=seed, tol=tol, table=table, null=null, curves=curves,
+    )[0]
+
+
+def optimize_step(
+    panel: AlignedPanel,
+    events: EventSet,
+    windows: DetectionWindowSet,
+    prefix: Sequence[str],
+    candidates: Sequence[str],
+    phi: float = DEFAULT_ATFS,
+    lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
+    *,
+    sims: int = DEFAULT_SIMS,
+    seed=0,
+    tol: float = 0.5,
+    table: SharedScanTable | None = None,
+    null: NullModel | None = None,
+    curves: Sequence[list] | None = None,
+) -> list[ConstraintCurvePoint]:
+    """``optimize_params`` for every subset prefix + (c,): one point per candidate.
+
+    Lambda k calibrates every candidate with seed ``(*seed, k)``. With a
+    nonempty prefix all of them are solved on one step simulation
+    (``step_statistic_paths``); with an empty prefix they are 1-d nulls and
+    share one solve against the unit null. The null defaults to the table's,
+    else to one estimated over prefix + candidates. ``curves`` (if given)
+    holds one list per candidate that collects its solved grid points. Raises
+    ``CalibrationError`` when a candidate fails at every lambda.
+    """
+    prefix, candidates = tuple(prefix), tuple(candidates)
+    if not candidates:
+        raise ValueError("need at least one candidate")
     if len(events) == 0:
         raise ValueError("cannot optimize parameters without events")
+    names = prefix + candidates
     if null is None:
-        if table is not None:
-            null = table.null.subset(subset)
-        else:
-            null = estimate_null(panel, events, subset)
-    elif set(subset) - set(null.predictor_names):
+        null = table.null if table is not None else estimate_null(panel, events, names)
+    elif set(names) - set(null.predictor_names):
         raise ValueError("null model does not cover the requested subset")
-    if null.predictor_names != subset:
-        null = null.subset(subset)
 
-    best: ConstraintCurvePoint | None = None
-    failures: list[str] = []
+    best: list[ConstraintCurvePoint | None] = [None] * len(candidates)
+    failures: list[list[str]] = [[] for _ in candidates]
     for k, lam in enumerate(lambda_grid):
         lam = float(lam)
-        evals: list[tuple[float, float]] = []
-        try:
+        solves = _step_solves(
+            null, prefix, candidates, lam, phi, tol, sims, (*_seed_tuple(seed), k)
+        )
+        for i, (cand, solved) in enumerate(zip(candidates, solves)):
+            if isinstance(solved, CalibrationError):
+                failures[i].append(f"lam={lam}: {solved}")
+                continue
+            h, atfs = solved
+            if h <= 0.0:
+                failures[i].append(f"lam={lam}: boundary threshold h=0 is not a usable detector")
+                continue
+            subset = prefix + (cand,)
+            if table is not None:
+                trace = table.scan(lam, subset, h)
+            else:
+                trace = run_scan(panel, null.subset(subset), DetectorConfig(subset, lam, h))
+            perf = evaluate.performance(trace, windows)
+            point = ConstraintCurvePoint(lam=lam, h=h, performance=perf, atfs=atfs)
+            if curves is not None:
+                curves[i].append(point)
+            if best[i] is None or (-point.performance, point.lam, point.h) < (
+                -best[i].performance,
+                best[i].lam,
+                best[i].h,
+            ):
+                best[i] = point
+    for point, failed in zip(best, failures):
+        if point is None:
+            raise CalibrationError(
+                "threshold solving failed for every lambda: " + "; ".join(failed)
+            )
+    return best
+
+
+def _step_solves(null, prefix, candidates, lam, phi, tol, sims, seed) -> list:
+    """Each candidate's (h, achieved ATFS) at ``lam``, or the CalibrationError
+    its solve raised. Only one step simulation is live at a time."""
+    try:
+        if not prefix:
+            # every 1-d null shares the memoized unit-null solve
+            evals: list[tuple[float, float]] = []
             h = solve_threshold(
-                null, lam, phi, tol=tol, sims=sims, seed=(*_seed_tuple(seed), k),
+                null.subset(candidates[:1]), lam, phi, tol=tol, sims=sims, seed=seed,
                 history=evals,
             )
+            return [(h, evals[-1][1])] * len(candidates)
+        length = _checked_length(phi)
+    except CalibrationError as exc:
+        return [exc] * len(candidates)
+    solves: list = []
+    for E in step_statistic_paths(null, prefix, candidates, lam, sims, length, seed):
+        try:
+            h, evals = _solve_paths(E, lam, phi, tol, DEFAULT_MAX_ITER, False)
         except CalibrationError as exc:
-            failures.append(f"lam={lam}: {exc}")
-            continue
-        if h <= 0.0:
-            failures.append(f"lam={lam}: boundary threshold h=0 is not a usable detector")
-            continue
-        if table is not None:
-            trace = table.scan(lam, subset, h)
+            solves.append(exc)
         else:
-            trace = run_scan(panel, null, DetectorConfig(subset, lam, h))
-        perf = evaluate.performance(trace, windows)
-        point = ConstraintCurvePoint(lam=lam, h=h, performance=perf, atfs=evals[-1][1])
-        if curve is not None:
-            curve.append(point)
-        if best is None or (-point.performance, point.lam, point.h) < (
-            -best.performance,
-            best.lam,
-            best.h,
-        ):
-            best = point
-    if best is None:
-        raise CalibrationError(
-            "threshold solving failed for every lambda: " + "; ".join(failures)
-        )
-    return best
+            solves.append((h, evals[-1][1]))
+    return solves
 
 
 def _seed_tuple(seed) -> tuple:

@@ -9,9 +9,11 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/validation problem.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -240,6 +242,22 @@ def _run_replicate(config: ExperimentConfig, seed: int) -> SelectionTrace:
     return pipeline.run_selection(panel, config, folds, (seed,))[0]
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Set each BLAS thread count the user left unset to 1 for the processes
+    started inside, so N workers use N cores; restore the environment after."""
+    unset = [name for name in BLAS_THREAD_VARIABLES if name not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        yield
+    finally:
+        for name in unset:
+            os.environ.pop(name, None)
+
+
 def _read_checkpoint(path: Path, fingerprint: str) -> SelectionTrace | None:
     """A replicate's checkpointed trace, or None when it must be re-run: the
     file is missing, unreadable or truncated, or another config wrote it."""
@@ -288,7 +306,8 @@ def cmd_select(args) -> int:
         for r in pending:
             _store(r, functools.partial(_run_replicate, config, config.seed + r))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        spawn = multiprocessing.get_context("spawn")
+        with _single_threaded_blas(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
             futures = {pool.submit(_run_replicate, config, config.seed + r): r for r in pending}
             for fut in as_completed(futures):
                 _store(futures[fut], fut.result)
@@ -375,19 +394,28 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _parse_sweep_values(axis: str, text: str) -> tuple:
+    """The ``--values`` grid: integers for ``window``, LENGTH[:GAP] integer
+    pairs for ``train``, numbers otherwise; a bad item is a usage error."""
+    values = []
+    for item in text.split(","):
+        try:
+            if axis == "train":
+                length, _, gap = item.partition(":")
+                values.append((int(length), int(gap) if gap else 0))
+            elif axis == "window":
+                values.append(int(item))
+            else:
+                values.append(float(item))
+        except ValueError:
+            raise UsageError(f"bad --values item {item!r} for axis {axis}") from None
+    return tuple(values)
+
+
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     panel = load_panel_from_manifest(config.manifest)
-    if args.axis == "train":
-        values = []
-        for item in args.values.split(","):
-            length, _, gap = item.partition(":")
-            values.append((int(length), int(gap) if gap else 0))
-        values = tuple(values)
-    elif args.axis == "window":
-        values = tuple(int(v) for v in args.values.split(","))
-    else:
-        values = tuple(float(v) for v in args.values.split(","))
+    values = _parse_sweep_values(args.axis, args.values)
     rows = pipeline.sweep(panel, config, args.axis, values)
     out = _prepare_out(config, "sweep", args.out)
     pipeline.write_sweep_csv(rows, out / "sweep.csv")

@@ -162,11 +162,13 @@ def evaluate_mewma_cv(
     """Calibrate a fixed subset per fold on training weeks, score held-out events."""
     if contexts is None:
         contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid)
+    subset = tuple(subset)
     fits = fit_folds(
-        panel, subset, contexts, phi, lambda_grid, sims=sims, seed=seed, audit=audit
-    )
+        panel, subset[:-1], subset[-1:], contexts, phi, lambda_grid,
+        sims=sims, seed=seed, audit=audit,
+    )[0]
     report, leads = pooled_cv_report(
-        panel, events, windows, folds, [fit.trace for fit in fits], reporting_threshold
+        panel, events, windows, folds, [fit.scan() for fit in fits], reporting_threshold
     )
     return ModelEvaluation(
         name=name,

@@ -145,16 +145,21 @@ class AuditLog:
 
 @dataclass(frozen=True, eq=False)
 class FoldFit:
-    """One fold's calibrated detector: the chosen (lambda, h) and its full scan."""
+    """One fold's calibrated detector: the subset and its chosen (lambda, h)."""
 
     context: FoldContext
+    subset: tuple[str, ...]
     point: calibrate.ConstraintCurvePoint
-    trace: AlarmTrace
+
+    def scan(self) -> AlarmTrace:
+        """The detector's scan over the whole panel."""
+        return self.context.table.scan(self.point.lam, self.subset, self.point.h)
 
 
 def fit_folds(
     panel: AlignedPanel,
-    subset: Sequence[str],
+    prefix: Sequence[str],
+    candidates: Sequence[str],
     contexts: Sequence[FoldContext],
     phi: float,
     lambda_grid: Sequence[float],
@@ -162,42 +167,81 @@ def fit_folds(
     sims: int,
     seed,
     audit: AuditLog | None = None,
-) -> list[FoldFit]:
-    """Calibrate a subset on each fold's training weeks and scan it.
+) -> list[list[FoldFit]]:
+    """Calibrate every subset prefix + (c,) on each fold's training weeks.
 
-    Fold f picks (lambda, h) on its training events under the ATFS target
-    ``phi``, seeding the calibration with ``(*seed, f)``; the scan covers
-    the whole panel, and callers score it on the held-out events. Each fit
-    is recorded in ``audit`` if given.
+    Returns each candidate's fold fits, in fold order. Fold f picks (lambda,
+    h) for every candidate on its training events under the ATFS target
+    ``phi``, seeding the calibration with ``(*seed, f)``; per lambda, all
+    candidates are calibrated from one null simulation of the step
+    (``calibrate.optimize_step``). A fit's scan covers the whole panel, and
+    callers score it on the held-out events. Each fit is recorded in
+    ``audit`` if given, candidate by candidate.
     """
-    subset = tuple(subset)
-    fits = []
+    prefix, candidates = tuple(prefix), tuple(candidates)
+    fits: list[list[FoldFit]] = [[] for _ in candidates]
     for ctx in contexts:
-        point = calibrate.optimize_params(
+        points = calibrate.optimize_step(
             panel,
             ctx.train_events,
             ctx.train_windows,
-            subset,
+            prefix,
+            candidates,
             phi,
             lambda_grid,
             sims=sims,
             seed=(*calibrate._seed_tuple(seed), ctx.fold),
             table=ctx.table,
         )
-        fits.append(FoldFit(ctx, point, ctx.table.scan(point.lam, subset, point.h)))
-        if audit is not None:
-            audit.entries.append(
-                {
-                    "fold": ctx.fold,
-                    "subset": subset,
-                    "baseline_weeks": ctx.baseline_weeks.copy(),
-                    "train_mask": ctx.train_mask.copy(),
-                    "test_mask": ctx.test_mask.copy(),
-                    "lam": point.lam,
-                    "h": point.h,
-                }
-            )
+        for cand, point, cand_fits in zip(candidates, points, fits):
+            cand_fits.append(FoldFit(ctx, prefix + (cand,), point))
+    if audit is not None:
+        for cand_fits in fits:
+            for fit in cand_fits:
+                audit.entries.append(
+                    {
+                        "fold": fit.context.fold,
+                        "subset": fit.subset,
+                        "baseline_weeks": fit.context.baseline_weeks.copy(),
+                        "train_mask": fit.context.train_mask.copy(),
+                        "test_mask": fit.context.test_mask.copy(),
+                        "lam": fit.point.lam,
+                        "h": fit.point.h,
+                    }
+                )
     return fits
+
+
+def score_step(
+    panel: AlignedPanel,
+    prefix: Sequence[str],
+    candidates: Sequence[str],
+    contexts: Sequence[FoldContext],
+    phi: float,
+    lambda_grid: Sequence[float],
+    *,
+    sims: int,
+    seed,
+    audit: AuditLog | None = None,
+) -> list[float]:
+    """Mean out-of-sample timeliness of every subset prefix + (c,) across folds.
+
+    Each fold's fit (``fit_folds``) is scored on the held-out events'
+    windows, and the score joins the fold's audit entry.
+    """
+    fits = fit_folds(
+        panel, prefix, candidates, contexts, phi, lambda_grid,
+        sims=sims, seed=seed, audit=audit,
+    )
+    fold_scores = [
+        [evaluate.performance(fit.scan(), fit.context.test_windows) for fit in cand_fits]
+        for cand_fits in fits
+    ]
+    flat = [score for scores in fold_scores for score in scores]
+    if audit is not None and flat:  # the entries fit_folds just recorded, in order
+        for entry, fold_score in zip(audit.entries[-len(flat):], flat):
+            entry["fold_score"] = fold_score
+    return [float(np.mean(scores)) for scores in fold_scores]
 
 
 def score_subset(
@@ -220,7 +264,8 @@ def score_subset(
 
     Per fold: the null model and the (lambda, h) pair come from training
     weeks only; the chosen detector's trace is then scored on the held-out
-    events' windows, and the score joins the fold's audit entry.
+    events' windows, and the score joins the fold's audit entry. This is
+    ``score_step`` for the one extension ``subset[:-1] + subset[-1:]``.
     """
     subset = tuple(subset)
     if not subset:
@@ -229,15 +274,10 @@ def score_subset(
         events = detect_events(panel.gold, epsilon, min_duration)
         windows = build_windows(events, window, lead, panel.gold)
         contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid)
-
-    fits = fit_folds(
-        panel, subset, contexts, phi, lambda_grid, sims=sims, seed=seed, audit=audit
-    )
-    fold_scores = [evaluate.performance(fit.trace, fit.context.test_windows) for fit in fits]
-    if audit is not None:  # the entries fit_folds just recorded, one per fold
-        for entry, fold_score in zip(audit.entries[-len(fits):], fold_scores):
-            entry["fold_score"] = fold_score
-    return float(np.mean(fold_scores))
+    return score_step(
+        panel, subset[:-1], subset[-1:], contexts, phi, lambda_grid,
+        sims=sims, seed=seed, audit=audit,
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -282,7 +322,9 @@ def forward_select(
     The first step always picks the best singleton; afterwards selection
     stops at ``k_max`` predictors or when the best marginal improvement is
     <= ``min_improvement``. Ties go to the earlier candidate in the given
-    order.
+    order. Each step scores all remaining candidates at once
+    (``score_step``), so per fold and lambda the step's null is simulated
+    once and every candidate extends it by one Cholesky row.
     """
     candidates = list(candidates)
     if not candidates:
@@ -300,24 +342,11 @@ def forward_select(
     current_score: float | None = None
     stop_reason = "reached-k"
     while remaining and len(chosen) < k_max:
-        scored = []
-        for cand in remaining:
-            s = score_subset(
-                panel,
-                chosen + [cand],
-                folds,
-                phi,
-                epsilon,
-                window,
-                min_duration=min_duration,
-                lead=lead,
-                sims=sims,
-                seed=seed,
-                lambda_grid=lambda_grid,
-                contexts=contexts,
-                audit=audit,
-            )
-            scored.append((cand, s))
+        scores = score_step(
+            panel, chosen, remaining, contexts, phi, lambda_grid,
+            sims=sims, seed=seed, audit=audit,
+        )
+        scored = list(zip(remaining, scores))
         best_cand, best_score = max(scored, key=lambda cs: cs[1])
         if current_score is not None and best_score - current_score <= min_improvement:
             stop_reason = "performance-leveled-off"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from epiwarn.calibrate import (
     solve_threshold,
 )
 from epiwarn.events import build_windows, detect_events
-from epiwarn.mewma import NullModel
+from epiwarn.mewma import NullModel, condition_covariance
 
 from conftest import make_panel
 
@@ -319,3 +321,115 @@ def test_generator_seed_is_not_memoized():
     first = solve_threshold(unit_null(), 0.4, 20.0, sims=50, seed=rng)
     second = solve_threshold(unit_null(), 0.4, 20.0, sims=50, seed=rng)
     assert first != second
+
+
+def step_null(d, seed, ridged):
+    """A d-predictor null; ``ridged`` makes its sample covariance singular,
+    so that conditioning inflates it with a ridge."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(max(d, 2) if ridged else 3 * d, d)) * rng.uniform(0.1, 10.0, size=d)
+    sigma, ridge_applied, delta = condition_covariance(np.atleast_2d(np.cov(X, rowvar=False)))
+    names = tuple(f"x{i}" for i in range(d))
+    return NullModel(names, X.mean(axis=0), sigma, 100, ridge_applied, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    prefix_size=st.integers(0, 3),
+    n_candidates=st.integers(1, 12),
+    sims=st.integers(1, 30),
+    length=st.integers(1, 40),
+    lam=st.floats(0.05, 0.95),
+    block_values=st.sampled_from([1, 50, 400, calibrate.STEP_BLOCK_VALUES]),
+    chunk_values=st.sampled_from([1, 70, calibrate.STEP_CHUNK_VALUES]),
+    ridged=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_paths_match_per_subset_simulation(prefix_size, n_candidates, sims, length,
+                                                lam, block_values, chunk_values, ridged,
+                                                seed):
+    d = prefix_size + n_candidates
+    null = step_null(d, seed, ridged)
+    assert null.ridge_applied or not ridged or d == 1
+    prefix, candidates = null.predictor_names[:prefix_size], null.predictor_names[prefix_size:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calibrate, "STEP_BLOCK_VALUES", block_values)
+        mp.setattr(calibrate, "STEP_CHUNK_VALUES", chunk_values)
+        if prefix:
+            paths = [E.copy() for E in calibrate.step_statistic_paths(
+                null, prefix, candidates, lam, sims, length, seed)]
+        else:  # the first step's nulls are all the unit null
+            unit = simulate_statistic_paths(calibrate._UNIT_NULL, lam, sims, length, seed)
+            paths = [unit] * n_candidates
+    assert len(paths) == n_candidates
+    for cand, E in zip(candidates, paths):
+        reference = simulate_statistic_paths(
+            null.subset(prefix + (cand,)), lam, sims, length, seed)
+        # a scaled 1-d null rounds its near-zero values differently from the
+        # unit null, so those compare on the statistic's own scale
+        atol = 0.0 if prefix else 1e-12 * reference.max()
+        np.testing.assert_allclose(E, reference, rtol=1e-12, atol=atol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    prefix_size=st.integers(0, 3),
+    n_candidates=st.integers(1, 12),
+    lam=st.sampled_from(DEFAULT_LAMBDA_GRID),
+    phi=st.floats(2.0, 30.0),
+    block_values=st.sampled_from([1, 2000, calibrate.STEP_BLOCK_VALUES]),
+    chunk_values=st.sampled_from([500, calibrate.STEP_CHUNK_VALUES]),
+    ridged=st.booleans(),
+    seed=st.integers(0, 1000),
+)
+def test_step_thresholds_match_per_subset_solve(prefix_size, n_candidates, lam, phi,
+                                                block_values, chunk_values, ridged, seed):
+    null = step_null(prefix_size + n_candidates, seed, ridged)
+    prefix, candidates = null.predictor_names[:prefix_size], null.predictor_names[prefix_size:]
+    step_seed = (seed, 1, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calibrate, "STEP_BLOCK_VALUES", block_values)
+        mp.setattr(calibrate, "STEP_CHUNK_VALUES", chunk_values)
+        solves = calibrate._step_solves(null, prefix, candidates, lam, phi, 0.5, 40, step_seed)
+    assert len(solves) == n_candidates
+    for cand, solved in zip(candidates, solves):
+        history: list = []
+        try:
+            h = solve_threshold(null.subset(prefix + (cand,)), lam, phi, sims=40,
+                                seed=step_seed, history=history)
+        except CalibrationError as exc:
+            assert type(solved) is type(exc)
+            continue
+        assert solved[0] == pytest.approx(h, rel=1e-12, abs=0.0)
+        assert solved[1] == history[-1][1]
+
+
+def test_non_positive_definite_extension_fails_loudly():
+    # x2's variance is below the 4.0 its covariances with x0 and x1 imply, so
+    # its Cholesky pivot is negative
+    sigma = np.array([[2.0, 0.5, 2.5], [0.5, 1.0, 1.5], [2.5, 1.5, 3.9]])
+    null = NullModel(("x0", "x1", "x2"), np.zeros(3), sigma, 100)
+    paths = calibrate.step_statistic_paths(null, ("x0", "x1"), ("x2",), 0.3, 10, 10, 0)
+    with pytest.raises(np.linalg.LinAlgError):
+        next(paths)
+
+
+def test_step_peak_memory_is_one_block_plus_prefix_arrays():
+    sims, length, n_candidates = 100, 100, 30
+    n = sims * length
+    null = unit_null(n_candidates + 1, seed=3)
+    prefix, candidates = null.predictor_names[:1], null.predictor_names[1:]
+    k = len(prefix) + 1
+    tracemalloc.start()
+    try:
+        calibrate._step_solves(null, prefix, candidates, 0.4, 10.0, 0.5, sims, (1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * n * min(n_candidates, calibrate.STEP_BLOCK_VALUES // n)
+    # the draws (k columns), the prefix's state, the secant's copy of one path
+    # set, the chunk scratch and small objects
+    prefix_arrays = (8 * n * (k + len(prefix) + 1) + 8 * calibrate.STEP_CHUNK_VALUES
+                     + 128 * 1024)
+    assert block < 8 * n * n_candidates  # the step really is cut into blocks
+    assert peak <= block + prefix_arrays

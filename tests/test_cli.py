@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -239,6 +240,20 @@ def test_sweep_atfs_axis_row_shape(workspace, tmp_path):
     assert phis == ["5.0", "20.0"]
 
 
+@pytest.mark.parametrize("axis, values, bad", [
+    ("epsilon", "1.25,high", "high"),
+    ("window", "12,1.5", "1.5"),
+    ("atfs", "x", "x"),
+    ("train", "3:0,a:b", "a:b"),
+])
+def test_sweep_bad_values_item_exits_2(workspace, tmp_path, capsys, axis, values, bad):
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--config", workspace / "exp.cfg", "--axis", axis,
+                "--values", values, "--out", out]) == 2
+    assert repr(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exits_1(tmp_path):
     assert run(["detect", "--config", tmp_path / "nope.cfg", "--subset", "a"]) == 1
 
@@ -369,3 +384,26 @@ def test_parallel_select_keeps_finished_replicates_on_failure(workspace, tmp_pat
     monkeypatch.setattr(cli, "_run_replicate", _run_replicate)
     assert run(["select", "--config", cfg, "--out", out, "--workers", 2]) == 0
     assert tree_bytes(out) == tree_bytes(clean)
+
+
+def _report_blas_threads(config, seed):
+    raise RuntimeError(" ".join(
+        f"{name}={os.environ.get(name)}" for name in cli.BLAS_THREAD_VARIABLES))
+
+
+def test_parallel_select_workers_use_one_blas_thread(workspace, tmp_path, monkeypatch,
+                                                     capsys):
+    for name in cli.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")  # a value the user set is kept
+    monkeypatch.setattr(cli, "_run_replicate", _report_blas_threads)
+    assert run(["select", "--config", workspace / "exp.cfg", "--out", tmp_path / "sel",
+                "--workers", 2]) == 1
+    err = capsys.readouterr().err
+    for r in (0, 1):
+        assert (f"replicate {r} failed: RuntimeError: OPENBLAS_NUM_THREADS=1 "
+                "OMP_NUM_THREADS=1 MKL_NUM_THREADS=3") in err
+    # the parent's environment is restored
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert "OMP_NUM_THREADS" not in os.environ
+    assert os.environ["MKL_NUM_THREADS"] == "3"

@@ -302,3 +302,24 @@ def test_leakage_audit_flags_contaminated_entry():
     )
     problems = audit_leakage(folds, panel.n_weeks, audit)
     assert any("held-out weeks" in p for p in problems)
+
+
+def test_step_scores_equal_per_subset_scores(synth_panel):
+    events = detect_events(synth_panel.gold, 1.25, 3)
+    windows = build_windows(events, 16, 8, synth_panel.gold)
+    folds = make_folds(events, 1, synth_panel.n_weeks)
+    contexts = prepare_fold_contexts(synth_panel, events, windows, folds, GRID)
+    kwargs = dict(sims=SIMS, seed=2, lambda_grid=GRID, contexts=contexts)
+    trace = forward_select(
+        synth_panel, synth_panel.candidate_names(), 2, PHI, folds,
+        epsilon=1.25, window=16, min_improvement=-np.inf, **kwargs,
+    )
+    assert len(trace.steps) == 2
+    chosen: list[str] = []
+    for step in trace.steps:
+        assert len(step.candidate_scores) == len(synth_panel.candidate_names()) - len(chosen)
+        for cand, score in step.candidate_scores:
+            assert score == score_subset(
+                synth_panel, chosen + [cand], folds, PHI, 1.25, 16, **kwargs
+            )
+        chosen.append(step.chosen)
