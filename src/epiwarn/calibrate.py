@@ -14,11 +14,11 @@ solve against the unit null per (lambda, target, simulation size, seed).
 
 A greedy selection step scores every extension prefix + (c,) of the chosen
 prefix, and all of them draw the same standard normals for one (lambda,
-seed). The step is therefore simulated once (``step_statistic_paths``): the
-normals are drawn and the prefix's state is recursed once, and each candidate
-adds one Cholesky row, the state recursion of its own coordinate (run in
-candidate blocks of bounded size) and its quadratic form. The paths equal the
-per-subset simulation's, so the thresholds do too.
+seed). The normals are therefore drawn once per step
+(``step_statistic_paths``), and each candidate applies its own Cholesky
+factor, the prefix's factor plus one row, to them; only one candidate's
+paths are live at a time. The paths equal the per-subset simulation's, so
+the thresholds do too.
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(
 DEFAULT_ATFS = 20.0
 DEFAULT_SIMS = 1000
 DEFAULT_MAX_ITER = 100
-
-# float64 values in one candidate block of a step simulation (512 KiB; a block
-# holds at least one candidate whatever the path-set size), and in the scratch
-# that forms one subset's deviations and quadratic form a chunk of paths at a
-# time (about 128 KiB; two paths at least)
-STEP_BLOCK_VALUES = 1 << 16
-STEP_CHUNK_VALUES = 1 << 14
 
 
 class CalibrationError(RuntimeError):
@@ -100,15 +93,49 @@ def simulate_statistic_paths(
     since the scan only sees deviations from the mean, centered draws are
     used directly. Deterministic for a fixed seed.
     """
+    _check_path_shape(lam, sims, length)
+    L = np.linalg.cholesky(null.sigma)
+    deviations = np.random.default_rng(seed).standard_normal((sims, length, null.dim)) @ L.T
+    return _statistic_paths(null, lam, deviations)
+
+
+def step_statistic_paths(
+    null: NullModel,
+    prefix: Sequence[str],
+    candidates: Sequence[str],
+    lam: float,
+    sims: int,
+    length: int,
+    seed,
+) -> Iterator[np.ndarray]:
+    """Yield the (sims, length) null statistic paths of each subset prefix + (c,).
+
+    For each candidate c, in order, the paths equal
+    ``simulate_statistic_paths(null.subset(prefix + (c,)), lam, sims, length,
+    seed)``: every extension of one prefix draws the same standard normals,
+    so they are drawn once, and each candidate applies its own Cholesky
+    factor (the prefix's factor plus one row) to them. A subset whose
+    covariance is not positive definite raises ``LinAlgError``.
+    """
+    prefix = tuple(prefix)
+    _check_path_shape(lam, sims, length)
+    z = np.random.default_rng(seed).standard_normal((sims, length, len(prefix) + 1))
+    for cand in candidates:
+        sub = null.subset(prefix + (cand,))
+        yield _statistic_paths(sub, lam, z @ np.linalg.cholesky(sub.sigma).T)
+
+
+def _check_path_shape(lam: float, sims: int, length: int) -> None:
     if sims < 1 or length < 1:
         raise ValueError("sims and length must be >= 1")
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must be in (0, 1), got {lam}")
-    d = null.dim
-    rng = np.random.default_rng(seed)
-    L = np.linalg.cholesky(null.sigma)
-    deviations = rng.standard_normal((sims, length, d)) @ L.T
 
+
+def _statistic_paths(null: NullModel, lam: float, deviations: np.ndarray) -> np.ndarray:
+    """The (sims, length) statistic paths of (sims, length, d) centered draws,
+    which are overwritten with their one-sided state."""
+    sims, length, d = deviations.shape
     # the recursion overwrites each step's draws with its state; the quadratic
     # form is then one in-place triangular solve over every (path, week). E is
     # allocated before the loop so that it takes the block freed by the raw
@@ -125,110 +152,6 @@ def simulate_statistic_paths(
     )
     np.einsum("ij,ij->j", z, z, out=E.reshape(-1))
     return E
-
-
-def step_statistic_paths(
-    null: NullModel,
-    prefix: Sequence[str],
-    candidates: Sequence[str],
-    lam: float,
-    sims: int,
-    length: int,
-    seed,
-) -> Iterator[np.ndarray]:
-    """Yield the (sims, length) null statistic paths of each subset prefix + (c,).
-
-    For each candidate c, in order, the paths equal
-    ``simulate_statistic_paths(null.subset(prefix + (c,)), lam, sims, length,
-    seed)``: every subset draws the same standard normals, and each value goes
-    through the same floating-point operations. Every subset's Cholesky
-    factor is the prefix's factor plus one row, so the normals are drawn once
-    and the prefix's one-sided state is recursed once; candidate c adds its
-    last coordinate's draws (the row applied to the normals), their
-    elementwise state recursion, run in candidate blocks of at most
-    ``STEP_BLOCK_VALUES`` float64 values (one candidate at least), and the
-    quadratic form of the prefix's state and its own. Besides one block, the
-    step holds the normals, the prefix's state and a scratch of about
-    ``STEP_CHUNK_VALUES`` values.
-
-    Each yielded array is overwritten by the next candidate's paths. A subset
-    whose covariance is not positive definite raises ``LinAlgError``.
-    """
-    prefix, candidates = tuple(prefix), tuple(candidates)
-    if not prefix:
-        raise ValueError("a step simulation extends a nonempty prefix")
-    if sims < 1 or length < 1:
-        raise ValueError("sims and length must be >= 1")
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lam must be in (0, 1), got {lam}")
-    a, n = len(prefix), sims * length
-    subsets = [null.subset(prefix + (c,)) for c in candidates]
-    factors = [np.linalg.cholesky(sub.sigma) for sub in subsets]
-    z = np.random.default_rng(seed).standard_normal((sims, length, a + 1))
-
-    # one subset's deviations, path chunk by path chunk, so that the scratch
-    # stays small. The per-path arithmetic does not depend on the chunk as long
-    # as a chunk has two paths or more (a one-column solve takes another code
-    # path), so a one-path remainder joins the chunk before it
-    rows = max(2, STEP_CHUNK_VALUES // (length * (a + 1)))
-    bounds = list(range(rows, sims, rows))
-    if bounds and sims - bounds[-1] < 2:
-        bounds.pop()
-    chunks = [slice(lo, hi) for lo, hi in zip([0, *bounds], [*bounds, sims])]
-    scratch = np.empty((max(p.stop - p.start for p in chunks), length, a + 1))
-
-    # the prefix's state, recursed once: its columns are the same in every
-    # subset's deviations, because every factor starts with the prefix's
-    # factor. The recursions run week-major, where each week is contiguous
-    prefix_state = np.empty((length, sims, a))
-    for p in chunks:
-        d = np.matmul(z[p], factors[0].T, out=scratch[: p.stop - p.start])
-        prefix_state[:, p] = d[..., :a].transpose(1, 0, 2)
-    _recurse_state(prefix_state, lam)
-
-    per_block = min(len(candidates), max(1, STEP_BLOCK_VALUES // n))
-    block = np.empty(n * per_block)
-    for start in range(0, len(candidates), per_block):
-        stop = min(start + per_block, len(candidates))
-        x = block[: n * (stop - start)].reshape(length, sims, stop - start)
-        for j, factor in enumerate(factors[start:stop]):
-            # the whole factor is applied, as the per-subset simulation
-            # applies it, so the kept last column carries the same values
-            for p in chunks:
-                d = np.matmul(z[p], factor.T, out=scratch[: p.stop - p.start])
-                x[:, p, j] = d[..., a].T
-        _recurse_state(x, lam)
-        for j, sub in enumerate(subsets[start:stop]):
-            smoothed = np.linalg.cholesky(sub.smoothed_cov(lam))
-            # the candidate's state, copied out chunk by chunk, makes room
-            # for its statistic
-            E = x[:, :, j].T
-            for p in chunks:
-                d = scratch[: p.stop - p.start]
-                d[..., :a] = prefix_state[:, p].transpose(1, 0, 2)
-                d[..., a] = x[:, p, j].T
-                w = solve_triangular(
-                    smoothed, d.reshape(-1, a + 1).T,
-                    lower=True, check_finite=False, overwrite_b=True,
-                ).reshape(a + 1, p.stop - p.start, length)
-                np.einsum("ijk,ijk->jk", w, w, out=E[p])
-            yield E
-
-
-def _recurse_state(x: np.ndarray, lam: float) -> None:
-    """Overwrite week-major (length, sims, d) deviations with their one-sided state.
-
-    Computes max(0, lam * x_t + (1 - lam) * s_{t-1}) in place, operation for
-    operation as ``simulate_statistic_paths`` does.
-    """
-    np.multiply(x, lam, out=x)
-    s = np.zeros(x.shape[1:])
-    carried = np.empty(x.shape[1:])
-    for xt in x:
-        np.multiply(s, 1.0 - lam, out=carried)
-        np.add(xt, carried, out=xt)
-        np.maximum(0.0, xt, out=xt)
-        s = xt
 
 
 def atfs_from_paths(E: np.ndarray, h: float, cluster_spacing: bool = False) -> float:
@@ -466,11 +389,12 @@ def optimize_step(
     """``optimize_params`` for every subset prefix + (c,): one point per candidate.
 
     Lambda k calibrates every candidate with seed ``(*seed, k)``. With a
-    nonempty prefix all of them are solved on one step simulation
+    nonempty prefix all of them are solved on paths from one draw of normals
     (``step_statistic_paths``); with an empty prefix they are 1-d nulls and
-    share one solve against the unit null. The null defaults to the table's,
-    else to one estimated over prefix + candidates. ``curves`` (if given)
-    holds one list per candidate that collects its solved grid points. Raises
+    share one solve against the unit null. The null defaults to the table's;
+    a single candidate may leave both out, and its subset's null is then
+    estimated from ``events``. ``curves`` (if given) holds one list per
+    candidate that collects its solved grid points. Raises
     ``CalibrationError`` when a candidate fails at every lambda.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
@@ -479,6 +403,9 @@ def optimize_step(
     if len(events) == 0:
         raise ValueError("cannot optimize parameters without events")
     names = prefix + candidates
+    if null is None and table is None and len(candidates) > 1:
+        # one null per subset would differ from one estimated over all of them
+        raise ValueError("several candidates need a shared table or null model")
     if null is None:
         null = table.null if table is not None else estimate_null(panel, events, names)
     elif set(names) - set(null.predictor_names):
@@ -524,7 +451,7 @@ def optimize_step(
 
 def _step_solves(null, prefix, candidates, lam, phi, tol, sims, seed) -> list:
     """Each candidate's (h, achieved ATFS) at ``lam``, or the CalibrationError
-    its solve raised. Only one step simulation is live at a time."""
+    its solve raised. Only one candidate's paths are live at a time."""
     try:
         if not prefix:
             # every 1-d null shares the memoized unit-null solve
@@ -545,6 +472,7 @@ def _step_solves(null, prefix, candidates, lam, phi, tol, sims, seed) -> list:
             solves.append(exc)
         else:
             solves.append((h, evals[-1][1]))
+        del E  # the next candidate's paths take its place
     return solves
 
 

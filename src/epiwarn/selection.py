@@ -173,7 +173,7 @@ def fit_folds(
     Returns each candidate's fold fits, in fold order. Fold f picks (lambda,
     h) for every candidate on its training events under the ATFS target
     ``phi``, seeding the calibration with ``(*seed, f)``; per lambda, all
-    candidates are calibrated from one null simulation of the step
+    candidates are calibrated from one draw of null normals
     (``calibrate.optimize_step``). A fit's scan covers the whole panel, and
     callers score it on the held-out events. Each fit is recorded in
     ``audit`` if given, candidate by candidate.
@@ -323,8 +323,8 @@ def forward_select(
     stops at ``k_max`` predictors or when the best marginal improvement is
     <= ``min_improvement``. Ties go to the earlier candidate in the given
     order. Each step scores all remaining candidates at once
-    (``score_step``), so per fold and lambda the step's null is simulated
-    once and every candidate extends it by one Cholesky row.
+    (``score_step``), so per fold and lambda the step's null normals are
+    drawn once and every candidate applies its own Cholesky factor to them.
     """
     candidates = list(candidates)
     if not candidates:

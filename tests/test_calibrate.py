@@ -160,6 +160,18 @@ def test_optimize_params_singleton_grid():
     assert abs(point.atfs - 20.0) <= 0.5
 
 
+def test_optimize_step_needs_a_shared_null_for_several_candidates():
+    from epiwarn.panel import SyntheticPanelSpec, generate_synthetic
+
+    panel = generate_synthetic(SyntheticPanelSpec(seasons=4, predictor_count=3, rng_seed=3))
+    events = detect_events(panel.gold, 1.25, 3)
+    windows = build_windows(events, 16, 8, panel.gold)
+    prefix, *candidates = panel.candidate_names()
+    with pytest.raises(ValueError, match="shared table or null"):
+        calibrate.optimize_step(panel, events, windows, [prefix], candidates, 20.0, [0.4],
+                                sims=50)
+
+
 def test_optimize_params_noiseless_lead_scores_above_half():
     panel = _pulse_panel(lead=3)
     events = detect_events(panel.gold, 1.25, 3)
@@ -340,27 +352,21 @@ def step_null(d, seed, ridged):
     sims=st.integers(1, 30),
     length=st.integers(1, 40),
     lam=st.floats(0.05, 0.95),
-    block_values=st.sampled_from([1, 50, 400, calibrate.STEP_BLOCK_VALUES]),
-    chunk_values=st.sampled_from([1, 70, calibrate.STEP_CHUNK_VALUES]),
     ridged=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_step_paths_match_per_subset_simulation(prefix_size, n_candidates, sims, length,
-                                                lam, block_values, chunk_values, ridged,
-                                                seed):
+                                                lam, ridged, seed):
     d = prefix_size + n_candidates
     null = step_null(d, seed, ridged)
     assert null.ridge_applied or not ridged or d == 1
     prefix, candidates = null.predictor_names[:prefix_size], null.predictor_names[prefix_size:]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(calibrate, "STEP_BLOCK_VALUES", block_values)
-        mp.setattr(calibrate, "STEP_CHUNK_VALUES", chunk_values)
-        if prefix:
-            paths = [E.copy() for E in calibrate.step_statistic_paths(
-                null, prefix, candidates, lam, sims, length, seed)]
-        else:  # the first step's nulls are all the unit null
-            unit = simulate_statistic_paths(calibrate._UNIT_NULL, lam, sims, length, seed)
-            paths = [unit] * n_candidates
+    if prefix:
+        paths = list(calibrate.step_statistic_paths(
+            null, prefix, candidates, lam, sims, length, seed))
+    else:  # the first step's nulls are all the unit null
+        unit = simulate_statistic_paths(calibrate._UNIT_NULL, lam, sims, length, seed)
+        paths = [unit] * n_candidates
     assert len(paths) == n_candidates
     for cand, E in zip(candidates, paths):
         reference = simulate_statistic_paths(
@@ -377,20 +383,15 @@ def test_step_paths_match_per_subset_simulation(prefix_size, n_candidates, sims,
     n_candidates=st.integers(1, 12),
     lam=st.sampled_from(DEFAULT_LAMBDA_GRID),
     phi=st.floats(2.0, 30.0),
-    block_values=st.sampled_from([1, 2000, calibrate.STEP_BLOCK_VALUES]),
-    chunk_values=st.sampled_from([500, calibrate.STEP_CHUNK_VALUES]),
     ridged=st.booleans(),
     seed=st.integers(0, 1000),
 )
 def test_step_thresholds_match_per_subset_solve(prefix_size, n_candidates, lam, phi,
-                                                block_values, chunk_values, ridged, seed):
+                                                ridged, seed):
     null = step_null(prefix_size + n_candidates, seed, ridged)
     prefix, candidates = null.predictor_names[:prefix_size], null.predictor_names[prefix_size:]
     step_seed = (seed, 1, 0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(calibrate, "STEP_BLOCK_VALUES", block_values)
-        mp.setattr(calibrate, "STEP_CHUNK_VALUES", chunk_values)
-        solves = calibrate._step_solves(null, prefix, candidates, lam, phi, 0.5, 40, step_seed)
+    solves = calibrate._step_solves(null, prefix, candidates, lam, phi, 0.5, 40, step_seed)
     assert len(solves) == n_candidates
     for cand, solved in zip(candidates, solves):
         history: list = []
@@ -414,7 +415,7 @@ def test_non_positive_definite_extension_fails_loudly():
         next(paths)
 
 
-def test_step_peak_memory_is_one_block_plus_prefix_arrays():
+def test_step_peak_memory_is_one_candidate_plus_the_draws():
     sims, length, n_candidates = 100, 100, 30
     n = sims * length
     null = unit_null(n_candidates + 1, seed=3)
@@ -426,10 +427,6 @@ def test_step_peak_memory_is_one_block_plus_prefix_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = 8 * n * min(n_candidates, calibrate.STEP_BLOCK_VALUES // n)
-    # the draws (k columns), the prefix's state, the secant's copy of one path
-    # set, the chunk scratch and small objects
-    prefix_arrays = (8 * n * (k + len(prefix) + 1) + 8 * calibrate.STEP_CHUNK_VALUES
-                     + 128 * 1024)
-    assert block < 8 * n * n_candidates  # the step really is cut into blocks
-    assert peak <= block + prefix_arrays
+    # the draws and one candidate's deviations (k columns each), its paths
+    # and small objects
+    assert peak <= 8 * n * (2 * k + 1) + 128 * 1024
