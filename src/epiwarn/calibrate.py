@@ -3,9 +3,9 @@
 The average time between false signals (ATFS) of a detector is estimated by
 Monte Carlo: draw i.i.d. multivariate-normal sequences from the null model,
 scan them, and average the spacing between successive alarm weeks. For a
-fixed smoothing parameter the threshold meeting a target ATFS is found with
-a bracketed secant solve over a single set of simulated statistic paths
-(common random numbers), exploiting that ATFS is monotone in the threshold.
+fixed smoothing parameter one set of statistic paths is simulated, and on it
+ATFS(h) = N / #{E > h} for N path-weeks, so the threshold meeting a target
+ATFS is solved exactly from an order statistic of the pooled values.
 
 Each path's one-sided state is recursed week by week, and the quadratic form
 is then taken once over all (path, week) states. A one-predictor statistic
@@ -40,19 +40,11 @@ from .panel import AlignedPanel
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 10))
 DEFAULT_ATFS = 20.0
 DEFAULT_SIMS = 1000
-DEFAULT_MAX_ITER = 100
+ATFS_TOL = 0.5  # largest accepted |achieved - target ATFS| of a solved threshold, in weeks
 
 
 class CalibrationError(RuntimeError):
     """Threshold calibration failed."""
-
-
-class ThresholdSolveError(CalibrationError):
-    """Secant solve did not converge; carries the last bracket."""
-
-    def __init__(self, message: str, bracket: tuple[float, float]):
-        super().__init__(message)
-        self.bracket = bracket
 
 
 @dataclass(frozen=True)
@@ -154,25 +146,18 @@ def _statistic_paths(null: NullModel, lam: float, deviations: np.ndarray) -> np.
     return E
 
 
-def atfs_from_paths(E: np.ndarray, h: float, cluster_spacing: bool = False) -> float:
+def atfs_from_paths(E: np.ndarray, h: float) -> float:
     """Time-average spacing between alarms: observed scan weeks per alarm.
 
     Equals the long-run mean alarm-to-alarm gap (1 / alarm rate) and is
     exactly nondecreasing in h, which pairwise gap averages are not once
     finite windows censor the long inter-cluster gaps. Thresholds h <= 0
     alarm every week by convention (ATFS = 1 exactly); with no alarms at
-    all the sentinel +inf is returned. ``cluster_spacing`` divides by
-    cluster onsets instead of raw alarm weeks.
+    all the sentinel +inf is returned.
     """
     if h <= 0.0:
         return 1.0
-    alarms = E > h
-    if cluster_spacing:
-        onsets = alarms.copy()
-        onsets[:, 1:] &= ~alarms[:, :-1]
-        count = int(onsets.sum())
-    else:
-        count = int(alarms.sum())
+    count = int(np.count_nonzero(E > h))
     if count == 0:
         return math.inf
     return E.size / count
@@ -187,17 +172,18 @@ def simulate_atfs(
     seed=0,
     *,
     target: float | None = None,
-    cluster_spacing: bool = False,
 ) -> AtfsEstimate:
-    """Estimate ATFS for a (lambda, h) pair by fresh simulation."""
-    if length is None:
-        length = int(10 * (target if target is not None else DEFAULT_ATFS))
+    """Estimate ATFS for a (lambda, h) pair by fresh simulation.
+
+    The default path length is the one ``solve_threshold`` uses for
+    ``target`` (or the default target).
+    """
+    length = _checked_length(DEFAULT_ATFS if target is None else target, length)
     E = simulate_statistic_paths(null, lam, sims, length, seed)
-    atfs = atfs_from_paths(E, h, cluster_spacing)
     return AtfsEstimate(
         lam=lam,
         h=h,
-        atfs=atfs,
+        atfs=atfs_from_paths(E, h),
         simulation_count=sims,
         sequence_length=length,
         rng_seed=seed,
@@ -209,38 +195,25 @@ def solve_threshold(
     null: NullModel,
     lam: float,
     phi: float,
-    tol: float = 0.5,
-    max_iter: int = DEFAULT_MAX_ITER,
     *,
     sims: int = DEFAULT_SIMS,
     length: int | None = None,
     seed=0,
-    cluster_spacing: bool = False,
-    history: list | None = None,
 ) -> float:
-    """Find h with |simulated ATFS(h) - phi| <= tol at smoothing ``lam``.
+    """The threshold h whose simulated ATFS at smoothing ``lam`` is nearest ``phi``.
 
-    One set of statistic paths is simulated up front and reused for every
-    threshold evaluation (common random numbers), so the secant objective is
-    deterministic and monotone. ``history`` (if given) collects the
-    (h, atfs) evaluations in order. Targets phi <= 1 return the boundary
-    solution h = 0, where every week alarms.
+    One set of statistic paths is simulated, and on it ATFS(h) is the number
+    of path-weeks over the number of them above h, so h is read off an order
+    statistic of the pooled values (``_solve_paths``). Targets phi <= 1
+    return the boundary solution h = 0, where every week alarms. Raises
+    ``CalibrationError`` when no h > 0 comes within ``ATFS_TOL`` of phi.
 
     A one-predictor statistic s^2 / var(s) does not depend on the null's
     variance, so every 1-d null is calibrated against the unit null, and that
     solve is memoized on its other arguments: the singletons of a selection
     step share one simulation per (lambda, seed).
     """
-    length = _checked_length(phi, length)
-    args = (lam, phi, tol, max_iter, sims, length)
-    key = _seed_key(seed)
-    if null.dim == 1 and key is not None:
-        h, evals = _solve_unit_null(*args, key, cluster_spacing)
-    else:
-        h, evals = _solve(null, *args, seed, cluster_spacing)
-    if history is not None:
-        history.extend(evals)
-    return h
+    return _solve(null, lam, phi, sims, _checked_length(phi, length), seed)[0]
 
 
 def _checked_length(phi: float, length: int | None = None) -> int:
@@ -253,9 +226,17 @@ def _checked_length(phi: float, length: int | None = None) -> int:
 _UNIT_NULL = NullModel(("unit",), np.zeros(1), np.ones((1, 1)), 0)
 
 
+def _solve(null: NullModel, lam, phi, sims, length, seed) -> tuple[float, float]:
+    """``solve_threshold``'s h and achieved ATFS."""
+    key = _seed_key(seed)
+    if null.dim == 1 and key is not None:
+        return _solve_unit_null(lam, phi, sims, length, key)
+    return _solve_paths(simulate_statistic_paths(null, lam, sims, length, seed), phi)
+
+
 @functools.lru_cache(maxsize=1024)
-def _solve_unit_null(lam, phi, tol, max_iter, sims, length, seed, cluster_spacing):
-    return _solve(_UNIT_NULL, lam, phi, tol, max_iter, sims, length, seed, cluster_spacing)
+def _solve_unit_null(lam, phi, sims, length, seed):
+    return _solve_paths(simulate_statistic_paths(_UNIT_NULL, lam, sims, length, seed), phi)
 
 
 def _seed_key(seed):
@@ -268,70 +249,43 @@ def _seed_key(seed):
     return None
 
 
-def _solve(
-    null: NullModel, lam, phi, tol, max_iter, sims, length, seed, cluster_spacing
-) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """Secant solve of ``solve_threshold``: h and the (h, atfs) evaluations."""
-    E = simulate_statistic_paths(null, lam, sims, length, seed)
-    return _solve_paths(E, lam, phi, tol, max_iter, cluster_spacing)
+def _solve_paths(E: np.ndarray, phi: float) -> tuple[float, float]:
+    """The threshold on given statistic paths and its achieved ATFS.
 
-
-def _solve_paths(
-    E: np.ndarray, lam, phi, tol, max_iter, cluster_spacing
-) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """Secant solve on given statistic paths: h and the (h, atfs) evaluations."""
-    evals: list[tuple[float, float]] = []
-
-    def f(h: float) -> float:
-        atfs = atfs_from_paths(E, h, cluster_spacing)
-        evals.append((h, atfs))
-        return atfs - phi
-
+    With N path-weeks, ATFS(h) = N / #{E > h}, and the alarm counts some
+    h > 0 achieves are #{E > t} for t = 0 or a pooled value t > 0. Of those,
+    the largest at most N / phi and the smallest at least N / phi are the
+    only ones that can be nearest phi, and the one whose ATFS is nearer
+    wins (the fewer alarms on a tie). h is the midpoint of the gap between
+    its smallest alarming value and t.
+    """
     if phi <= 1.0:
-        f(0.0)
-        return 0.0, tuple(evals)
-
-    # bracket the root; h=0 sits below any phi > 1, the first guess comes from
-    # the pooled statistic quantile matching the target alarm rate
-    h_lo, f_lo = 0.0, 1.0 - phi
-    h_hi = float(np.quantile(E, 1.0 - 1.0 / phi))
-    f_hi = f(h_hi)
-    expansions = 0
-    while f_hi < 0.0:
-        h_lo, f_lo = h_hi, f_hi
-        h_hi = 2.0 * h_hi + 1.0
-        f_hi = f(h_hi)
-        expansions += 1
-        if expansions > 200:
-            raise ThresholdSolveError(
-                f"could not bracket ATFS target {phi} at lam={lam}", (h_lo, h_hi)
-            )
-    if abs(f_hi) <= tol:
-        return h_hi, tuple(evals)
-
-    # safeguarded secant within [h_lo, h_hi]; bisection when the secant step
-    # is unusable (infinite objective or step outside the bracket)
-    h_prev, f_prev = h_lo, f_lo
-    h_cur, f_cur = h_hi, f_hi
-    for _ in range(max_iter):
-        if math.isfinite(f_cur) and math.isfinite(f_prev) and f_cur != f_prev:
-            h_next = h_cur - f_cur * (h_cur - h_prev) / (f_cur - f_prev)
-        else:
-            h_next = 0.5 * (h_lo + h_hi)
-        if not h_lo < h_next < h_hi:
-            h_next = 0.5 * (h_lo + h_hi)
-        f_next = f(h_next)
-        if abs(f_next) <= tol:
-            return h_next, tuple(evals)
-        if f_next < 0.0:
-            h_lo, f_lo = h_next, f_next
-        else:
-            h_hi, f_hi = h_next, f_next
-        h_prev, f_prev = h_cur, f_cur
-        h_cur, f_cur = h_next, f_next
-    raise ThresholdSolveError(
-        f"no h with |ATFS - {phi}| <= {tol} within {max_iter} iterations at lam={lam}",
-        (h_lo, h_hi),
+        return 0.0, atfs_from_paths(E, 0.0)
+    values = E.reshape(-1)
+    n = values.size
+    # ascending positions of the (floor(n/phi) + 1)-th and ceil(n/phi)-th
+    # largest values; they coincide unless phi divides n
+    below, above = n - math.floor(n / phi) - 1, n - math.ceil(n / phi)
+    part = np.partition(values, sorted({below, above}))
+    floors = {max(float(part[below]), 0.0)}
+    top = part[above]
+    if top > 0.0:
+        # alarm at every value >= top: t is the largest value below it, or 0
+        floors.add(float(np.max(part[:above], where=part[:above] < top, initial=0.0)))
+    options = []
+    for t in floors:
+        alarms = values > t
+        count = int(np.count_nonzero(alarms))
+        if count:
+            midpoint = 0.5 * (t + float(values[alarms].min()))
+            options.append((abs(n / count - phi), count, midpoint))
+    if options:
+        h = min(options)[2]
+        atfs = atfs_from_paths(E, h)
+        if h > 0.0 and abs(atfs - phi) <= ATFS_TOL:
+            return h, atfs
+    raise CalibrationError(
+        f"no threshold h > 0 gives ATFS within {ATFS_TOL} of {phi} on {n} simulated path-weeks"
     )
 
 
@@ -345,7 +299,6 @@ def optimize_params(
     *,
     sims: int = DEFAULT_SIMS,
     seed=0,
-    tol: float = 0.5,
     table: SharedScanTable | None = None,
     null: NullModel | None = None,
     curve: list | None = None,
@@ -366,7 +319,7 @@ def optimize_params(
     curves = None if curve is None else [curve]
     return optimize_step(
         panel, events, windows, subset[:-1], subset[-1:], phi, lambda_grid,
-        sims=sims, seed=seed, tol=tol, table=table, null=null, curves=curves,
+        sims=sims, seed=seed, table=table, null=null, curves=curves,
     )[0]
 
 
@@ -381,7 +334,6 @@ def optimize_step(
     *,
     sims: int = DEFAULT_SIMS,
     seed=0,
-    tol: float = 0.5,
     table: SharedScanTable | None = None,
     null: NullModel | None = None,
     curves: Sequence[list] | None = None,
@@ -416,7 +368,7 @@ def optimize_step(
     for k, lam in enumerate(lambda_grid):
         lam = float(lam)
         solves = _step_solves(
-            null, prefix, candidates, lam, phi, tol, sims, (*_seed_tuple(seed), k)
+            null, prefix, candidates, lam, phi, sims, (*_seed_tuple(seed), k)
         )
         for i, (cand, solved) in enumerate(zip(candidates, solves)):
             if isinstance(solved, CalibrationError):
@@ -449,29 +401,23 @@ def optimize_step(
     return best
 
 
-def _step_solves(null, prefix, candidates, lam, phi, tol, sims, seed) -> list:
+def _step_solves(null, prefix, candidates, lam, phi, sims, seed) -> list:
     """Each candidate's (h, achieved ATFS) at ``lam``, or the CalibrationError
     its solve raised. Only one candidate's paths are live at a time."""
     try:
+        length = _checked_length(phi)
         if not prefix:
             # every 1-d null shares the memoized unit-null solve
-            evals: list[tuple[float, float]] = []
-            h = solve_threshold(
-                null.subset(candidates[:1]), lam, phi, tol=tol, sims=sims, seed=seed,
-                history=evals,
-            )
-            return [(h, evals[-1][1])] * len(candidates)
-        length = _checked_length(phi)
+            solved = _solve(null.subset(candidates[:1]), lam, phi, sims, length, seed)
+            return [solved] * len(candidates)
     except CalibrationError as exc:
         return [exc] * len(candidates)
     solves: list = []
     for E in step_statistic_paths(null, prefix, candidates, lam, sims, length, seed):
         try:
-            h, evals = _solve_paths(E, lam, phi, tol, DEFAULT_MAX_ITER, False)
+            solves.append(_solve_paths(E, phi))
         except CalibrationError as exc:
             solves.append(exc)
-        else:
-            solves.append((h, evals[-1][1]))
         del E  # the next candidate's paths take its place
     return solves
 

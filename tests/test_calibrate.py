@@ -2,14 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
 from epiwarn import calibrate
 from epiwarn.calibrate import (
     CalibrationError,
     DEFAULT_LAMBDA_GRID,
-    ThresholdSolveError,
     atfs_from_paths,
     optimize_params,
     simulate_atfs,
@@ -85,13 +84,9 @@ def test_solved_threshold_monotone_in_target():
 def test_solve_contract_under_own_seed():
     null = unit_null()
     for lam in (0.1, 0.5, 0.9):
-        history = []
-        h = solve_threshold(null, lam, 20.0, seed=0, history=history)
+        h = solve_threshold(null, lam, 20.0, seed=0)
         final = simulate_atfs(null, lam, h, sims=1000, length=200, seed=0)
         assert abs(final.atfs - 20.0) <= 0.5
-        # common-random-number objective is nondecreasing in h
-        pairs = sorted(history)
-        assert all(a[1] <= b[1] for a, b in zip(pairs, pairs[1:]))
 
 
 def test_oracle_resimulation_band():
@@ -103,32 +98,70 @@ def test_oracle_resimulation_band():
     assert 19.5 <= est.atfs <= 20.5
 
 
-def test_cluster_spacing_solve_exercises_secant_iterations():
-    # onset spacing makes the quantile initial guess miss, so the secant
-    # loop has to close the gap
-    null = unit_null()
-    history = []
-    h = solve_threshold(null, 0.1, 20.0, seed=2, cluster_spacing=True, history=history)
-    assert len(history) >= 2
-    est = simulate_atfs(null, 0.1, h, sims=1000, length=200, seed=2, cluster_spacing=True)
-    assert abs(est.atfs - 20.0) <= 0.5
-    pairs = sorted(history)
-    assert all(a[1] <= b[1] for a, b in zip(pairs, pairs[1:]))
-    # onset-spacing budgets sit at or above raw alarm-week budgets
-    E = simulate_statistic_paths(null, 0.1, 400, 200, 11)
-    for threshold in (1.0, 2.0, 3.0):
-        assert atfs_from_paths(E, threshold, cluster_spacing=True) >= atfs_from_paths(
-            E, threshold
-        )
+def test_short_paths_cannot_express_the_target():
+    # 10 path-weeks cannot express ATFS 50: every achievable ATFS is 10 / count or inf
+    with pytest.raises(CalibrationError, match="within 0.5 of 50.0"):
+        solve_threshold(unit_null(), 0.5, 50.0, sims=5, length=2, seed=0)
 
 
-def test_solver_error_carries_bracket():
-    # a 2-week sequence cannot express ATFS 50: every evaluation is 1, 2 or inf
-    null = unit_null()
-    with pytest.raises(ThresholdSolveError) as err:
-        solve_threshold(null, 0.5, 50.0, sims=5, length=2, seed=0, max_iter=5)
-    lo, hi = err.value.bracket
-    assert lo < hi
+def test_default_resimulation_length_matches_the_solve():
+    # a target-3 solve runs on 50-week paths, so a default re-simulation under
+    # the solve's seed reproduces the solve's achieved ATFS
+    null = unit_null(2, seed=4)
+    h = solve_threshold(null, 0.3, 3.0, sims=100, seed=4)
+    est = simulate_atfs(null, 0.3, h, sims=100, seed=4, target=3.0)
+    assert est.sequence_length == 50
+    assert est.atfs == calibrate._solve(null, 0.3, 3.0, 100, 50, 4)[1]
+    assert abs(est.atfs - 3.0) <= calibrate.ATFS_TOL
+
+
+def brute_force_solve(values, phi):
+    """Reference: try the gap above every distinct value and 0, keep the alarm
+    count whose ATFS is nearest phi (the fewer alarms on a tie); returns the
+    count and its gap, or None when no count is within 0.5."""
+    n = values.size
+    best = None
+    for t in np.unique(np.append(values[values > 0.0], 0.0)):
+        count = int((values > t).sum())
+        if count and (best is None or abs(n / count - phi) <= abs(n / best[0] - phi)):
+            best = (count, t, values[values > t].min())
+    if best is None or abs(n / best[0] - phi) > 0.5:
+        return None
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.sampled_from([0.25, 0.5, 1.0, 2.5]),
+            st.integers(1, 10**6).map(lambda k: k / 1000),
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+    sims=st.integers(1, 2),
+    phi=st.floats(1.0, 60.0),
+)
+@example(values=[float(k) for k in range(1, 13)], sims=1, phi=3.5)  # ATFS 4 and 3 tie
+def test_exact_solve_matches_brute_force(values, sims, phi):
+    E = np.array(values * sims).reshape(sims, -1)
+    try:
+        h, atfs = calibrate._solve_paths(E, phi)
+    except CalibrationError:
+        assert brute_force_solve(E.ravel(), phi) is None
+        return
+    if phi <= 1.0:
+        assert (h, atfs) == (0.0, 1.0)
+        return
+    expected = brute_force_solve(E.ravel(), phi)
+    assert expected is not None
+    count, lower, upper = expected
+    assert int((E > h).sum()) == count
+    assert 0.0 <= lower < h < upper
+    assert atfs_from_paths(E, h) == atfs == E.size / count
+    assert abs(atfs - phi) <= 0.5
 
 
 def test_invalid_target_rejected():
@@ -269,8 +302,8 @@ def test_one_dimensional_threshold_ignores_variance(variance, lam, seed):
     h = solve_threshold(scaled_null(variance), lam, 10.0, **kwargs)
     assert h == solve_threshold(unit_null(), lam, 10.0, **kwargs)
     # the shared solve stands in for a solve on the null's own paths
-    own, _ = calibrate._solve(scaled_null(variance), lam, 10.0, 0.5, 100, 40, 100,
-                              (seed, 2), False)
+    own, _ = calibrate._solve_paths(
+        simulate_statistic_paths(scaled_null(variance), lam, 40, 100, (seed, 2)), 10.0)
     assert h == pytest.approx(own, rel=1e-9)
 
 
@@ -278,15 +311,12 @@ def test_one_dimensional_threshold_ignores_variance(variance, lam, seed):
 @given(lam=st.sampled_from(DEFAULT_LAMBDA_GRID), phi=st.floats(2.0, 30.0),
        seed=st.integers(0, 1000))
 def test_cached_solve_equals_cold_solve(lam, phi, seed):
-    cached_history, cold_history = [], []
-    solve_threshold(unit_null(), lam, phi, sims=30, seed=[seed, 1])
-    cached = solve_threshold(unit_null(), lam, phi, sims=30, seed=(seed, 1),
-                             history=cached_history)
+    length = calibrate._checked_length(phi)
+    calibrate._solve(unit_null(), lam, phi, 30, length, [seed, 1])
+    cached = calibrate._solve(unit_null(), lam, phi, 30, length, (seed, 1))
     calibrate._solve_unit_null.cache_clear()
-    cold = solve_threshold(unit_null(), lam, phi, sims=30, seed=(seed, 1),
-                           history=cold_history)
+    cold = calibrate._solve(unit_null(), lam, phi, 30, length, (seed, 1))
     assert cached == cold
-    assert cached_history == cold_history
 
 
 @settings(max_examples=30, deadline=None)
@@ -323,8 +353,8 @@ def test_one_dimensional_nulls_share_one_simulation(monkeypatch):
 def test_failed_solve_is_not_memoized():
     calibrate._solve_unit_null.cache_clear()
     for _ in range(2):
-        with pytest.raises(ThresholdSolveError):
-            solve_threshold(unit_null(), 0.5, 50.0, sims=5, length=2, seed=0, max_iter=5)
+        with pytest.raises(CalibrationError):
+            solve_threshold(unit_null(), 0.5, 50.0, sims=5, length=2, seed=0)
     assert calibrate._solve_unit_null.cache_info().currsize == 0
 
 
@@ -391,18 +421,18 @@ def test_step_thresholds_match_per_subset_solve(prefix_size, n_candidates, lam, 
     null = step_null(prefix_size + n_candidates, seed, ridged)
     prefix, candidates = null.predictor_names[:prefix_size], null.predictor_names[prefix_size:]
     step_seed = (seed, 1, 0)
-    solves = calibrate._step_solves(null, prefix, candidates, lam, phi, 0.5, 40, step_seed)
+    solves = calibrate._step_solves(null, prefix, candidates, lam, phi, 40, step_seed)
     assert len(solves) == n_candidates
+    length = calibrate._checked_length(phi)
     for cand, solved in zip(candidates, solves):
-        history: list = []
         try:
-            h = solve_threshold(null.subset(prefix + (cand,)), lam, phi, sims=40,
-                                seed=step_seed, history=history)
+            h, atfs = calibrate._solve(null.subset(prefix + (cand,)), lam, phi, 40, length,
+                                       step_seed)
         except CalibrationError as exc:
             assert type(solved) is type(exc)
             continue
         assert solved[0] == pytest.approx(h, rel=1e-12, abs=0.0)
-        assert solved[1] == history[-1][1]
+        assert solved[1] == atfs
 
 
 def test_non_positive_definite_extension_fails_loudly():
@@ -423,7 +453,7 @@ def test_step_peak_memory_is_one_candidate_plus_the_draws():
     k = len(prefix) + 1
     tracemalloc.start()
     try:
-        calibrate._step_solves(null, prefix, candidates, 0.4, 10.0, 0.5, sims, (1, 2))
+        calibrate._step_solves(null, prefix, candidates, 0.4, 10.0, sims, (1, 2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epiwarn.calibrate import optimize_params
 from epiwarn.events import EventSet, build_windows, detect_events
@@ -69,6 +70,29 @@ def test_make_folds_remainder_goes_to_last_fold():
     plan = make_folds(events, 2, 200)
     assert plan.n_folds == 3
     assert plan.folds[2].test_seasons == (4,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    layout=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 8)), min_size=2, max_size=10),
+    tail=st.integers(0, 12),
+    data=st.data(),
+)
+def test_fold_masks_partition_the_weeks(layout, tail, data):
+    # layout: (weeks before the event, event length) per event
+    events, week = [], 0
+    for gap, duration in layout:
+        events.append((week + gap, week + gap + duration - 1))
+        week += gap + duration
+    n_weeks = week + tail
+    held_out = data.draw(st.integers(1, len(events) - 1))
+    plan = make_folds(EventSet(1.0, 1, tuple(events)), held_out, n_weeks)
+    tested = np.zeros(n_weeks, dtype=int)
+    for f in range(plan.n_folds):
+        test = plan.test_mask(f, n_weeks)
+        tested += test
+        assert np.array_equal(plan.train_mask(f, n_weeks), ~test)
+    assert (tested == 1).all()
 
 
 def test_make_folds_rejects_degenerate_split():
