@@ -49,9 +49,7 @@ def week_trigger(panel: AlignedPanel, config: WeekTriggerConfig) -> AlarmTrace:
     n = panel.n_weeks
     if n < 52:
         raise ValueError("week trigger needs an axis spanning at least one year")
-    alarm = np.array(
-        [panel.axis.iso_week(i) == config.trigger_week for i in range(n)], dtype=bool
-    )
+    alarm = panel.axis.iso_weeks == config.trigger_week
     weeks = np.flatnonzero(alarm)
     return AlarmTrace(
         E=alarm.astype(float),

@@ -34,7 +34,7 @@ from scipy.linalg import solve_triangular
 
 from . import evaluate
 from .events import DetectionWindowSet, EventSet
-from .mewma import DetectorConfig, NullModel, SharedScanTable, estimate_null, run_scan
+from .mewma import AlarmTrace, DetectorConfig, NullModel, SharedScanTable, estimate_null, run_scan
 from .panel import AlignedPanel
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -337,6 +337,7 @@ def optimize_step(
     table: SharedScanTable | None = None,
     null: NullModel | None = None,
     curves: Sequence[list] | None = None,
+    traces: list | None = None,
 ) -> list[ConstraintCurvePoint]:
     """``optimize_params`` for every subset prefix + (c,): one point per candidate.
 
@@ -346,7 +347,8 @@ def optimize_step(
     share one solve against the unit null. The null defaults to the table's;
     a single candidate may leave both out, and its subset's null is then
     estimated from ``events``. ``curves`` (if given) holds one list per
-    candidate that collects its solved grid points. Raises
+    candidate that collects its solved grid points, and ``traces`` (if
+    given) receives each candidate's scan at its chosen point. Raises
     ``CalibrationError`` when a candidate fails at every lambda.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
@@ -364,6 +366,7 @@ def optimize_step(
         raise ValueError("null model does not cover the requested subset")
 
     best: list[ConstraintCurvePoint | None] = [None] * len(candidates)
+    best_traces: list[AlarmTrace | None] = [None] * len(candidates)
     failures: list[list[str]] = [[] for _ in candidates]
     for k, lam in enumerate(lambda_grid):
         lam = float(lam)
@@ -393,11 +396,14 @@ def optimize_step(
                 best[i].h,
             ):
                 best[i] = point
+                best_traces[i] = trace
     for point, failed in zip(best, failures):
         if point is None:
             raise CalibrationError(
                 "threshold solving failed for every lambda: " + "; ".join(failed)
             )
+    if traces is not None:
+        traces.extend(best_traces)
     return best
 
 

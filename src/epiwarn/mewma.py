@@ -62,16 +62,20 @@ class NullModel:
         return (lam / (2.0 - lam)) * self.sigma
 
     def subset(self, names: Sequence[str]) -> "NullModel":
-        """Project onto a predictor subset (principal submatrix stays SPD)."""
+        """Project onto a predictor subset (principal submatrix stays SPD).
+
+        A principal submatrix of a checked symmetric matrix is symmetric, so
+        the projection is built without ``__post_init__``'s checks.
+        """
         idx = [self.predictor_names.index(n) for n in names]
-        return NullModel(
+        sub = object.__new__(NullModel)
+        vars(sub).update(
+            vars(self),
             predictor_names=tuple(names),
             mu=self.mu[idx],
             sigma=self.sigma[np.ix_(idx, idx)],
-            baseline_week_count=self.baseline_week_count,
-            ridge_applied=self.ridge_applied,
-            ridge_delta=self.ridge_delta,
         )
+        return sub
 
 
 @dataclass(frozen=True)
@@ -273,5 +277,6 @@ def write_trace_csv(trace: AlarmTrace, axis: WeekAxis, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["week", "E", "alarm", "cluster_onset"])
-        for i in range(axis.length):
-            writer.writerow([axis.label(i), repr(float(trace.E[i])), alarm[i], onset[i]])
+        writer.writerows(zip(
+            axis.labels(), map(repr, trace.E.tolist()), alarm.tolist(), onset.tolist(), strict=True
+        ))

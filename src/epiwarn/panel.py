@@ -8,6 +8,7 @@ gap-free weekly exports and no imputation is performed.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -64,6 +65,16 @@ def index_to_week(index: int) -> str:
     return f"{year}-W{week:02d}"
 
 
+@functools.lru_cache(maxsize=32)
+def week_labels(first: int, length: int) -> tuple[str, ...]:
+    """Labels of ``length`` consecutive weeks from week index ``first``.
+
+    Memoized: every series of a panel, and every file written from it,
+    shares one tuple.
+    """
+    return tuple(index_to_week(first + i) for i in range(length))
+
+
 @dataclass(frozen=True)
 class WeekAxis:
     """A run of consecutive calendar weeks, identified by the first week."""
@@ -83,14 +94,21 @@ class WeekAxis:
     def label(self, i: int) -> str:
         if not 0 <= i < self.length:
             raise IndexError(f"week position {i} outside axis of length {self.length}")
-        return index_to_week(self.start_index + i)
+        return self.labels()[i]
 
-    def labels(self) -> list[str]:
-        return [index_to_week(self.start_index + i) for i in range(self.length)]
+    def labels(self) -> tuple[str, ...]:
+        return week_labels(self.start_index, self.length)
+
+    @cached_property
+    def iso_weeks(self) -> np.ndarray:
+        """ISO week-of-year number (1..53) of every axis position (read-only)."""
+        weeks = np.array([int(label[-2:]) for label in self.labels()])
+        weeks.flags.writeable = False
+        return weeks
 
     def iso_week(self, i: int) -> int:
         """ISO week-of-year number (1..53) of axis position ``i``."""
-        return date.fromordinal((self.start_index + i) * 7 + 1).isocalendar()[1]
+        return int(self.iso_weeks[i])
 
     def iso_year(self, i: int) -> int:
         return date.fromordinal((self.start_index + i) * 7 + 1).isocalendar()[0]
@@ -176,8 +194,67 @@ def _read_series_csv(path: Path) -> tuple[int, np.ndarray]:
     """Read one series file; return (first week index, values).
 
     Enforces the file contract: header ``week,value``, ISO week labels,
-    decimal values, no duplicate weeks and no gaps.
+    decimal values, no duplicate weeks and no gaps. A file of consecutive
+    weeks in order is parsed in one bulk pass; every other file, valid or
+    not, is read row by row, and that reader builds every error.
     """
+    parsed = _read_in_order(path)
+    return parsed if parsed is not None else _read_series_rows(path)
+
+
+def _read_in_order(path: Path) -> tuple[int, np.ndarray] | None:
+    """Bulk pass over a file of unquoted ``week,value`` lines whose labels are
+    consecutive ISO weeks in file order and whose values are finite floats.
+
+    Returns None for any other file, so that ``_read_series_rows`` decides
+    it. What is accepted here reads the same there: each line starts with
+    the canonical ``label,`` of its week, and ``float`` rejects any further
+    comma in the rest and reads its padding as that reader does.
+    """
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text:
+        return None
+    header, _, body = text.partition("\n")
+    del text  # a second copy of the file would raise the process's peak memory
+    if [c.strip().lower() for c in header.split(",")] != ["week", "value"]:
+        return None
+    lines = body.split("\n")
+    if lines[-1] == "":  # the last line's end
+        lines.pop()
+    if not lines or max(len(header), *map(len, lines)) > csv.field_size_limit():
+        return None  # no rows, or a line that may hold a field too long for the csv module
+    try:
+        first = week_to_index(lines[0].partition(",")[0])
+        prefixes = _row_prefixes(first, len(lines))
+    except (ParseError, ValueError):  # a bad label, or weeks past year 9999
+        return None
+    if not all(map(str.startswith, lines, prefixes)):
+        return None
+    try:
+        values = np.fromiter(
+            map(float, map(str.removeprefix, lines, prefixes)), float, len(lines)
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return first, values
+
+
+@functools.lru_cache(maxsize=32)
+def _row_prefixes(first: int, length: int) -> tuple[str, ...]:
+    """``label,`` for each of ``length`` weeks from index ``first``."""
+    return tuple(label + "," for label in week_labels(first, length))
+
+
+def _read_series_rows(path: Path) -> tuple[int, np.ndarray]:
+    """Row-by-row reader behind ``_read_series_csv``: accepts rows in any
+    order, blank lines and quoted fields, and builds every error."""
     rows: list[tuple[int, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -300,8 +377,7 @@ def write_series_csv(series: Series, axis: WeekAxis, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["week", "value"])
-        for i, v in enumerate(series.values):
-            writer.writerow([axis.label(i), repr(float(v))])
+        writer.writerows(zip(axis.labels(), map(repr, series.values.tolist()), strict=True))
 
 
 def write_panel(panel: AlignedPanel, out_dir) -> Path:

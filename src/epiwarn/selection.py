@@ -145,11 +145,13 @@ class AuditLog:
 
 @dataclass(frozen=True, eq=False)
 class FoldFit:
-    """One fold's calibrated detector: the subset and its chosen (lambda, h)."""
+    """One fold's calibrated detector: the subset, its chosen (lambda, h), and
+    its timeliness on the fold's held-out windows."""
 
     context: FoldContext
     subset: tuple[str, ...]
     point: calibrate.ConstraintCurvePoint
+    held_out: float
 
     def scan(self) -> AlarmTrace:
         """The detector's scan over the whole panel."""
@@ -174,13 +176,15 @@ def fit_folds(
     h) for every candidate on its training events under the ATFS target
     ``phi``, seeding the calibration with ``(*seed, f)``; per lambda, all
     candidates are calibrated from one draw of null normals
-    (``calibrate.optimize_step``). A fit's scan covers the whole panel, and
-    callers score it on the held-out events. Each fit is recorded in
-    ``audit`` if given, candidate by candidate.
+    (``calibrate.optimize_step``). A fit's scan covers the whole panel; it
+    is scored on the fold's held-out windows as it is made and not kept, so
+    a wide step holds no scan per candidate and fold. Each fit is recorded,
+    with its score, in ``audit`` if given, candidate by candidate.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
     fits: list[list[FoldFit]] = [[] for _ in candidates]
     for ctx in contexts:
+        traces: list[AlarmTrace] = []
         points = calibrate.optimize_step(
             panel,
             ctx.train_events,
@@ -192,9 +196,11 @@ def fit_folds(
             sims=sims,
             seed=(*calibrate._seed_tuple(seed), ctx.fold),
             table=ctx.table,
+            traces=traces,
         )
-        for cand, point, cand_fits in zip(candidates, points, fits):
-            cand_fits.append(FoldFit(ctx, prefix + (cand,), point))
+        for cand, point, trace, cand_fits in zip(candidates, points, traces, fits):
+            held_out = evaluate.performance(trace, ctx.test_windows)
+            cand_fits.append(FoldFit(ctx, prefix + (cand,), point, held_out))
     if audit is not None:
         for cand_fits in fits:
             for fit in cand_fits:
@@ -207,6 +213,7 @@ def fit_folds(
                         "test_mask": fit.context.test_mask.copy(),
                         "lam": fit.point.lam,
                         "h": fit.point.h,
+                        "fold_score": fit.held_out,
                     }
                 )
     return fits
@@ -224,24 +231,13 @@ def score_step(
     seed,
     audit: AuditLog | None = None,
 ) -> list[float]:
-    """Mean out-of-sample timeliness of every subset prefix + (c,) across folds.
-
-    Each fold's fit (``fit_folds``) is scored on the held-out events'
-    windows, and the score joins the fold's audit entry.
-    """
+    """Mean out-of-sample timeliness of every subset prefix + (c,) across folds:
+    the mean of its fold fits' held-out scores (``fit_folds``)."""
     fits = fit_folds(
         panel, prefix, candidates, contexts, phi, lambda_grid,
         sims=sims, seed=seed, audit=audit,
     )
-    fold_scores = [
-        [evaluate.performance(fit.scan(), fit.context.test_windows) for fit in cand_fits]
-        for cand_fits in fits
-    ]
-    flat = [score for scores in fold_scores for score in scores]
-    if audit is not None and flat:  # the entries fit_folds just recorded, in order
-        for entry, fold_score in zip(audit.entries[-len(flat):], flat):
-            entry["fold_score"] = fold_score
-    return [float(np.mean(scores)) for scores in fold_scores]
+    return [float(np.mean([fit.held_out for fit in cand_fits])) for cand_fits in fits]
 
 
 def score_subset(

@@ -205,6 +205,28 @@ def test_optimize_step_needs_a_shared_null_for_several_candidates():
                                 sims=50)
 
 
+def test_optimize_step_traces_are_the_chosen_points_scans():
+    from epiwarn.mewma import estimate_null, precompute_shared_states
+    from epiwarn.panel import SyntheticPanelSpec, generate_synthetic
+
+    panel = generate_synthetic(SyntheticPanelSpec(seasons=4, predictor_count=3, rng_seed=3))
+    events = detect_events(panel.gold, 1.25, 3)
+    windows = build_windows(events, 16, 8, panel.gold)
+    grid = (0.3, 0.6)
+    table = precompute_shared_states(
+        panel, estimate_null(panel, events, panel.candidate_names()), grid
+    )
+    prefix, *candidates = panel.candidate_names()
+    traces = []
+    points = calibrate.optimize_step(panel, events, windows, [prefix], candidates, 20.0, grid,
+                                     sims=50, table=table, traces=traces)
+    assert len(traces) == len(candidates)
+    for cand, point, trace in zip(candidates, points, traces):
+        rescan = table.scan(point.lam, (prefix, cand), point.h)
+        assert np.array_equal(trace.E, rescan.E)
+        assert np.array_equal(trace.cluster_onsets, rescan.cluster_onsets)
+
+
 def test_optimize_params_noiseless_lead_scores_above_half():
     panel = _pulse_panel(lead=3)
     events = detect_events(panel.gold, 1.25, 3)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from epiwarn.panel import (
     AlignedPanel,
     AlignmentError,
     DuplicateWeekError,
     MissingDataError,
+    PanelError,
     ParseError,
     Series,
     SyntheticPanelSpec,
@@ -18,6 +20,8 @@ from epiwarn.panel import (
     week_to_index,
     write_panel,
     write_series_csv,
+    _read_in_order,
+    _read_series_rows,
 )
 
 
@@ -221,3 +225,104 @@ def test_write_series_uses_repr_round_trip(tmp_path):
     text = (tmp_path / "x.csv").read_text().splitlines()
     parsed = [float(line.split(",")[1]) for line in text[1:]]
     assert parsed == list(values)
+
+
+# 2015 is a 53-week ISO year, so runs from here cross 2015-W53 and a new year
+_RUN_START = week_to_index("2015-W45")
+_BAD_VALUES = ["", " ", "nan", "inf", "-inf", "1e500", "1_0", "1__0", "abc", "0x1f", "1.5.2", "+-1"]
+_BAD_LABELS = ["2015-W54", "2015-13", "15-W01", "0999-W01", "2015-w01", "", " 2016-W02 ", "2015-W53x"]
+
+
+def _mutate_rows(rows, op, draw):
+    """Apply one row-level damage (or harmless variation) to the rows."""
+    i = draw(st.integers(0, len(rows) - 1))
+    row = rows[i]
+    if op == "shuffle":
+        rows[:] = draw(st.permutations(rows))
+    elif op == "gap" and len(rows) > 1:
+        del rows[i]
+    elif op == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), list(row))
+    elif op == "pad":
+        k = draw(st.integers(0, len(row) - 1))
+        row[k] = draw(st.sampled_from([" ", "  ", "\t"])) + row[k] + draw(st.sampled_from(["", " "]))
+    elif op == "quote":
+        k = draw(st.integers(0, len(row) - 1))
+        row[k] = f'"{row[k]}"'
+    elif op == "extra_field":
+        row.append(draw(st.sampled_from(["", "x", "1.0"])))
+    elif op == "drop_field":
+        del row[1:]
+    elif op == "bad_value" and len(row) > 1:
+        row[1] = draw(st.sampled_from(_BAD_VALUES))
+    elif op == "bad_label":
+        row[0] = draw(st.sampled_from(_BAD_LABELS))
+    elif op == "far_label":
+        row[0] = index_to_week(_RUN_START + draw(st.integers(-3, 40)))
+
+
+@st.composite
+def _series_files(draw):
+    """The text of a series file: a valid in-order file, then maybe damaged."""
+    first = _RUN_START + draw(st.integers(0, 10))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+    fmt = draw(st.sampled_from([repr, "{:.3f}".format, "{:e}".format, lambda v: str(int(v))]))
+    rows = [[index_to_week(first + i), fmt(v)] for i, v in enumerate(values)]
+    ops = draw(st.lists(st.sampled_from([
+        "shuffle", "gap", "duplicate", "pad", "quote", "extra_field", "drop_field",
+        "bad_value", "bad_label", "far_label",
+    ]), max_size=3))
+    for op in ops:
+        _mutate_rows(rows, op, draw)
+    header = draw(st.one_of(
+        st.just("week,value"),
+        st.sampled_from(["Week, VALUE ", '"week",value', "week,val", "week"]),
+    ))
+    lines = [header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    intact = not ops and header == "week,value" and len(lines) == len(rows) + 1
+    if draw(st.integers(0, 3)) == 0:
+        text, intact = text[: draw(st.integers(0, len(text)))], False
+    return text, intact
+
+
+def _outcome(read, path):
+    try:
+        first, values = read(path)
+    except PanelError as exc:
+        return type(exc), str(exc)
+    return first, values.tobytes()
+
+
+def _load_outcome(path):
+    try:
+        panel = load_panel(path, [path])
+    except PanelError as exc:
+        return type(exc), str(exc)
+    return week_to_index(panel.axis.start), panel.gold.values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_series_files())
+@example(case=("week,value\n2015-W45,1.0\n2015-W46,2.0,3.0\n", False))  # extra last field
+@example(case=("week,value\r\n2015-W45,1.0\r\n2015-W46,2.0\r", False))  # bare CR at the end
+def test_bulk_and_row_parsers_agree(tmp_path_factory, case):
+    """The public loader reads every file as the row-by-row reader does, and
+    the bulk pass accepts at least every intact in-order file."""
+    text, intact = case
+    path = tmp_path_factory.mktemp("series") / "s.csv"
+    path.write_bytes(text.encode())
+    rows = _outcome(_read_series_rows, path)
+    bulk = _read_in_order(path)
+    if bulk is not None:
+        assert (bulk[0], bulk[1].tobytes()) == rows
+    if intact:
+        assert bulk is not None
+    loaded = _load_outcome(path)
+    if isinstance(rows[1], bytes) and len(rows[1]) < 3 * 8:
+        assert loaded[0] is AlignmentError  # fewer than 3 weeks form no panel
+    else:
+        assert loaded == rows
