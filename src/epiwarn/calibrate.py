@@ -34,7 +34,7 @@ from scipy.linalg import solve_triangular
 
 from . import evaluate
 from .events import DetectionWindowSet, EventSet
-from .mewma import AlarmTrace, DetectorConfig, NullModel, SharedScanTable, estimate_null, run_scan
+from .mewma import AlarmTrace, NullModel, SharedScanTable, estimate_null, precompute_shared_states
 from .panel import AlignedPanel
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -300,7 +300,6 @@ def optimize_params(
     sims: int = DEFAULT_SIMS,
     seed=0,
     table: SharedScanTable | None = None,
-    null: NullModel | None = None,
     curve: list | None = None,
 ) -> ConstraintCurvePoint:
     """Pick the (lambda, h) pair on the target-ATFS curve with the best in-sample score.
@@ -308,8 +307,8 @@ def optimize_params(
     For each lambda in the grid the threshold is solved at the target ATFS,
     the scan is run in-sample, and the mean-timeliness score over ``windows``
     is computed; the argmax is returned, ties broken by smaller lambda then
-    smaller h. ``table``/``null`` let callers reuse precomputed shared states
-    and a training null model; ``curve`` (if given) collects every solved
+    smaller h. ``table`` lets callers reuse precomputed shared states and
+    their training null model; ``curve`` (if given) collects every solved
     grid point, not just the winner. This is ``optimize_step`` for the one
     extension ``subset[:-1] + subset[-1:]``.
     """
@@ -319,7 +318,7 @@ def optimize_params(
     curves = None if curve is None else [curve]
     return optimize_step(
         panel, events, windows, subset[:-1], subset[-1:], phi, lambda_grid,
-        sims=sims, seed=seed, table=table, null=null, curves=curves,
+        sims=sims, seed=seed, table=table, curves=curves,
     )[0]
 
 
@@ -335,7 +334,6 @@ def optimize_step(
     sims: int = DEFAULT_SIMS,
     seed=0,
     table: SharedScanTable | None = None,
-    null: NullModel | None = None,
     curves: Sequence[list] | None = None,
     traces: list | None = None,
 ) -> list[ConstraintCurvePoint]:
@@ -344,26 +342,24 @@ def optimize_step(
     Lambda k calibrates every candidate with seed ``(*seed, k)``. With a
     nonempty prefix all of them are solved on paths from one draw of normals
     (``step_statistic_paths``); with an empty prefix they are 1-d nulls and
-    share one solve against the unit null. The null defaults to the table's;
-    a single candidate may leave both out, and its subset's null is then
-    estimated from ``events``. ``curves`` (if given) holds one list per
-    candidate that collects its solved grid points, and ``traces`` (if
-    given) receives each candidate's scan at its chosen point. Raises
-    ``CalibrationError`` when a candidate fails at every lambda.
+    share one solve against the unit null. The null and every scan come from
+    ``table``; a single candidate may leave it out, and a table is then built
+    from its subset's null, estimated from ``events``. ``curves`` (if given)
+    holds one list per candidate that collects its solved grid points, and
+    ``traces`` (if given) receives each candidate's scan at its chosen point.
+    Raises ``CalibrationError`` when a candidate fails at every lambda.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
     if not candidates:
         raise ValueError("need at least one candidate")
     if len(events) == 0:
         raise ValueError("cannot optimize parameters without events")
-    names = prefix + candidates
-    if null is None and table is None and len(candidates) > 1:
-        # one null per subset would differ from one estimated over all of them
-        raise ValueError("several candidates need a shared table or null model")
-    if null is None:
-        null = table.null if table is not None else estimate_null(panel, events, names)
-    elif set(names) - set(null.predictor_names):
-        raise ValueError("null model does not cover the requested subset")
+    if table is None:
+        if len(candidates) > 1:
+            # one null per subset would differ from one estimated over all of them
+            raise ValueError("several candidates need a shared table")
+        null = estimate_null(panel, events, prefix + candidates)
+        table = precompute_shared_states(panel, null, lambda_grid)
 
     best: list[ConstraintCurvePoint | None] = [None] * len(candidates)
     best_traces: list[AlarmTrace | None] = [None] * len(candidates)
@@ -371,7 +367,7 @@ def optimize_step(
     for k, lam in enumerate(lambda_grid):
         lam = float(lam)
         solves = _step_solves(
-            null, prefix, candidates, lam, phi, sims, (*_seed_tuple(seed), k)
+            table.null, prefix, candidates, lam, phi, sims, (*_seed_tuple(seed), k)
         )
         for i, (cand, solved) in enumerate(zip(candidates, solves)):
             if isinstance(solved, CalibrationError):
@@ -381,11 +377,7 @@ def optimize_step(
             if h <= 0.0:
                 failures[i].append(f"lam={lam}: boundary threshold h=0 is not a usable detector")
                 continue
-            subset = prefix + (cand,)
-            if table is not None:
-                trace = table.scan(lam, subset, h)
-            else:
-                trace = run_scan(panel, null.subset(subset), DetectorConfig(subset, lam, h))
+            trace = table.scan(lam, prefix + (cand,), h)
             perf = evaluate.performance(trace, windows)
             point = ConstraintCurvePoint(lam=lam, h=h, performance=perf, atfs=atfs)
             if curves is not None:

@@ -22,7 +22,8 @@ from pathlib import Path
 from . import baselines, calibrate, evaluate, pipeline
 from .config import ExperimentConfig, load_config
 from .events import build_windows, detect_events, write_events_csv
-from .mewma import DetectorConfig, run_scan, estimate_null, write_trace_csv
+from .mewma import (DetectorConfig, estimate_null, precompute_shared_states, run_scan,
+                    write_trace_csv)
 from .panel import (
     ParseError,
     SyntheticPanelSpec,
@@ -183,14 +184,15 @@ def cmd_detect(args) -> int:
         if args.lam is not None:
             trace = run_scan(scan_panel, null, DetectorConfig(subset, args.lam, args.h))
         else:
+            table = precompute_shared_states(scan_panel, null, config.lambda_grid)
             curve: list = []
             point = calibrate.optimize_params(
                 scan_panel, events, windows, subset, config.atfs,
                 config.lambda_grid, sims=config.sims, seed=config.seed,
-                null=null, curve=curve,
+                table=table, curve=curve,
             )
             calibrate.write_calibration_csv(curve, out / "calibration.csv")
-            trace = run_scan(scan_panel, null, DetectorConfig(subset, point.lam, point.h))
+            trace = table.scan(point.lam, subset, point.h)
         label = "mewma"
 
     write_trace_csv(trace, panel.axis, out / f"{label}_trace.csv")

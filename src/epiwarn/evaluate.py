@@ -13,9 +13,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import DetectionWindowSet, EventSet
+from .events import BASELINE, EVENT_AFTER_WINDOW, IN_WINDOW, DetectionWindowSet, EventSet
 from .mewma import AlarmTrace
 from .panel import Series
+
+
+def first_onsets(trace: AlarmTrace, windows: DetectionWindowSet) -> list[int | None]:
+    """Each window's first cluster onset inside it, or None when it has none."""
+    onsets = trace.cluster_onsets
+    firsts: list[int | None] = []
+    for ws, we in windows.windows:
+        inside = onsets[(onsets >= ws) & (onsets <= we)]
+        firsts.append(int(inside[0]) if inside.size else None)
+    return firsts
+
+
+def _delta_t(onsets, windows: DetectionWindowSet) -> tuple[float, ...]:
+    """Lag from each window start to its first onset; T_w when it has none."""
+    t_w = windows.window_length
+    return tuple(
+        float(t_w) if onset is None else float(onset - ws)
+        for onset, (ws, _) in zip(onsets, windows.windows)
+    )
+
+
+def _timeliness(delta_t, t_w: int) -> float:
+    if not delta_t:
+        raise ValueError("cannot score against an empty window set")
+    return sum(1.0 - dt / t_w for dt in delta_t) / len(delta_t)
 
 
 def performance(trace: AlarmTrace, windows: DetectionWindowSet) -> float:
@@ -24,16 +49,7 @@ def performance(trace: AlarmTrace, windows: DetectionWindowSet) -> float:
     dT_n is the lag from window start to the first cluster onset inside
     window n, with dT_n = T_w when no onset falls inside the window.
     """
-    if len(windows) == 0:
-        raise ValueError("cannot score against an empty window set")
-    onsets = trace.cluster_onsets
-    t_w = windows.window_length
-    total = 0.0
-    for ws, we in windows.windows:
-        inside = onsets[(onsets >= ws) & (onsets <= we)]
-        dt = float(inside[0] - ws) if inside.size else float(t_w)
-        total += 1.0 - dt / t_w
-    return total / len(windows)
+    return _timeliness(_delta_t(first_onsets(trace, windows), windows), windows.window_length)
 
 
 @dataclass(frozen=True)
@@ -51,73 +67,45 @@ class EvaluationReport:
     late_onset_count: int
     precision_undefined: bool
 
+    @classmethod
+    def from_onsets(
+        cls, onsets, windows: DetectionWindowSet, true_n: int, false_n: int, late_n: int
+    ) -> "EvaluationReport":
+        """The report for each window's first in-window onset (None when it has
+        none) and the counts of true, false and late onsets.
 
-def score(
-    trace: AlarmTrace,
-    windows: DetectionWindowSet,
-    *,
-    onset_mask: np.ndarray | None = None,
-) -> EvaluationReport:
+        Late onsets are left out of precision. With no true or false onset at
+        all, precision is reported as 1 with ``precision_undefined`` set, so
+        sweeps never divide by zero.
+        """
+        delta_t = _delta_t(onsets, windows)
+        missed = tuple(k for k, onset in enumerate(onsets) if onset is None)
+        classified = true_n + false_n
+        return cls(
+            performance=_timeliness(delta_t, windows.window_length),
+            delta_t=delta_t,
+            onsets=tuple(onsets),
+            precision=true_n / classified if classified else 1.0,
+            recall=(len(windows) - len(missed)) / len(windows),
+            missed_events=missed,
+            true_onset_count=true_n,
+            false_onset_count=false_n,
+            late_onset_count=late_n,
+            precision_undefined=classified == 0,
+        )
+
+
+def score(trace: AlarmTrace, windows: DetectionWindowSet) -> EvaluationReport:
     """Full evaluation of a trace against a window set.
 
     Onsets inside any window are true; onsets inside an event but after its
-    window are "late-true" and dropped from the precision ratio entirely;
-    everything else is false. With no onsets at all, precision is reported
-    as 1 with the ``precision_undefined`` flag set so sweeps never divide by
-    zero. ``onset_mask`` restricts which weeks' onsets are considered (e.g.
-    held-out weeks only).
+    window are late and left out of precision; everything else is false
+    (``DetectionWindowSet.classify``).
     """
-    if len(windows) == 0:
-        raise ValueError("cannot score against an empty window set")
-    onsets = trace.cluster_onsets
-    if onset_mask is not None:
-        onsets = onsets[np.asarray(onset_mask, dtype=bool)[onsets]]
-
-    t_w = windows.window_length
-    delta_t: list[float] = []
-    first_onsets: list[int | None] = []
-    missed: list[int] = []
-    for k, (ws, we) in enumerate(windows.windows):
-        inside = onsets[(onsets >= ws) & (onsets <= we)]
-        if inside.size:
-            first_onsets.append(int(inside[0]))
-            delta_t.append(float(inside[0] - ws))
-        else:
-            first_onsets.append(None)
-            delta_t.append(float(t_w))
-            missed.append(k)
-
-    true_count = false_count = late_count = 0
-    for w in onsets:
-        in_window = any(ws <= w <= we for ws, we in windows.windows)
-        if in_window:
-            true_count += 1
-            continue
-        late = any(
-            es <= w <= ee and w > we
-            for (es, ee), (ws, we) in zip(windows.events, windows.windows)
-        )
-        if late:
-            late_count += 1
-        else:
-            false_count += 1
-
-    classified = true_count + false_count
-    precision_undefined = classified == 0
-    precision = 1.0 if precision_undefined else true_count / classified
-    recall = (len(windows) - len(missed)) / len(windows)
-    perf = sum(1.0 - dt / t_w for dt in delta_t) / len(windows)
-    return EvaluationReport(
-        performance=perf,
-        delta_t=tuple(delta_t),
-        onsets=tuple(first_onsets),
-        precision=precision,
-        recall=recall,
-        missed_events=tuple(missed),
-        true_onset_count=true_count,
-        false_onset_count=false_count,
-        late_onset_count=late_count,
-        precision_undefined=precision_undefined,
+    counts = np.bincount(windows.classify()[trace.cluster_onsets], minlength=3).tolist()
+    return EvaluationReport.from_onsets(
+        first_onsets(trace, windows), windows,
+        counts[IN_WINDOW], counts[BASELINE], counts[EVENT_AFTER_WINDOW],
     )
 
 
@@ -127,7 +115,14 @@ class LeadReport:
 
     leads: tuple[float | None, ...]
     crossed: tuple[bool, ...]
-    missed_events: tuple[int, ...]
+
+    @property
+    def missed_events(self) -> tuple[int, ...]:
+        """Events that reached the reporting threshold with no in-window onset."""
+        return tuple(
+            k for k, (lead, crossed) in enumerate(zip(self.leads, self.crossed))
+            if crossed and lead is None
+        )
 
     @property
     def mean_lead(self) -> float | None:
@@ -153,26 +148,13 @@ def lead_vs_threshold(
             f"reporting threshold {reporting_threshold} below event threshold "
             f"{events.threshold}"
         )
-    onsets = trace.cluster_onsets
     leads: list[float | None] = []
     crossed: list[bool] = []
-    missed: list[int] = []
-    values = gold.values
-    for k, ((es, ee), (ws, we)) in enumerate(zip(events.events, windows.windows)):
-        hits = np.flatnonzero(values[es : ee + 1] >= reporting_threshold)
-        if hits.size == 0:
-            leads.append(None)
-            crossed.append(False)
-            continue
-        crossed.append(True)
-        cross_week = es + int(hits[0])
-        inside = onsets[(onsets >= ws) & (onsets <= we)]
-        if inside.size == 0:
-            leads.append(None)
-            missed.append(k)
-            continue
-        leads.append(float(cross_week - int(inside[0])))
-    return LeadReport(leads=tuple(leads), crossed=tuple(crossed), missed_events=tuple(missed))
+    for (es, ee), onset in zip(events.events, first_onsets(trace, windows)):
+        hits = np.flatnonzero(gold.values[es : ee + 1] >= reporting_threshold)
+        crossed.append(bool(hits.size))
+        leads.append(None if onset is None or not hits.size else float(es + int(hits[0]) - onset))
+    return LeadReport(leads=tuple(leads), crossed=tuple(crossed))
 
 
 def write_event_report_csv(report: EvaluationReport, leads: LeadReport | None, path) -> None:

@@ -62,7 +62,7 @@ def week_to_index(label: str) -> int:
 def index_to_week(index: int) -> str:
     """Inverse of :func:`week_to_index`."""
     year, week, _ = date.fromordinal(index * 7 + 1).isocalendar()
-    return f"{year}-W{week:02d}"
+    return f"{year:04d}-W{week:02d}"
 
 
 @functools.lru_cache(maxsize=32)
@@ -105,13 +105,6 @@ class WeekAxis:
         weeks = np.array([int(label[-2:]) for label in self.labels()])
         weeks.flags.writeable = False
         return weeks
-
-    def iso_week(self, i: int) -> int:
-        """ISO week-of-year number (1..53) of axis position ``i``."""
-        return int(self.iso_weeks[i])
-
-    def iso_year(self, i: int) -> int:
-        return date.fromordinal((self.start_index + i) * 7 + 1).isocalendar()[0]
 
 
 @dataclass(frozen=True, eq=False)

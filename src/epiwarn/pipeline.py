@@ -59,6 +59,7 @@ class PipelineResult:
 
 
 def _restrict_trace(trace: AlarmTrace, mask: np.ndarray) -> AlarmTrace:
+    """The trace with only the alarms and onsets in weeks where ``mask`` holds."""
     return AlarmTrace(
         E=trace.E,
         alarm_weeks=trace.alarm_weeks[mask[trace.alarm_weeks]],
@@ -83,62 +84,36 @@ def pooled_cv_report(
     out (possible with custom train/gap plans) are not scored at all.
     """
     n = panel.n_weeks
-    K = len(events)
-    t_w = windows.window_length
-    tested = sorted(
-        {k for f in range(len(traces_per_fold)) for k in folds.folds[f].test_seasons}
-    )
-    delta_t: list[float] = [float(t_w)] * K
-    first_onsets: list[int | None] = [None] * K
-    leads: list[float | None] = [None] * K
-    crossed: list[bool] = [False] * K
+    # per-event results keyed by global event index
+    first_onsets: dict[int, int | None] = {}
+    leads: dict[int, float | None] = {}
+    crossed: dict[int, bool] = {}
     true_n = false_n = late_n = 0
-
     for f, trace in enumerate(traces_per_fold):
         test_ids = folds.folds[f].test_seasons
-        tmask = folds.test_mask(f, n)
+        held_out = _restrict_trace(trace, folds.test_mask(f, n))
         test_windows = windows.select(test_ids)
-        rep = evaluate.score(trace, test_windows, onset_mask=tmask)
+        rep = evaluate.score(held_out, test_windows)
         true_n += rep.true_onset_count
         false_n += rep.false_onset_count
         late_n += rep.late_onset_count
-        for local_i, k in enumerate(test_ids):
-            delta_t[k] = rep.delta_t[local_i]
-            first_onsets[k] = rep.onsets[local_i]
+        first_onsets.update(zip(test_ids, rep.onsets))
         if reporting_threshold is not None:
             lead_rep = evaluate.lead_vs_threshold(
-                _restrict_trace(trace, tmask),
-                panel.gold,
-                reporting_threshold,
-                events.select(test_ids),
-                test_windows,
+                held_out, panel.gold, reporting_threshold, events.select(test_ids), test_windows
             )
-            for local_i, k in enumerate(test_ids):
-                leads[k] = lead_rep.leads[local_i]
-                crossed[k] = lead_rep.crossed[local_i]
+            leads.update(zip(test_ids, lead_rep.leads))
+            crossed.update(zip(test_ids, lead_rep.crossed))
 
     # all per-event fields index into `tested` in global event order
-    missed = tuple(i for i, k in enumerate(tested) if first_onsets[k] is None)
-    classified = true_n + false_n
-    precision_undefined = classified == 0
-    report = evaluate.EvaluationReport(
-        performance=sum(1.0 - delta_t[k] / t_w for k in tested) / len(tested),
-        delta_t=tuple(delta_t[k] for k in tested),
-        onsets=tuple(first_onsets[k] for k in tested),
-        precision=1.0 if precision_undefined else true_n / classified,
-        recall=(len(tested) - len(missed)) / len(tested),
-        missed_events=missed,
-        true_onset_count=true_n,
-        false_onset_count=false_n,
-        late_onset_count=late_n,
-        precision_undefined=precision_undefined,
+    tested = sorted(first_onsets)
+    report = evaluate.EvaluationReport.from_onsets(
+        [first_onsets[k] for k in tested], windows.select(tested), true_n, false_n, late_n
     )
     lead_report = None
     if reporting_threshold is not None:
         lead_report = evaluate.LeadReport(
-            leads=tuple(leads[k] for k in tested),
-            crossed=tuple(crossed[k] for k in tested),
-            missed_events=tuple(i for i in missed if crossed[tested[i]]),
+            leads=tuple(leads[k] for k in tested), crossed=tuple(crossed[k] for k in tested)
         )
     return report, lead_report
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import calibrate, evaluate
 from .events import DetectionWindowSet, EventSet, build_windows, detect_events
-from .mewma import AlarmTrace, NullModel, SharedScanTable, estimate_null, precompute_shared_states
+from .mewma import AlarmTrace, SharedScanTable, estimate_null, precompute_shared_states
 from .panel import AlignedPanel
 
 
@@ -88,7 +88,8 @@ def make_folds(events: EventSet, held_out: int, n_weeks: int) -> FoldPlan:
 
 @dataclass(frozen=True, eq=False)
 class FoldContext:
-    """Everything one fold needs to score subsets: training null, shared states."""
+    """Everything one fold needs to score subsets: its masks, its windows, and the
+    shared scan states of its training null (``table.null``)."""
 
     fold: int
     train_mask: np.ndarray
@@ -96,7 +97,6 @@ class FoldContext:
     train_events: EventSet
     train_windows: DetectionWindowSet
     test_windows: DetectionWindowSet
-    null: NullModel
     table: SharedScanTable
     baseline_weeks: np.ndarray
 
@@ -128,7 +128,6 @@ def prepare_fold_contexts(
                 train_events=events.select(folds.folds[f].train_seasons),
                 train_windows=windows.select(folds.folds[f].train_seasons),
                 test_windows=windows.select(folds.folds[f].test_seasons),
-                null=null,
                 table=table,
                 baseline_weeks=np.flatnonzero(base),
             )
@@ -219,27 +218,6 @@ def fit_folds(
     return fits
 
 
-def score_step(
-    panel: AlignedPanel,
-    prefix: Sequence[str],
-    candidates: Sequence[str],
-    contexts: Sequence[FoldContext],
-    phi: float,
-    lambda_grid: Sequence[float],
-    *,
-    sims: int,
-    seed,
-    audit: AuditLog | None = None,
-) -> list[float]:
-    """Mean out-of-sample timeliness of every subset prefix + (c,) across folds:
-    the mean of its fold fits' held-out scores (``fit_folds``)."""
-    fits = fit_folds(
-        panel, prefix, candidates, contexts, phi, lambda_grid,
-        sims=sims, seed=seed, audit=audit,
-    )
-    return [float(np.mean([fit.held_out for fit in cand_fits])) for cand_fits in fits]
-
-
 def score_subset(
     panel: AlignedPanel,
     subset: Sequence[str],
@@ -260,8 +238,8 @@ def score_subset(
 
     Per fold: the null model and the (lambda, h) pair come from training
     weeks only; the chosen detector's trace is then scored on the held-out
-    events' windows, and the score joins the fold's audit entry. This is
-    ``score_step`` for the one extension ``subset[:-1] + subset[-1:]``.
+    events' windows, and the score joins the fold's audit entry
+    (``fit_folds`` for the one extension ``subset[:-1] + subset[-1:]``).
     """
     subset = tuple(subset)
     if not subset:
@@ -270,10 +248,11 @@ def score_subset(
         events = detect_events(panel.gold, epsilon, min_duration)
         windows = build_windows(events, window, lead, panel.gold)
         contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid)
-    return score_step(
+    fits = fit_folds(
         panel, subset[:-1], subset[-1:], contexts, phi, lambda_grid,
         sims=sims, seed=seed, audit=audit,
     )[0]
+    return float(np.mean([fit.held_out for fit in fits]))
 
 
 @dataclass(frozen=True)
@@ -318,9 +297,10 @@ def forward_select(
     The first step always picks the best singleton; afterwards selection
     stops at ``k_max`` predictors or when the best marginal improvement is
     <= ``min_improvement``. Ties go to the earlier candidate in the given
-    order. Each step scores all remaining candidates at once
-    (``score_step``), so per fold and lambda the step's null normals are
-    drawn once and every candidate applies its own Cholesky factor to them.
+    order. Each step fits all remaining candidates at once (``fit_folds``),
+    so per fold and lambda the step's null normals are drawn once and every
+    candidate applies its own Cholesky factor to them. A candidate scores
+    the mean of its folds' held-out timeliness.
     """
     candidates = list(candidates)
     if not candidates:
@@ -338,11 +318,14 @@ def forward_select(
     current_score: float | None = None
     stop_reason = "reached-k"
     while remaining and len(chosen) < k_max:
-        scores = score_step(
+        fits = fit_folds(
             panel, chosen, remaining, contexts, phi, lambda_grid,
             sims=sims, seed=seed, audit=audit,
         )
-        scored = list(zip(remaining, scores))
+        scored = [
+            (cand, float(np.mean([fit.held_out for fit in cand_fits])))
+            for cand, cand_fits in zip(remaining, fits)
+        ]
         best_cand, best_score = max(scored, key=lambda cs: cs[1])
         if current_score is not None and best_score - current_score <= min_improvement:
             stop_reason = "performance-leveled-off"

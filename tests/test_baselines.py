@@ -26,7 +26,7 @@ def test_week_trigger_one_alarm_per_year():
     trace = week_trigger(panel, WeekTriggerConfig(34))
     assert trace.alarm_weeks.size == 3
     assert np.array_equal(trace.alarm_weeks, trace.cluster_onsets)
-    assert [panel.axis.iso_week(int(w)) for w in trace.alarm_weeks] == [34, 34, 34]
+    assert [int(panel.axis.iso_weeks[w]) for w in trace.alarm_weeks] == [34, 34, 34]
 
 
 def test_week_trigger_range_check():

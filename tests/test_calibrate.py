@@ -200,7 +200,7 @@ def test_optimize_step_needs_a_shared_null_for_several_candidates():
     events = detect_events(panel.gold, 1.25, 3)
     windows = build_windows(events, 16, 8, panel.gold)
     prefix, *candidates = panel.candidate_names()
-    with pytest.raises(ValueError, match="shared table or null"):
+    with pytest.raises(ValueError, match="shared table"):
         calibrate.optimize_step(panel, events, windows, [prefix], candidates, 20.0, [0.4],
                                 sims=50)
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epiwarn.events import DetectionWindowSet, build_windows, detect_events
 from epiwarn.evaluate import lead_vs_threshold, performance, score
 from epiwarn.mewma import AlarmTrace
 from epiwarn.panel import Series
+from epiwarn.pipeline import _restrict_trace
 
 
 def trace_with_onsets(onsets, n=200):
@@ -111,9 +113,69 @@ def test_onset_mask_restricts_scoring():
     w = windows_at([30, 100])
     mask = np.zeros(200, dtype=bool)
     mask[90:130] = True
-    report = score(trace_with_onsets([32, 101]), w, onset_mask=mask)
+    report = score(_restrict_trace(trace_with_onsets([32, 101]), mask), w)
     assert report.onsets == (None, 101)
     assert report.true_onset_count == 1
+
+
+def _reference_score(onsets, windows):
+    """Scoring spelled out loop by loop: first onset per window, then one
+    membership test per onset against every window and event."""
+    t_w = windows.window_length
+    delta_t, firsts, missed = [], [], []
+    for k, (ws, we) in enumerate(windows.windows):
+        inside = [w for w in onsets if ws <= w <= we]
+        firsts.append(inside[0] if inside else None)
+        delta_t.append(float(inside[0] - ws) if inside else float(t_w))
+        if not inside:
+            missed.append(k)
+    true_count = false_count = late_count = 0
+    for w in onsets:
+        if any(ws <= w <= we for ws, we in windows.windows):
+            true_count += 1
+        elif any(es <= w <= ee and w > we
+                 for (es, ee), (ws, we) in zip(windows.events, windows.windows)):
+            late_count += 1
+        else:
+            false_count += 1
+    classified = true_count + false_count
+    return {
+        "performance": sum(1.0 - dt / t_w for dt in delta_t) / len(windows),
+        "delta_t": tuple(delta_t),
+        "onsets": tuple(firsts),
+        "precision": 1.0 if classified == 0 else true_count / classified,
+        "recall": (len(windows) - len(missed)) / len(windows),
+        "missed_events": tuple(missed),
+        "true_onset_count": true_count,
+        "false_onset_count": false_count,
+        "late_onset_count": late_count,
+        "precision_undefined": classified == 0,
+    }
+
+
+@st.composite
+def scored_layouts(draw):
+    """A gold series with 1-5 events, its detection windows (clipped at either
+    panel edge, events possibly running past their window), and sorted onsets."""
+    t_w = draw(st.integers(1, 12))
+    lead = draw(st.integers(0, t_w))
+    values = [1.0] * draw(st.integers(0, 12))
+    for _ in range(draw(st.integers(1, 5))):
+        values += [2.0] * draw(st.integers(1, 16)) + [1.0] * draw(st.integers(t_w, t_w + 8))
+    values += [2.0] * draw(st.integers(0, 16))
+    gold = Series(name="gold", values=np.array(values))
+    windows = build_windows(detect_events(gold, 1.5, 1), t_w, lead, gold)
+    onsets = draw(st.sets(st.integers(0, len(values) - 1), max_size=20))
+    return trace_with_onsets(onsets, n=len(values)), windows
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=scored_layouts())
+def test_score_matches_loop_reference(layout):
+    trace, windows = layout
+    report = score(trace, windows)
+    assert vars(report) == _reference_score(trace.cluster_onsets.tolist(), windows)
+    assert performance(trace, windows) == report.performance
 
 
 def _gold_with_crossings(event_start=60, gap=3, n=200):

@@ -34,8 +34,16 @@ def _write_csv(path, start_label, values):
 
 
 def test_week_label_round_trip():
-    for label in ["2010-W01", "2015-W53", "2009-W27", "2016-W52"]:
+    for label in ["2010-W01", "2015-W53", "2009-W27", "2016-W52", "0999-W01"]:
         assert index_to_week(week_to_index(label)) == label
+
+
+def test_load_panel_year_below_1000(tmp_path):
+    p = tmp_path / "early.csv"
+    p.write_text("week,value\n0999-W01,1.0\n0999-W02,2.0\n0999-W03,3.0\n")
+    panel = load_panel(p, [p])
+    assert panel.axis.labels() == ("0999-W01", "0999-W02", "0999-W03")
+    assert panel.gold.values.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_week_indices_consecutive_across_year_boundary():
