@@ -7,8 +7,8 @@ fixed smoothing parameter one set of statistic paths is simulated, and on it
 ATFS(h) = N / #{E > h} for N path-weeks, so the threshold meeting a target
 ATFS is solved exactly from an order statistic of the pooled values.
 
-Each path's one-sided state is recursed week by week, and the quadratic form
-is then taken once over all (path, week) states. A one-predictor statistic
+The scan's kernel recurses each path's state week by week, then takes the
+quadratic form once over all (path, week) states. A one-predictor statistic
 does not depend on the null's variance, so all 1-d nulls share one memoized
 solve against the unit null per (lambda, target, simulation size, seed).
 
@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from . import evaluate
+from . import evaluate, mewma
 from .events import DetectionWindowSet, EventSet
 from .mewma import AlarmTrace, NullModel, SharedScanTable, estimate_null, precompute_shared_states
 from .panel import AlignedPanel
@@ -126,24 +125,14 @@ def _check_path_shape(lam: float, sims: int, length: int) -> None:
 
 def _statistic_paths(null: NullModel, lam: float, deviations: np.ndarray) -> np.ndarray:
     """The (sims, length) statistic paths of (sims, length, d) centered draws,
-    which are overwritten with their one-sided state."""
-    sims, length, d = deviations.shape
-    # the recursion overwrites each step's draws with its state; the quadratic
-    # form is then one in-place triangular solve over every (path, week). E is
-    # allocated before the loop so that it takes the block freed by the raw
-    # draws: allocated after, it finds that block fragmented by the loop's
+    formed in place by the scan's own recursion and quadratic form."""
+    # the recursion overwrites each step's draws with its state, and the
+    # quadratic form then overwrites the states in place. E is allocated
+    # before the recursion so that it takes the block freed by the raw draws:
+    # allocated after, it finds that block fragmented by the loop's
     # temporaries, and peak resident memory grows by one path set
-    E = np.empty((sims, length))
-    s = np.zeros((sims, d))
-    for t in range(length):
-        s = np.maximum(0.0, lam * deviations[:, t, :] + (1.0 - lam) * s)
-        deviations[:, t, :] = s
-    Ls = np.linalg.cholesky(null.smoothed_cov(lam))
-    z = solve_triangular(
-        Ls, deviations.reshape(-1, d).T, lower=True, check_finite=False, overwrite_b=True
-    )
-    np.einsum("ij,ij->j", z, z, out=E.reshape(-1))
-    return E
+    E = np.empty(deviations.shape[:2])
+    return mewma._quad_form(mewma._ewma_states(deviations, lam), null.smoothed_cov(lam), out=E)
 
 
 def atfs_from_paths(E: np.ndarray, h: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -32,7 +33,7 @@ from .panel import (
     write_panel,
 )
 from .selection import SelectionStep, SelectionTrace, aggregate_replicates, make_folds
-from .selection import write_aggregate_csv, write_traces_csv
+from .selection import TooFewEventsError, write_aggregate_csv, write_traces_csv
 
 
 class UsageError(Exception):
@@ -47,7 +48,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, TooFewEventsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
@@ -236,11 +237,17 @@ def _trace_from_json(payload: dict) -> SelectionTrace:
     return SelectionTrace(steps=steps, stop_reason=payload["stop_reason"])
 
 
-def _run_replicate(config: ExperimentConfig, seed: int) -> SelectionTrace:
-    """Worker entry point: takes only the picklable config and reloads the panel."""
+def _selection_plan(config: ExperimentConfig) -> tuple:
+    """The config's panel and its selection fold plan."""
     panel = load_panel_from_manifest(config.manifest)
     events = detect_events(panel.gold, config.epsilon, config.min_duration)
-    folds = make_folds(events, config.held_out, panel.n_weeks)
+    return panel, make_folds(events, config.held_out, panel.n_weeks)
+
+
+def _run_replicate(config: ExperimentConfig, seed: int, plan=None) -> SelectionTrace:
+    """Worker entry point: takes only the picklable config and reloads the panel,
+    unless handed the (panel, fold plan) already parsed."""
+    panel, folds = plan or _selection_plan(config)
     return pipeline.run_selection(panel, config, folds, (seed,))[0]
 
 
@@ -274,6 +281,7 @@ def _read_checkpoint(path: Path, fingerprint: str) -> SelectionTrace | None:
 
 def cmd_select(args) -> int:
     config = _load_config(args.config)
+    plan = _selection_plan(config)  # too few events fail here, before any output
     out = _prepare_out(config, "select", args.out)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
@@ -306,7 +314,7 @@ def cmd_select(args) -> int:
     workers = max(1, min(args.workers, len(pending) or 1))
     if workers == 1 or len(pending) <= 1:
         for r in pending:
-            _store(r, functools.partial(_run_replicate, config, config.seed + r))
+            _store(r, functools.partial(_run_replicate, config, config.seed + r, plan))
     else:
         spawn = multiprocessing.get_context("spawn")
         with _single_threaded_blas(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
@@ -337,10 +345,8 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"unknown model {m!r}; choose from {sorted(known)}")
 
     events = detect_events(panel.gold, config.epsilon, config.min_duration)
-    if len(events) < 2:
-        raise ValueError(f"found {len(events)} event(s); comparison needs >= 2")
-    windows = build_windows(events, config.window, config.lead, panel.gold)
     compare_folds = make_folds(events, 2 if len(events) > 2 else 1, panel.n_weeks)
+    windows = build_windows(events, config.window, config.lead, panel.gold)
 
     results = []
     for m in model_names:
@@ -348,14 +354,13 @@ def cmd_evaluate(args) -> int:
             results.append(pipeline.select_and_evaluate(panel, config).model)
         elif m == "univariate-gold":
             gpanel = panel.with_gold_candidate()
-            results.append(
-                pipeline.evaluate_mewma_cv(
-                    gpanel, (gpanel.gold.name,), events, windows, compare_folds,
-                    config.atfs, sims=config.sims, lambda_grid=config.lambda_grid,
-                    seed=config.seed, reporting_threshold=config.lead_threshold,
-                    name="univariate-gold",
-                )
+            model = pipeline.evaluate_mewma_cv(
+                gpanel, (gpanel.gold.name,), events, windows, compare_folds,
+                config.atfs, sims=config.sims, lambda_grid=config.lambda_grid,
+                seed=config.seed, reporting_threshold=config.lead_threshold,
             )
+            # named here: the perfbench tracer's wrapper cannot forward a `name` keyword
+            results.append(dataclasses.replace(model, name="univariate-gold"))
         elif m == "week-trigger":
             results.append(
                 pipeline.evaluate_baseline_cv(

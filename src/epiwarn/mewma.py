@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 
 import csv
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .events import EventSet
 from .panel import AlignedPanel, WeekAxis
@@ -188,21 +187,31 @@ def estimate_null(
     )
 
 
-def _scan_state(X: np.ndarray, mu: np.ndarray, lam: float) -> np.ndarray:
-    """One-sided EWMA recursion over (n, d) observations, starting from zero."""
-    S = np.empty(X.shape)
-    s = np.zeros(X.shape[1])
-    for t in range(X.shape[0]):
-        s = np.maximum(0.0, lam * (X[t] - mu) + (1.0 - lam) * s)
-        S[t] = s
-    return S
+def _ewma_states(D: np.ndarray, lam: float) -> np.ndarray:
+    """Overwrite (..., n, d) deviations from the null mean with their one-sided
+    EWMA states along axis -2, starting from zero; returns ``D``."""
+    s = np.zeros(D.shape[:-2] + D.shape[-1:])
+    for t in range(D.shape[-2]):
+        s = np.maximum(0.0, lam * D[..., t, :] + (1.0 - lam) * s)
+        D[..., t, :] = s
+    return D
 
 
-def _quad_form(S: np.ndarray, smoothed_cov: np.ndarray) -> np.ndarray:
-    """E_t = S_t' inv(smoothed_cov) S_t via a Cholesky solve, no explicit inverse."""
+def _quad_form(S: np.ndarray, smoothed_cov: np.ndarray, out=None) -> np.ndarray:
+    """E = S' inv(smoothed_cov) S per (..., d) state; S is overwritten with
+    inv(L) S for the Cholesky factor L, by forward substitution column by
+    column. Elementwise operations only, so E does not depend on where S sits
+    in memory, and its first k terms are those of the leading k x k block."""
     L = np.linalg.cholesky(smoothed_cov)
-    Z = solve_triangular(L, S.T, lower=True, check_finite=False)
-    return np.einsum("ij,ij->j", Z, Z)
+    z = np.divide(S[..., 0], L[0, 0], out=S[..., 0])
+    E = np.square(z, out=out)
+    for i in range(1, len(L)):
+        z = S[..., i]
+        for j in range(i):
+            z -= L[i, j] * S[..., j]
+        z /= L[i, i]
+        E += np.square(z)
+    return E
 
 
 def run_scan(
@@ -220,9 +229,8 @@ def run_scan(
     if missing:
         raise ValueError(f"panel has no candidate series {missing[0]!r}")
 
-    X = panel.candidate_matrix(config.predictor_names)
-    S = _scan_state(X, null.mu, config.lam)
-    E = _quad_form(S, null.smoothed_cov(config.lam))
+    S = _ewma_states(panel.candidate_matrix(config.predictor_names) - null.mu, config.lam)
+    E = _quad_form(S.copy(), null.smoothed_cov(config.lam))
     return _trace_from_statistic(E, config.h, S)
 
 
@@ -251,7 +259,7 @@ class SharedScanTable:
         idx = [self.null.predictor_names.index(n) for n in subset]
         S = self.states[lam][:, idx]
         sub = self.null.subset(subset)
-        E = _quad_form(S, sub.smoothed_cov(lam))
+        E = _quad_form(S.copy(), sub.smoothed_cov(lam))
         return _trace_from_statistic(E, h, S)
 
 
@@ -262,7 +270,7 @@ def precompute_shared_states(
 ) -> SharedScanTable:
     """Scan the full candidate set once per lambda and store the states."""
     X = panel.candidate_matrix(full_null.predictor_names)
-    states = {float(lam): _scan_state(X, full_null.mu, float(lam)) for lam in lambda_grid}
+    states = {float(lam): _ewma_states(X - full_null.mu, float(lam)) for lam in lambda_grid}
     return SharedScanTable(
         null=full_null, lambdas=tuple(float(l) for l in lambda_grid), states=states
     )

@@ -135,9 +135,11 @@ def evaluate_mewma_cv(
     audit: AuditLog | None = None,
 ) -> ModelEvaluation:
     """Calibrate a fixed subset per fold on training weeks, score held-out events."""
-    if contexts is None:
-        contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid)
     subset = tuple(subset)
+    if contexts is None:
+        contexts = prepare_fold_contexts(
+            panel, events, windows, folds, lambda_grid, candidates=subset
+        )
     fits = fit_folds(
         panel, subset[:-1], subset[-1:], contexts, phi, lambda_grid,
         sims=sims, seed=seed, audit=audit,
@@ -217,6 +219,7 @@ def train_spec_folds(
     cross-validates within the training seasons only, holding out one of
     them per fold, so the test season never influences which predictors win.
     """
+    base = make_folds(events, 1, n_weeks)
     K = len(events)
     if train_seasons < 2 or gap < 0:
         raise ValueError("train length must be >= 2 and gap >= 0")
@@ -225,7 +228,6 @@ def train_spec_folds(
             f"need {train_seasons + gap + 1} seasons for train={train_seasons}, "
             f"gap={gap}; have {K}"
         )
-    base = make_folds(events, 1, n_weeks)
     train = tuple(range(K - 1 - gap - train_seasons, K - 1 - gap))
     eval_plan = FoldPlan(
         seasons=base.seasons, folds=(Fold(train, (K - 1,)),), held_out=1
@@ -255,10 +257,6 @@ def select_and_evaluate(
     enough events exist, as the ``optimized`` model.
     """
     events = detect_events(panel.gold, config.epsilon, config.min_duration)
-    if len(events) < 2:
-        raise ValueError(
-            f"found {len(events)} event(s) at threshold {config.epsilon}; need >= 2"
-        )
     windows = build_windows(events, config.window, config.lead, panel.gold)
     if train_spec is not None:
         select_folds, compare_folds = train_spec_folds(events, panel.n_weeks, *train_spec)

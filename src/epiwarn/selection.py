@@ -22,6 +22,10 @@ from .mewma import AlarmTrace, SharedScanTable, estimate_null, precompute_shared
 from .panel import AlignedPanel
 
 
+class TooFewEventsError(ValueError):
+    """Fewer than two events: the seasons cannot be split into folds."""
+
+
 @dataclass(frozen=True)
 class Fold:
     """Season indices used for training and testing in one fold."""
@@ -66,7 +70,10 @@ def make_folds(events: EventSet, held_out: int, n_weeks: int) -> FoldPlan:
     """
     K = len(events)
     if K < 2:
-        raise ValueError("cross-validation needs at least 2 events")
+        raise TooFewEventsError(
+            f"found {K} event(s) at epsilon {events.threshold} with min_duration "
+            f"{events.min_duration}; cross-validation needs at least 2"
+        )
     if held_out < 1 or held_out >= K:
         raise ValueError(
             f"held-out count must be in [1, {K - 1}] for {K} events, got {held_out}"

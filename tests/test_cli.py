@@ -2,11 +2,14 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from epiwarn import cli
+import epiwarn
+from epiwarn import cli, pipeline
 from epiwarn.cli import main
 from epiwarn.config import load_config
 from epiwarn.panel import load_panel_from_manifest
@@ -162,6 +165,51 @@ def test_evaluate_four_model_table(workspace, tmp_path):
     assert lines[0].startswith("model,parameter,performance,precision,recall")
     models = [line.split(",")[0] for line in lines[1:]]
     assert models == ["optimized", "week-trigger", "rise-trigger", "univariate-gold"]
+
+
+def test_evaluate_univariate_gold_passes_no_name_keyword(workspace, tmp_path, monkeypatch):
+    # a wrapper around evaluate_mewma_cv may take a `name` parameter of its own
+    evaluate_mewma_cv = pipeline.evaluate_mewma_cv
+
+    def wrapped(*args, **kwargs):
+        assert "name" not in kwargs
+        return evaluate_mewma_cv(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "evaluate_mewma_cv", wrapped)
+    out = tmp_path / "gold"
+    assert run(["evaluate", "--config", workspace / "exp.cfg",
+                "--models", "univariate-gold", "--out", out]) == 0
+    assert [r["model"] for r in csv_rows(out / "model_comparison.csv")] == ["univariate-gold"]
+
+
+@pytest.mark.parametrize("command", ["select", "evaluate"])
+def test_too_few_events_exits_2_before_any_output(workspace, tmp_path, capsys, command):
+    cfg = derived_config(workspace, tmp_path / "few.cfg", min_duration=500)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: found 0 event(s) at epsilon 1.25 with min_duration 500; "
+                   "cross-validation needs at least 2"]
+    assert not out.exists()
+
+
+def test_numpy_is_the_only_imported_dependency():
+    # in a fresh interpreter: every epiwarn module, and whatever it imports;
+    # underscored names are runtime aliases such as multiprocessing's __mp_main__
+    code = (
+        "import pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import epiwarn\n"
+        "for m in pkgutil.iter_modules(epiwarn.__path__):\n"
+        "    __import__('epiwarn.' + m.name)\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before\n"
+        "       if not name.startswith('_')}\n"
+        "extra = new - set(sys.stdlib_module_names) - {'epiwarn', 'numpy'}\n"
+        "assert not extra, sorted(extra)\n"
+    )
+    src = str(Path(epiwarn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_evaluate_unknown_model_exits_2(workspace, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epiwarn.events import EventSet, detect_events
 from epiwarn.mewma import (
@@ -165,11 +166,36 @@ def test_quadratic_form_solve_matches_explicit_inverse():
         A = rng.normal(size=(d, d))
         sigma_s = A @ A.T + np.eye(d)
         S = np.abs(rng.normal(size=(40, d)))
-        E = _quad_form(S, sigma_s)
+        E = _quad_form(S.copy(), sigma_s)
         inv = np.linalg.inv(sigma_s)
         E_ref = np.einsum("ti,ij,tj->t", S, inv, S)
         denom = np.maximum(np.abs(E_ref), 1e-30)
         assert np.max(np.abs(E - E_ref) / denom) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    n=st.integers(1, 80),
+    offset=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadratic_form_does_not_depend_on_memory_placement(d, n, offset, seed):
+    from epiwarn.mewma import _quad_form
+
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d, d))
+    sigma_s = A @ A.T + np.eye(d)
+    S = np.abs(rng.normal(size=(n, d)))
+    placements = (
+        np.empty(offset + n * d)[offset:].reshape(n, d),  # `offset` elements into a buffer
+        np.empty((n, d), order="F"),  # column-major
+        np.empty((2 * n, d))[::2],  # every other row of a larger array
+    )
+    E = _quad_form(S.copy(), sigma_s)
+    for placed in placements:
+        placed[...] = S
+        assert np.array_equal(_quad_form(placed, sigma_s), E)
 
 
 def test_subset_projection_is_exact(synth_panel):

@@ -181,6 +181,20 @@ def test_evaluate_mewma_cv_reports_fold_params():
     assert model.report.recall == 1.0
 
 
+def test_evaluate_mewma_cv_estimates_only_its_own_subset():
+    # 150 candidates need 151 baseline weeks per fold for a full-panel null;
+    # the evaluated subset needs 2
+    panel = generate_synthetic(SyntheticPanelSpec(seasons=6, predictor_count=150))
+    events = detect_events(panel.gold, 1.25, 3)
+    windows = build_windows(events, 16, 8, panel.gold)
+    folds = make_folds(events, 2, panel.n_weeks)
+    model = evaluate_mewma_cv(
+        panel, ("pred001", "pred002"), events, windows, folds, 20.0,
+        sims=40, lambda_grid=(0.3,), seed=0,
+    )
+    assert len(model.fold_params) == folds.n_folds
+
+
 def test_evaluate_baseline_cv_week_and_rise():
     panel = two_predictor_panel()
     events = detect_events(panel.gold, 1.25, 3)
