@@ -125,9 +125,9 @@ def _check_path_shape(lam: float, sims: int, length: int) -> None:
 
 def _statistic_paths(null: NullModel, lam: float, deviations: np.ndarray) -> np.ndarray:
     """The (sims, length) statistic paths of (sims, length, d) centered draws,
-    formed in place by the scan's own recursion and quadratic form."""
+    formed by the scan's own recursion and quadratic form."""
     # the recursion overwrites each step's draws with its state, and the
-    # quadratic form then overwrites the states in place. E is allocated
+    # quadratic form reads the states a block at a time. E is allocated
     # before the recursion so that it takes the block freed by the raw draws:
     # allocated after, it finds that block fragmented by the loop's
     # temporaries, and peak resident memory grows by one path set

@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import functools
 import json
 import multiprocessing
 import os
@@ -244,10 +243,9 @@ def _selection_plan(config: ExperimentConfig) -> tuple:
     return panel, make_folds(events, config.held_out, panel.n_weeks)
 
 
-def _run_replicate(config: ExperimentConfig, seed: int, plan=None) -> SelectionTrace:
-    """Worker entry point: takes only the picklable config and reloads the panel,
-    unless handed the (panel, fold plan) already parsed."""
-    panel, folds = plan or _selection_plan(config)
+def _run_replicate(config: ExperimentConfig, seed: int) -> SelectionTrace:
+    """Worker entry point: takes only the picklable config and reloads the panel."""
+    panel, folds = _selection_plan(config)
     return pipeline.run_selection(panel, config, folds, (seed,))[0]
 
 
@@ -281,7 +279,7 @@ def _read_checkpoint(path: Path, fingerprint: str) -> SelectionTrace | None:
 
 def cmd_select(args) -> int:
     config = _load_config(args.config)
-    plan = _selection_plan(config)  # too few events fail here, before any output
+    panel, folds = _selection_plan(config)  # too few events fail here, before any output
     out = _prepare_out(config, "select", args.out)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
@@ -314,7 +312,7 @@ def cmd_select(args) -> int:
     workers = max(1, min(args.workers, len(pending) or 1))
     if workers == 1 or len(pending) <= 1:
         for r in pending:
-            _store(r, functools.partial(_run_replicate, config, config.seed + r, plan))
+            _store(r, lambda: pipeline.run_selection(panel, config, folds, (config.seed + r,))[0])
     else:
         spawn = multiprocessing.get_context("spawn")
         with _single_threaded_blas(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:

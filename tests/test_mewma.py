@@ -166,7 +166,7 @@ def test_quadratic_form_solve_matches_explicit_inverse():
         A = rng.normal(size=(d, d))
         sigma_s = A @ A.T + np.eye(d)
         S = np.abs(rng.normal(size=(40, d)))
-        E = _quad_form(S.copy(), sigma_s)
+        E = _quad_form(S, sigma_s)
         inv = np.linalg.inv(sigma_s)
         E_ref = np.einsum("ti,ij,tj->t", S, inv, S)
         denom = np.maximum(np.abs(E_ref), 1e-30)
@@ -196,6 +196,17 @@ def test_quadratic_form_does_not_depend_on_memory_placement(d, n, offset, seed):
     for placed in placements:
         placed[...] = S
         assert np.array_equal(_quad_form(placed, sigma_s), E)
+
+
+def test_quadratic_form_does_not_depend_on_block_size():
+    from epiwarn.mewma import _quad_form
+
+    rng = np.random.default_rng(12)
+    A = rng.normal(size=(4, 4))
+    sigma_s = A @ A.T + np.eye(4)
+    S = np.abs(rng.normal(size=(3000, 4)))  # several blocks at once
+    pieces = [_quad_form(S[a : a + 7], sigma_s) for a in range(0, len(S), 7)]
+    assert np.array_equal(_quad_form(S, sigma_s), np.concatenate(pieces))
 
 
 def test_subset_projection_is_exact(synth_panel):

@@ -3,7 +3,7 @@ import pytest
 
 from epiwarn.config import ExperimentConfig
 from epiwarn.events import build_windows, detect_events
-from epiwarn.mewma import AlarmTrace
+from epiwarn.mewma import AlarmTrace, estimate_null
 from epiwarn.panel import AlignedPanel, Series, SyntheticPanelSpec, generate_synthetic
 from epiwarn.pipeline import (
     evaluate_baseline_cv,
@@ -193,6 +193,28 @@ def test_evaluate_mewma_cv_estimates_only_its_own_subset():
         sims=40, lambda_grid=(0.3,), seed=0,
     )
     assert len(model.fold_params) == folds.n_folds
+
+
+def test_evaluate_mewma_cv_ignores_the_ridge_of_other_candidates():
+    # "copy" duplicates lead3, so the full panel's covariance is singular and
+    # gets a ridge; the evaluated subset's fold nulls are its own estimates
+    panel = two_predictor_panel()
+    copy = Series(name="copy", values=panel.candidates[0].values)
+    ridged = AlignedPanel(panel.axis, panel.gold, panel.candidates + (copy,))
+    events = detect_events(panel.gold, 1.25, 3)
+    windows = build_windows(events, 16, 8, panel.gold)
+    folds = make_folds(events, 2, panel.n_weeks)
+    assert estimate_null(ridged, events).ridge_applied
+    plain, with_copy = (
+        evaluate_mewma_cv(
+            p, ("lead3", "noise1"), events, windows, folds, 20.0,
+            sims=60, lambda_grid=(0.3, 0.6), seed=0, reporting_threshold=2.0,
+        )
+        for p in (panel, ridged)
+    )
+    assert with_copy.fold_params == plain.fold_params
+    assert with_copy.report == plain.report
+    assert with_copy.leads == plain.leads
 
 
 def test_evaluate_baseline_cv_week_and_rise():
