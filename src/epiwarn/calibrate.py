@@ -16,9 +16,13 @@ A greedy selection step scores every extension prefix + (c,) of the chosen
 prefix, and all of them draw the same standard normals for one (lambda,
 seed). The normals are therefore drawn once per step
 (``step_statistic_paths``), and each candidate applies its own Cholesky
-factor, the prefix's factor plus one row, to them; only one candidate's
-paths are live at a time. The paths equal the per-subset simulation's, so
-the thresholds do too.
+factor, the prefix's factor plus one row, to them. The recursion is
+elementwise and the quadratic form sums its terms in coordinate order, so
+the prefix's states and partial sum are formed once per step, the
+candidates' new columns are recursed together a block at a time, and each
+candidate's statistic is the partial sum plus its own squared term. Only
+one block, and one candidate's paths, are live at a time. The paths equal
+the per-subset simulation's bit for bit, so the thresholds do too.
 """
 
 from __future__ import annotations
@@ -103,17 +107,92 @@ def step_statistic_paths(
 
     For each candidate c, in order, the paths equal
     ``simulate_statistic_paths(null.subset(prefix + (c,)), lam, sims, length,
-    seed)``: every extension of one prefix draws the same standard normals,
-    so they are drawn once, and each candidate applies its own Cholesky
-    factor (the prefix's factor plus one row) to them. A subset whose
-    covariance is not positive definite raises ``LinAlgError``.
+    seed)`` bit for bit: every extension of one prefix draws the same
+    standard normals, so they are drawn once, and each candidate applies its
+    own Cholesky factor (the prefix's factor plus one row) to them.
+
+    Where a candidate's factors of sigma and of the smoothed covariance share
+    their leading rows with the first candidate's, bit for bit, so do its
+    prefix states and terms. Those are then recursed and substituted once,
+    from the first candidate's product, and the candidates' new columns are
+    recursed together in blocks of at most ``STEP_BLOCK_VALUES`` values; each
+    candidate's E is the prefix's partial sum plus its own squared term
+    (``mewma._extend``). Every other candidate, and every block that would
+    hold only one, is simulated on its own. A subset whose covariance is not
+    positive definite raises ``LinAlgError`` before any paths are yielded.
     """
     prefix = tuple(prefix)
     _check_path_shape(lam, sims, length)
+    subs = [null.subset(prefix + (cand,)) for cand in candidates]
+    factors = [
+        (np.linalg.cholesky(sub.sigma), np.linalg.cholesky(sub.smoothed_cov(lam)))
+        for sub in subs
+    ]
+    blocks = _step_blocks(factors, sims * length)
     z = np.random.default_rng(seed).standard_normal((sims, length, len(prefix) + 1))
-    for cand in candidates:
-        sub = null.subset(prefix + (cand,))
-        yield _statistic_paths(sub, lam, z @ np.linalg.cholesky(sub.sigma).T)
+    if blocks:  # the first candidate heads the first block
+        terms, e = _prefix_terms(z, *factors[0], lam)
+    states = None
+    for i, (sub, (L, smoothed)) in enumerate(zip(subs, factors)):
+        if i not in blocks:
+            yield _statistic_paths(sub, lam, z @ L.T)
+            continue
+        members, row = blocks[i]
+        if row == 0:
+            states = None  # the previous block goes before the next one is filled
+            states = _block_states(z, [factors[m][0] for m in members], lam)
+        yield mewma._extend(states[row], smoothed[-1], terms, e).reshape(sims, length)
+
+
+STEP_BLOCK_VALUES = 2**17  # most float64 states in one block of a step's new columns
+
+
+def _step_blocks(factors, n: int) -> dict:
+    """Candidate index -> (the block's candidate indices, its row in the
+    block) for each candidate whose new column is recursed in a block.
+
+    A candidate joins only if the leading rows of both its factors equal the
+    first candidate's, bit for bit. The factors share their leading blocks
+    and their size, so they match wherever the Cholesky routine's operation
+    order depends on the size alone; the check keeps the paths exact where
+    it does not. Blocks hold the joining candidates in order, as many as fit
+    in ``STEP_BLOCK_VALUES`` values of ``n`` path-weeks each; a block that
+    would hold one candidate is dropped.
+    """
+    size = STEP_BLOCK_VALUES // n
+    if size < 2 or len(factors) < 2:
+        return {}
+    first = [f[:-1].tobytes() for f in factors[0]]
+    joining = [i for i, pair in enumerate(factors)
+               if [f[:-1].tobytes() for f in pair] == first]
+    blocks = {}
+    for a in range(0, len(joining), size):
+        members = joining[a : a + size]
+        if len(members) > 1:
+            blocks.update((m, (members, row)) for row, m in enumerate(members))
+    return blocks
+
+
+def _prefix_terms(z: np.ndarray, L: np.ndarray, smoothed: np.ndarray, lam: float):
+    """The prefix's substituted terms (k - 1, sims * length) and their partial
+    sum, from the deviations ``z @ L.T`` of a candidate whose factors of
+    sigma and of the smoothed covariance are L and ``smoothed``."""
+    terms = np.moveaxis((z @ L.T)[..., :-1], -1, 0).copy()
+    mewma._ewma_states(terms[..., None], lam)
+    e = np.zeros(z.shape[0] * z.shape[1])
+    terms = terms.reshape(-1, e.size)
+    mewma._substitute(terms, smoothed[:-1, :-1], e, keep=True)
+    return terms, e
+
+
+def _block_states(z: np.ndarray, factors, lam: float) -> np.ndarray:
+    """The (candidates, sims * length) states of each candidate's new column:
+    the last column of its deviations ``z @ L.T``."""
+    block = np.empty((len(factors),) + z.shape[:-1])
+    for column, L in zip(block, factors):
+        column[...] = (z @ L.T)[..., -1]
+    mewma._ewma_states(block[..., None], lam)
+    return block.reshape(len(factors), -1)
 
 
 def _check_path_shape(lam: float, sims: int, length: int) -> None:
@@ -239,7 +318,8 @@ def _seed_key(seed):
 
 
 def _solve_paths(E: np.ndarray, phi: float) -> tuple[float, float]:
-    """The threshold on given statistic paths and its achieved ATFS.
+    """The threshold on given statistic paths and its achieved ATFS; consumes
+    ``E``, whose values it reorders in place.
 
     With N path-weeks, ATFS(h) = N / #{E > h}, and the alarm counts some
     h > 0 achieves are #{E > t} for t = 0 or a pooled value t > 0. Of those,
@@ -253,14 +333,15 @@ def _solve_paths(E: np.ndarray, phi: float) -> tuple[float, float]:
     values = E.reshape(-1)
     n = values.size
     # ascending positions of the (floor(n/phi) + 1)-th and ceil(n/phi)-th
-    # largest values; they coincide unless phi divides n
+    # largest values; they coincide unless phi divides n. Only counts and
+    # minima are taken below, so the values are partitioned in place
     below, above = n - math.floor(n / phi) - 1, n - math.ceil(n / phi)
-    part = np.partition(values, sorted({below, above}))
-    floors = {max(float(part[below]), 0.0)}
-    top = part[above]
+    values.partition(sorted({below, above}))
+    floors = {max(float(values[below]), 0.0)}
+    top = values[above]
     if top > 0.0:
         # alarm at every value >= top: t is the largest value below it, or 0
-        floors.add(float(np.max(part[:above], where=part[:above] < top, initial=0.0)))
+        floors.add(float(np.max(values[:above], where=values[:above] < top, initial=0.0)))
     options = []
     for t in floors:
         alarms = values > t
@@ -390,7 +471,8 @@ def optimize_step(
 
 def _step_solves(null, prefix, candidates, lam, phi, sims, seed) -> list:
     """Each candidate's (h, achieved ATFS) at ``lam``, or the CalibrationError
-    its solve raised. Only one candidate's paths are live at a time."""
+    its solve raised. Besides the step's draws and prefix, one block of new
+    columns and one candidate's paths are live at a time."""
     try:
         length = _checked_length(phi)
         if not prefix:

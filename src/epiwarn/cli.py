@@ -162,8 +162,7 @@ def cmd_detect(args) -> int:
 
     events = detect_events(panel.gold, config.epsilon, config.min_duration)
     windows = build_windows(events, config.window, config.lead, panel.gold)
-    out = _prepare_out(config, "detect", args.out)
-
+    curve = None  # the calibration curve, when (lambda, h) is calibrated here
     if args.baseline_spec:
         kind, param = _parse_baseline_spec(args.baseline_spec)
         try:
@@ -185,16 +184,18 @@ def cmd_detect(args) -> int:
             trace = run_scan(scan_panel, null, DetectorConfig(subset, args.lam, args.h))
         else:
             table = precompute_shared_states(scan_panel, null, config.lambda_grid)
-            curve: list = []
+            curve = []
             point = calibrate.optimize_params(
                 scan_panel, events, windows, subset, config.atfs,
                 config.lambda_grid, sims=config.sims, seed=config.seed,
                 table=table, curve=curve,
             )
-            calibrate.write_calibration_csv(curve, out / "calibration.csv")
             trace = table.scan(point.lam, subset, point.h)
         label = "mewma"
 
+    out = _prepare_out(config, "detect", args.out)
+    if curve is not None:
+        calibrate.write_calibration_csv(curve, out / "calibration.csv")
     write_trace_csv(trace, panel.axis, out / f"{label}_trace.csv")
     write_events_csv(windows, panel.axis, out / "events.csv")
     if len(events):

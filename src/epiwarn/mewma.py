@@ -199,22 +199,47 @@ def _ewma_states(D: np.ndarray, lam: float) -> np.ndarray:
 
 def _quad_form(S: np.ndarray, smoothed_cov: np.ndarray, out=None) -> np.ndarray:
     """E = S' inv(smoothed_cov) S per (..., d) state, S unchanged: forward
-    substitution with the Cholesky factor L on column-major copies of blocks of
-    2**12 to 2**17 values, a quarter of S (few calls, columns in cache, small
-    beside S). Elementwise operations only, so E depends neither on where S sits
-    nor on the block size; its first k terms are the leading k x k block's."""
+    substitution (``_substitute``) on column-major copies of blocks of 2**12
+    to 2**17 values, a quarter of S (few calls, columns in cache, small beside
+    S). Elementwise operations only, so E depends neither on where S sits nor
+    on the block size; its first k terms are the leading k x k block's."""
     L = np.linalg.cholesky(smoothed_cov)
     rows = S.reshape(-1, len(L))
     E = np.empty(S.shape[:-1]) if out is None else out
     step = max(1, min(max(rows.size // 4, 2**12), 2**17) // len(L))
     for a in range(0, len(rows), step):
-        Z, e = rows[a : a + step].T.copy(), E.reshape(-1)[a : a + step]
+        e = E.reshape(-1)[a : a + step]
         e.fill(0.0)
-        for j in range(len(L)):
-            Z[j] /= L[j, j]
-            Z[j + 1 :] -= L[j + 1 :, j, None] * Z[j]
-            e += np.square(Z[j], out=Z[j])
+        _substitute(rows[a : a + step].T.copy(), L, e)
     return E
+
+
+def _substitute(Z: np.ndarray, L: np.ndarray, e: np.ndarray, keep: bool = False) -> None:
+    """Forward-substitute column-major states Z (d, m) in place with the lower
+    triangular factor L, and add each term's square to e in column order.
+
+    Term j is (Z_j - L_j0 t_0 - L_j1 t_1 - ...) / L_jj, subtracted in order,
+    so the first k terms and their partial sum depend only on L's first k
+    rows; ``_extend`` adds one more term in the same order. With ``keep`` Z
+    ends holding the terms, otherwise their squares."""
+    for j in range(len(L)):
+        Z[j] /= L[j, j]
+        Z[j + 1 :] -= L[j + 1 :, j, None] * Z[j]
+        e += np.square(Z[j], out=None if keep else Z[j])
+
+
+def _extend(z: np.ndarray, row: np.ndarray, terms: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """E of states extended by one coordinate: ``e`` plus the squared last term.
+
+    ``terms`` (k - 1, m) and ``e`` are ``_substitute(keep=True)``'s terms and
+    partial sum for the first k - 1 coordinates, ``z`` (m,) the new
+    coordinate's states (overwritten with its squared term) and ``row`` the
+    last row of the k x k factor. Bit for bit what ``_substitute`` does to
+    its last row, so the result equals ``_quad_form`` of the k states."""
+    for j, terms_j in enumerate(terms):
+        z -= row[j] * terms_j
+    z /= row[-1]
+    return e + np.square(z, out=z)
 
 
 def run_scan(

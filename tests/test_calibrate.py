@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -466,18 +467,99 @@ def test_non_positive_definite_extension_fails_loudly():
         next(paths)
 
 
-def test_step_peak_memory_is_one_candidate_plus_the_draws():
-    sims, length, n_candidates = 100, 100, 30
-    n = sims * length
+def step_peak(n_candidates, sims):
     null = unit_null(n_candidates + 1, seed=3)
     prefix, candidates = null.predictor_names[:1], null.predictor_names[1:]
-    k = len(prefix) + 1
     tracemalloc.start()
     try:
         calibrate._step_solves(null, prefix, candidates, 0.4, 10.0, sims, (1, 2))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the draws and one candidate's deviations (k columns each), its paths
-    # and small objects
-    assert peak <= 8 * n * (2 * k + 1) + 128 * 1024
+
+
+def test_step_peak_memory_is_one_block_plus_the_draws():
+    sims, k = 100, 2
+    n = sims * calibrate._checked_length(10.0)
+    peaks = {c: step_peak(c, sims) for c in (30, 60)}
+    # the draws, the prefix's terms and partial sum, one block of new
+    # columns, one candidate's deviations (k columns) and small objects
+    assert peaks[30] <= 8 * (n * k + (k - 1) * n + n + calibrate.STEP_BLOCK_VALUES + n * k) \
+        + 128 * 1024
+    # a block left live beside the next would add about a megabyte; twice the
+    # candidates add only their factors and solves
+    assert abs(peaks[60] - peaks[30]) <= 30 * 1024
+
+
+def test_step_blocks_hold_matching_candidates_in_order():
+    null = unit_null(8, seed=5)
+    subs = [null.subset(("x0", c)) for c in null.predictor_names[1:]]
+    factors = [(np.linalg.cholesky(s.sigma), np.linalg.cholesky(s.smoothed_cov(0.3)))
+               for s in subs]
+    # three candidates' new columns fit in a block; the seventh would be alone
+    with mock.patch.object(calibrate, "STEP_BLOCK_VALUES", 3 * 50 + 49):
+        blocks = calibrate._step_blocks(factors, 50)
+    assert blocks == {i: ([0, 1, 2], i) for i in range(3)} | {
+        i: ([3, 4, 5], i - 3) for i in range(3, 6)}
+    # a candidate whose leading factor rows differ is simulated on its own
+    factors[1] = (factors[1][0] * 2.0, factors[1][1])
+    assert sorted(calibrate._step_blocks(factors, 50)) == [0, 2, 3, 4, 5, 6]
+    # paths longer than half a block leave every candidate on its own
+    assert calibrate._step_blocks(factors, calibrate.STEP_BLOCK_VALUES // 2 + 1) == {}
+
+
+def collinear_null(d, seed):
+    """A d-predictor null whose later predictors are exact combinations of the
+    earlier ones, so that its sample covariance is rank-deficient and
+    conditioning inflates it with a ridge."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(3 * d, d))
+    for j in range(d // 2, d):
+        X[:, j] = X[:, j - d // 2] * rng.uniform(0.5, 2.0) + X[:, 0]
+    sigma, ridge_applied, delta = condition_covariance(np.cov(X, rowvar=False))
+    names = tuple(f"x{i}" for i in range(d))
+    return NullModel(names, X.mean(axis=0), sigma, 100, ridge_applied, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    prefix_size=st.integers(1, 7),
+    n_candidates=st.integers(1, 9),
+    sims=st.integers(1, 12),
+    length=st.integers(1, 30),
+    lam=st.floats(0.05, 0.95),
+    kind=st.sampled_from(["full-rank", "ridged", "collinear"]),
+    per_block=st.sampled_from([None, 1, 2, 3]),
+    unmatched=st.none() | st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_paths_equal_per_subset_simulation_bit_for_bit(
+        prefix_size, n_candidates, sims, length, lam, kind, per_block, unmatched, seed):
+    d = prefix_size + n_candidates
+    if kind == "collinear":
+        null = collinear_null(d, seed)
+        assert null.ridge_applied or d == 1
+    else:
+        null = step_null(d, seed, kind == "ridged")
+    prefix, candidates = null.predictor_names[:prefix_size], null.predictor_names[prefix_size:]
+    # per_block candidates' new columns fit in a block (None: the default size),
+    # so that blocks split the candidates and a last block may hold only one
+    values = calibrate.STEP_BLOCK_VALUES if per_block is None else per_block * sims * length
+    plan = calibrate._step_blocks
+
+    def unmatched_plan(factors, n):
+        # as if the unmatched candidate's factor differed in its leading rows
+        factors = list(factors)
+        if unmatched is not None and unmatched < len(factors):
+            factors[unmatched] = (-factors[unmatched][0], factors[unmatched][1])
+        return plan(factors, n)
+
+    with mock.patch.object(calibrate, "STEP_BLOCK_VALUES", values), \
+            mock.patch.object(calibrate, "_step_blocks", unmatched_plan):
+        paths = list(calibrate.step_statistic_paths(
+            null, prefix, candidates, lam, sims, length, seed))
+    assert len(paths) == n_candidates
+    for cand, E in zip(candidates, paths):
+        reference = simulate_statistic_paths(
+            null.subset(prefix + (cand,)), lam, sims, length, seed)
+        assert np.array_equal(E, reference)

@@ -90,6 +90,29 @@ def test_detect_unknown_subset_exits_2(workspace, tmp_path, capsys):
     assert "nosuch" in capsys.readouterr().err
 
 
+def test_detect_unknown_subset_on_a_wide_panel_writes_nothing(workspace, tmp_path, capsys):
+    # a 30-candidate panel names its candidates pred01 ... pred30
+    assert run(["synth", "--out", tmp_path / "panel", "--seasons", 3, "--weeks-per-season", 30,
+                "--predictors", 30, "--seed", 5]) == 0
+    cfg = derived_config(workspace, tmp_path / "wide.cfg",
+                         manifest=tmp_path / "panel" / "panel.manifest")
+    out = tmp_path / "detect"
+    assert run(["detect", "--config", cfg, "--subset", "pred1", "--out", out]) == 2
+    assert "pred1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--baseline", "bogus:1"],
+    ["--baseline", "week:x"],
+    ["--subset", "pred1", "--lam", "0.3"],
+])
+def test_detect_usage_errors_write_nothing(workspace, tmp_path, argv):
+    out = tmp_path / "x"
+    assert run(["detect", "--config", workspace / "exp.cfg", *argv, "--out", out]) == 2
+    assert not out.exists()
+
+
 def test_detect_requires_exactly_one_detector(workspace, tmp_path):
     assert run(["detect", "--config", workspace / "exp.cfg", "--out", tmp_path / "x"]) == 2
     assert run(["detect", "--config", workspace / "exp.cfg", "--subset", "pred1",
