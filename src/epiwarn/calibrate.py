@@ -333,12 +333,14 @@ def _solve_paths(E: np.ndarray, phi: float) -> tuple[float, float]:
     values = E.reshape(-1)
     n = values.size
     # ascending positions of the (floor(n/phi) + 1)-th and ceil(n/phi)-th
-    # largest values; they coincide unless phi divides n. Only counts and
-    # minima are taken below, so the values are partitioned in place
+    # largest values; below is above - 1 where phi divides n, else above.
+    # One partition places the value at above, and the one at below is the
+    # largest of those before it. Only counts, maxima and minima are taken,
+    # so the values are partitioned in place
     below, above = n - math.floor(n / phi) - 1, n - math.ceil(n / phi)
-    values.partition(sorted({below, above}))
-    floors = {max(float(values[below]), 0.0)}
+    values.partition(above)
     top = values[above]
+    floors = {max(float(values[:above].max() if below < above else top), 0.0)}
     if top > 0.0:
         # alarm at every value >= top: t is the largest value below it, or 0
         floors.add(float(np.max(values[:above], where=values[:above] < top, initial=0.0)))

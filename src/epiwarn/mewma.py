@@ -187,9 +187,11 @@ def estimate_null(
     )
 
 
-def _ewma_states(D: np.ndarray, lam: float) -> np.ndarray:
+def _ewma_states(D: np.ndarray, lam) -> np.ndarray:
     """Overwrite (..., n, d) deviations from the null mean with their one-sided
-    EWMA states along axis -2, starting from zero; returns ``D``."""
+    EWMA states along axis -2, starting from zero; returns ``D``. ``lam`` is a
+    float or an array that broadcasts against one week's (..., d) slice, such
+    as one lambda per leading row, shaped (n_lambda, 1)."""
     s = np.zeros(D.shape[:-2] + D.shape[-1:])
     for t in range(D.shape[-2]):
         s = np.maximum(0.0, lam * D[..., t, :] + (1.0 - lam) * s)
@@ -296,12 +298,17 @@ def precompute_shared_states(
     full_null: NullModel,
     lambda_grid: Sequence[float],
 ) -> SharedScanTable:
-    """Scan the full candidate set once per lambda and store the states."""
+    """Scan the full candidate set for every lambda and store the states.
+
+    One recursion runs over an (n_lambda, n_weeks, D) stack of ``X - mu``,
+    one lambda per leading row; each lambda's states are a view into it and
+    equal its own ``_ewma_states`` run bit for bit, as the operations are
+    elementwise."""
+    lambdas = tuple(float(lam) for lam in lambda_grid)
     X = panel.candidate_matrix(full_null.predictor_names)
-    states = {float(lam): _ewma_states(X - full_null.mu, float(lam)) for lam in lambda_grid}
-    return SharedScanTable(
-        null=full_null, lambdas=tuple(float(l) for l in lambda_grid), states=states
-    )
+    stack = np.subtract(X, full_null.mu, out=np.empty((len(lambdas),) + X.shape))
+    _ewma_states(stack, np.array(lambdas)[:, None])
+    return SharedScanTable(null=full_null, lambdas=lambdas, states=dict(zip(lambdas, stack)))
 
 
 def write_trace_csv(trace: AlarmTrace, axis: WeekAxis, path) -> None:

@@ -145,6 +145,11 @@ def brute_force_solve(values, phi):
     phi=st.floats(1.0, 60.0),
 )
 @example(values=[float(k) for k in range(1, 13)], sims=1, phi=3.5)  # ATFS 4 and 3 tie
+# phi divides N, so the order statistics at N - N/phi - 1 and N - N/phi differ:
+# ties at both of them, and top's duplicate just below it
+@example(values=[0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0], sims=1, phi=2.0)
+@example(values=[1.0, 2.0, 3.0, 3.0, 4.0, 5.0], sims=1, phi=2.0)
+@example(values=[1.0, 2.0, 3.0, 3.0, 4.0, 5.0], sims=2, phi=2.0)
 def test_exact_solve_matches_brute_force(values, sims, phi):
     E = np.array(values * sims).reshape(sims, -1)
     try:
@@ -339,6 +344,24 @@ def test_cached_solve_equals_cold_solve(lam, phi, seed):
     calibrate._solve_unit_null.cache_clear()
     cold = calibrate._solve(unit_null(), lam, phi, 30, length, (seed, 1))
     assert cached == cold
+
+
+@settings(max_examples=20, deadline=None)
+@given(lam=st.sampled_from(DEFAULT_LAMBDA_GRID), phi=st.floats(2.0, 30.0),
+       sims=st.integers(1, 60), seed=st.integers(0, 1000))
+def test_unit_null_solve_equals_the_simulated_reference(lam, phi, sims, seed):
+    length = calibrate._checked_length(phi)
+    calibrate._solve_unit_null.cache_clear()
+    try:
+        solved = calibrate._solve_unit_null(lam, phi, sims, length, (seed, 1))
+    except CalibrationError:
+        solved = None
+    paths = simulate_statistic_paths(calibrate._UNIT_NULL, lam, sims, length, (seed, 1))
+    try:
+        reference = calibrate._solve_paths(paths, phi)
+    except CalibrationError:
+        reference = None
+    assert solved == reference
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,6 +255,44 @@ def test_shared_table_shape():
     for lam in grid:
         assert table.states[lam].shape == (n, d)
     assert sum(s.size for s in table.states.values()) == 9 * 240 * 350
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    n=st.integers(2, 60),
+    grid=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=9, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_precompute_equals_one_recursion_per_lambda(d, n, grid, seed):
+    from epiwarn.mewma import _ewma_states
+
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    panel = make_panel(np.zeros(n), [X[:, j] for j in range(d)])
+    null = _null(panel.candidate_names(), rng.normal(size=d), np.eye(d), n_base=n)
+    table = precompute_shared_states(panel, null, grid)
+    assert table.lambdas == tuple(grid)
+    for lam in grid:
+        assert np.array_equal(table.states[lam], _ewma_states(X - null.mu, lam))
+
+
+def test_precompute_peak_memory_is_the_stack_plus_one_copy():
+    rng = np.random.default_rng(8)
+    n, d = 312, 30
+    panel = make_panel(np.zeros(n), [rng.normal(size=n) for _ in range(d)])
+    null = _null(panel.candidate_names(), np.zeros(d), np.eye(d), n_base=n)
+    grid = [round(0.1 * k, 1) for k in range(1, 10)]
+    tracemalloc.start()
+    try:
+        precompute_shared_states(panel, null, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (9, n, d) stack, one (n, d) copy of the panel and small objects
+    # (numpy's 64 KiB ufunc buffer among them); a second stack would add
+    # about 660 KiB
+    assert peak <= 8 * (len(grid) * n * d + n * d) + 128 * 1024
 
 
 def test_projection_close_to_fresh_subset_null(synth_panel):
