@@ -7,22 +7,23 @@ fixed smoothing parameter one set of statistic paths is simulated, and on it
 ATFS(h) = N / #{E > h} for N path-weeks, so the threshold meeting a target
 ATFS is solved exactly from an order statistic of the pooled values.
 
-The scan's kernel recurses each path's state week by week, then takes the
-quadratic form once over all (path, week) states. A one-predictor statistic
-does not depend on the null's variance, so all 1-d nulls share one memoized
-solve against the unit null per (lambda, target, simulation size, seed).
-
-A greedy selection step scores every extension prefix + (c,) of the chosen
+Every null path set comes from one kernel, ``step_statistic_paths``. A
+greedy selection step scores every extension prefix + (c,) of the chosen
 prefix, and all of them draw the same standard normals for one (lambda,
-seed). The normals are therefore drawn once per step
-(``step_statistic_paths``), and each candidate applies its own Cholesky
-factor, the prefix's factor plus one row, to them. The recursion is
-elementwise and the quadratic form sums its terms in coordinate order, so
-the prefix's states and partial sum are formed once per step, the
+seed), so the normals are drawn once per step and each candidate applies
+its own Cholesky factor, the prefix's factor plus one row, to them. The
+recursion is elementwise and the quadratic form sums its terms in
+coordinate order, so the prefix's states and partial sum are formed once
+per run of candidates whose factors share their leading rows, the
 candidates' new columns are recursed together a block at a time, and each
-candidate's statistic is the partial sum plus its own squared term. Only
-one block, and one candidate's paths, are live at a time. The paths equal
-the per-subset simulation's bit for bit, so the thresholds do too.
+candidate's statistic is the partial sum plus its own squared term. One
+subset's paths (``simulate_statistic_paths``) are the one-candidate step
+of its last predictor; only one block is live at a time. The paths equal
+those of the scan's own recursion and quadratic form bit for bit.
+
+A one-predictor statistic does not depend on the null's variance, so all
+1-d nulls share one memoized solve against the unit null per (lambda,
+target, simulation size, seed).
 """
 
 from __future__ import annotations
@@ -86,12 +87,12 @@ def simulate_statistic_paths(
 
     Draws are i.i.d. multivariate normal with the null mean and covariance;
     since the scan only sees deviations from the mean, centered draws are
-    used directly. Deterministic for a fixed seed.
+    used directly. Deterministic for a fixed seed. This is the one-candidate
+    step ``names[:-1] + names[-1:]`` of ``step_statistic_paths``, so for
+    d > 1 the paths are a strided view into the draws' product.
     """
-    _check_path_shape(lam, sims, length)
-    L = np.linalg.cholesky(null.sigma)
-    deviations = np.random.default_rng(seed).standard_normal((sims, length, null.dim)) @ L.T
-    return _statistic_paths(null, lam, deviations)
+    names = null.predictor_names
+    return next(step_statistic_paths(null, names[:-1], names[-1:], lam, sims, length, seed))
 
 
 def step_statistic_paths(
@@ -105,89 +106,87 @@ def step_statistic_paths(
 ) -> Iterator[np.ndarray]:
     """Yield the (sims, length) null statistic paths of each subset prefix + (c,).
 
-    For each candidate c, in order, the paths equal
-    ``simulate_statistic_paths(null.subset(prefix + (c,)), lam, sims, length,
-    seed)`` bit for bit: every extension of one prefix draws the same
-    standard normals, so they are drawn once, and each candidate applies its
-    own Cholesky factor (the prefix's factor plus one row) to them.
-
-    Where a candidate's factors of sigma and of the smoothed covariance share
-    their leading rows with the first candidate's, bit for bit, so do its
-    prefix states and terms. Those are then recursed and substituted once,
-    from the first candidate's product, and the candidates' new columns are
-    recursed together in blocks of at most ``STEP_BLOCK_VALUES`` values; each
-    candidate's E is the prefix's partial sum plus its own squared term
-    (``mewma._extend``). Every other candidate, and every block that would
-    hold only one, is simulated on its own. A subset whose covariance is not
-    positive definite raises ``LinAlgError`` before any paths are yielded.
+    Every extension of one prefix draws the same standard normals, so they
+    are drawn once, and each candidate applies its own Cholesky factor (the
+    prefix's factor plus one row) to them. The candidates are cut into
+    blocks (``_step_blocks``): runs of candidates whose factors of sigma and
+    of the smoothed covariance share their leading rows bit for bit, so that
+    their prefix states and terms do too. Those are recursed and substituted
+    once per run, from its first candidate's product, and each block's new
+    columns are recursed together; each candidate's E is the prefix's
+    partial sum plus its own squared term (``mewma._extend``). A subset whose
+    covariance is not positive definite raises ``LinAlgError`` before any
+    paths are yielded.
     """
     prefix = tuple(prefix)
     _check_path_shape(lam, sims, length)
-    subs = [null.subset(prefix + (cand,)) for cand in candidates]
     factors = [
         (np.linalg.cholesky(sub.sigma), np.linalg.cholesky(sub.smoothed_cov(lam)))
-        for sub in subs
+        for sub in (null.subset(prefix + (cand,)) for cand in candidates)
     ]
-    blocks = _step_blocks(factors, sims * length)
     z = np.random.default_rng(seed).standard_normal((sims, length, len(prefix) + 1))
-    if blocks:  # the first candidate heads the first block
-        terms, e = _prefix_terms(z, *factors[0], lam)
-    states = None
-    for i, (sub, (L, smoothed)) in enumerate(zip(subs, factors)):
-        if i not in blocks:
-            yield _statistic_paths(sub, lam, z @ L.T)
-            continue
-        members, row = blocks[i]
-        if row == 0:
-            states = None  # the previous block goes before the next one is filled
+    lead = None
+    for rows, members in _step_blocks(factors, sims * length):
+        states = head = None  # the previous block goes before the next one is made
+        L, smoothed = factors[members[0]]
+        if rows != lead or len(members) == 1:
+            head = z @ L.T
+        if rows != lead:  # a new run: the old run's terms go before its own are made
+            lead = rows
+            terms = e = None
+            terms, e = _prefix_terms(head, smoothed, lam)
+        if len(members) == 1:
+            # a lone candidate's block is its own product's last column
+            states = mewma._ewma_states(head[..., -1:], lam).reshape(1, -1)
+        else:
+            head = None
             states = _block_states(z, [factors[m][0] for m in members], lam)
-        yield mewma._extend(states[row], smoothed[-1], terms, e).reshape(sims, length)
+        for row, m in enumerate(members):
+            yield mewma._extend(states[row], factors[m][1][-1], terms, e).reshape(sims, length)
 
 
 STEP_BLOCK_VALUES = 2**17  # most float64 states in one block of a step's new columns
 
 
-def _step_blocks(factors, n: int) -> dict:
-    """Candidate index -> (the block's candidate indices, its row in the
-    block) for each candidate whose new column is recursed in a block.
-
-    A candidate joins only if the leading rows of both its factors equal the
-    first candidate's, bit for bit. The factors share their leading blocks
-    and their size, so they match wherever the Cholesky routine's operation
-    order depends on the size alone; the check keeps the paths exact where
-    it does not. Blocks hold the joining candidates in order, as many as fit
-    in ``STEP_BLOCK_VALUES`` values of ``n`` path-weeks each; a block that
-    would hold one candidate is dropped.
+def _step_blocks(factors, n: int) -> list:
+    """The step's blocks in candidate order, each as (leading rows, candidate
+    indices): consecutive candidates whose factors' leading rows are the same
+    bytes, at most ``max(1, STEP_BLOCK_VALUES // n)`` of them for paths of
+    ``n`` path-weeks. The factors share their leading blocks and their size,
+    so they match wherever the Cholesky routine's operation order depends on
+    the size alone; the check keeps the paths exact where it does not.
     """
-    size = STEP_BLOCK_VALUES // n
-    if size < 2 or len(factors) < 2:
-        return {}
-    first = [f[:-1].tobytes() for f in factors[0]]
-    joining = [i for i, pair in enumerate(factors)
-               if [f[:-1].tobytes() for f in pair] == first]
-    blocks = {}
-    for a in range(0, len(joining), size):
-        members = joining[a : a + size]
-        if len(members) > 1:
-            blocks.update((m, (members, row)) for row, m in enumerate(members))
+    size = max(1, STEP_BLOCK_VALUES // n)
+    blocks: list = []
+    for i, pair in enumerate(factors):
+        rows = tuple(f[:-1].tobytes() for f in pair)
+        if blocks and blocks[-1][0] == rows and len(blocks[-1][1]) < size:
+            blocks[-1][1].append(i)
+        else:
+            blocks.append((rows, [i]))
     return blocks
 
 
-def _prefix_terms(z: np.ndarray, L: np.ndarray, smoothed: np.ndarray, lam: float):
-    """The prefix's substituted terms (k - 1, sims * length) and their partial
-    sum, from the deviations ``z @ L.T`` of a candidate whose factors of
-    sigma and of the smoothed covariance are L and ``smoothed``."""
-    terms = np.moveaxis((z @ L.T)[..., :-1], -1, 0).copy()
+def _prefix_terms(deviations: np.ndarray, smoothed: np.ndarray, lam: float):
+    """The substituted terms (k - 1, sims * length) of the prefix columns of
+    a candidate's deviations (sims, length, k), whose smoothed covariance has
+    the factor ``smoothed``, and their partial sum. An empty prefix has no
+    terms, and its partial sum is 0.0, which adds exactly."""
+    k = deviations.shape[-1]
+    if k == 1:
+        return (), 0.0
+    terms = np.moveaxis(deviations[..., :-1], -1, 0).copy()
     mewma._ewma_states(terms[..., None], lam)
-    e = np.zeros(z.shape[0] * z.shape[1])
-    terms = terms.reshape(-1, e.size)
+    terms = terms.reshape(k - 1, -1)
+    e = np.zeros(terms.shape[1])
     mewma._substitute(terms, smoothed[:-1, :-1], e, keep=True)
     return terms, e
 
 
 def _block_states(z: np.ndarray, factors, lam: float) -> np.ndarray:
-    """The (candidates, sims * length) states of each candidate's new column:
-    the last column of its deviations ``z @ L.T``."""
+    """The (candidates, sims * length) states of several candidates' new
+    columns: the last column of each one's deviations ``z @ L.T``, recursed
+    together."""
     block = np.empty((len(factors),) + z.shape[:-1])
     for column, L in zip(block, factors):
         column[...] = (z @ L.T)[..., -1]
@@ -200,18 +199,6 @@ def _check_path_shape(lam: float, sims: int, length: int) -> None:
         raise ValueError("sims and length must be >= 1")
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must be in (0, 1), got {lam}")
-
-
-def _statistic_paths(null: NullModel, lam: float, deviations: np.ndarray) -> np.ndarray:
-    """The (sims, length) statistic paths of (sims, length, d) centered draws,
-    formed by the scan's own recursion and quadratic form."""
-    # the recursion overwrites each step's draws with its state, and the
-    # quadratic form reads the states a block at a time. E is allocated
-    # before the recursion so that it takes the block freed by the raw draws:
-    # allocated after, it finds that block fragmented by the loop's
-    # temporaries, and peak resident memory grows by one path set
-    E = np.empty(deviations.shape[:2])
-    return mewma._quad_form(mewma._ewma_states(deviations, lam), null.smoothed_cov(lam), out=E)
 
 
 def atfs_from_paths(E: np.ndarray, h: float) -> float:
@@ -473,8 +460,9 @@ def optimize_step(
 
 def _step_solves(null, prefix, candidates, lam, phi, sims, seed) -> list:
     """Each candidate's (h, achieved ATFS) at ``lam``, or the CalibrationError
-    its solve raised. Besides the step's draws and prefix, one block of new
-    columns and one candidate's paths are live at a time."""
+    its solve raised. Besides the step's draws and prefix terms, one block
+    of new columns (a lone candidate's: its own product) is live at a time,
+    and each candidate's E is formed in it."""
     try:
         length = _checked_length(phi)
         if not prefix:

@@ -174,14 +174,21 @@ def cmd_detect(args) -> int:
         subset = tuple(s.strip() for s in args.subset.split(",") if s.strip())
         scan_panel = panel.with_gold_candidate()
         known = scan_panel.candidate_names()
+        if not subset or len(set(subset)) < len(subset):
+            raise UsageError("--subset needs one or more distinct candidate names")
         for name in subset:
             if name not in known:
                 raise UsageError(f"unknown candidate series {name!r}")
         if (args.lam is None) != (args.h is None):
             raise UsageError("pass --lam and --h together, or neither")
+        if args.lam is not None:
+            try:
+                detector = DetectorConfig(subset, args.lam, args.h)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
         null = estimate_null(scan_panel, events, subset)
         if args.lam is not None:
-            trace = run_scan(scan_panel, null, DetectorConfig(subset, args.lam, args.h))
+            trace = run_scan(scan_panel, null, detector)
         else:
             table = precompute_shared_states(scan_panel, null, config.lambda_grid)
             curve = []

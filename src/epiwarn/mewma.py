@@ -199,7 +199,7 @@ def _ewma_states(D: np.ndarray, lam) -> np.ndarray:
     return D
 
 
-def _quad_form(S: np.ndarray, smoothed_cov: np.ndarray, out=None) -> np.ndarray:
+def _quad_form(S: np.ndarray, smoothed_cov: np.ndarray) -> np.ndarray:
     """E = S' inv(smoothed_cov) S per (..., d) state, S unchanged: forward
     substitution (``_substitute``) on column-major copies of blocks of 2**12
     to 2**17 values, a quarter of S (few calls, columns in cache, small beside
@@ -207,7 +207,7 @@ def _quad_form(S: np.ndarray, smoothed_cov: np.ndarray, out=None) -> np.ndarray:
     on the block size; its first k terms are the leading k x k block's."""
     L = np.linalg.cholesky(smoothed_cov)
     rows = S.reshape(-1, len(L))
-    E = np.empty(S.shape[:-1]) if out is None else out
+    E = np.empty(S.shape[:-1])
     step = max(1, min(max(rows.size // 4, 2**12), 2**17) // len(L))
     for a in range(0, len(rows), step):
         e = E.reshape(-1)[a : a + step]
@@ -231,17 +231,18 @@ def _substitute(Z: np.ndarray, L: np.ndarray, e: np.ndarray, keep: bool = False)
 
 
 def _extend(z: np.ndarray, row: np.ndarray, terms: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """E of states extended by one coordinate: ``e`` plus the squared last term.
+    """E of states extended by one coordinate: ``e`` plus the squared last term,
+    written over ``z`` and returned.
 
     ``terms`` (k - 1, m) and ``e`` are ``_substitute(keep=True)``'s terms and
-    partial sum for the first k - 1 coordinates, ``z`` (m,) the new
-    coordinate's states (overwritten with its squared term) and ``row`` the
-    last row of the k x k factor. Bit for bit what ``_substitute`` does to
-    its last row, so the result equals ``_quad_form`` of the k states."""
+    partial sum for the first k - 1 coordinates (no terms and 0.0 for k = 1),
+    ``z`` (m,) the new coordinate's states and ``row`` the last row of the
+    k x k factor. Bit for bit what ``_substitute`` does to its last row, so
+    the result equals ``_quad_form`` of the k states."""
     for j, terms_j in enumerate(terms):
         z -= row[j] * terms_j
     z /= row[-1]
-    return e + np.square(z, out=z)
+    return np.add(e, np.square(z, out=z), out=z)
 
 
 def run_scan(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from epiwarn import calibrate
+from epiwarn import calibrate, mewma
 from epiwarn.calibrate import (
     CalibrationError,
     DEFAULT_LAMBDA_GRID,
@@ -514,21 +514,52 @@ def test_step_peak_memory_is_one_block_plus_the_draws():
     assert abs(peaks[60] - peaks[30]) <= 30 * 1024
 
 
+def test_one_subset_peak_memory_is_the_draws_and_one_product():
+    sims, length = 1000, 200
+    n = sims * length
+    # a first, small call leaves out what loading and caching take once
+    simulate_statistic_paths(calibrate._UNIT_NULL, 0.3, 2, 2, (1, 2))
+    tracemalloc.start()
+    try:
+        simulate_statistic_paths(calibrate._UNIT_NULL, 0.3, sims, length, (1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the draws and their product, in which the states and E are formed
+    assert peak <= 16 * n + 128 * 1024
+
+
 def test_step_blocks_hold_matching_candidates_in_order():
     null = unit_null(8, seed=5)
     subs = [null.subset(("x0", c)) for c in null.predictor_names[1:]]
     factors = [(np.linalg.cholesky(s.sigma), np.linalg.cholesky(s.smoothed_cov(0.3)))
                for s in subs]
-    # three candidates' new columns fit in a block; the seventh would be alone
+
+    def members(blocks):
+        return [indices for _, indices in blocks]
+
+    # three candidates' new columns fit in a block; the seventh is a block of its own
     with mock.patch.object(calibrate, "STEP_BLOCK_VALUES", 3 * 50 + 49):
         blocks = calibrate._step_blocks(factors, 50)
-    assert blocks == {i: ([0, 1, 2], i) for i in range(3)} | {
-        i: ([3, 4, 5], i - 3) for i in range(3, 6)}
-    # a candidate whose leading factor rows differ is simulated on its own
-    factors[1] = (factors[1][0] * 2.0, factors[1][1])
-    assert sorted(calibrate._step_blocks(factors, 50)) == [0, 2, 3, 4, 5, 6]
-    # paths longer than half a block leave every candidate on its own
-    assert calibrate._step_blocks(factors, calibrate.STEP_BLOCK_VALUES // 2 + 1) == {}
+        assert members(blocks) == [[0, 1, 2], [3, 4, 5], [6]]
+        assert len({rows for rows, _ in blocks}) == 1
+        # a candidate whose leading factor rows differ ends one run and starts another
+        factors[1] = (factors[1][0] * 2.0, factors[1][1])
+        blocks = calibrate._step_blocks(factors, 50)
+    assert members(blocks) == [[0], [1], [2, 3, 4], [5, 6]]
+    rows = [rows for rows, _ in blocks]
+    assert rows[0] == rows[2] == rows[3] != rows[1]
+    # paths longer than a block leave every candidate on its own
+    blocks = calibrate._step_blocks(factors, calibrate.STEP_BLOCK_VALUES + 1)
+    assert members(blocks) == [[i] for i in range(7)]
+
+
+def per_subset_paths(null, lam, sims, length, seed):
+    """One subset's paths written out on their own: draw, apply the Cholesky
+    factor, then the scan's own recursion and quadratic form."""
+    L = np.linalg.cholesky(null.sigma)
+    deviations = np.random.default_rng(seed).standard_normal((sims, length, null.dim)) @ L.T
+    return mewma._quad_form(mewma._ewma_states(deviations, lam), null.smoothed_cov(lam))
 
 
 def collinear_null(d, seed):
@@ -539,23 +570,28 @@ def collinear_null(d, seed):
     X = rng.normal(size=(3 * d, d))
     for j in range(d // 2, d):
         X[:, j] = X[:, j - d // 2] * rng.uniform(0.5, 2.0) + X[:, 0]
-    sigma, ridge_applied, delta = condition_covariance(np.cov(X, rowvar=False))
+    sigma, ridge_applied, delta = condition_covariance(np.atleast_2d(np.cov(X, rowvar=False)))
     names = tuple(f"x{i}" for i in range(d))
     return NullModel(names, X.mean(axis=0), sigma, 100, ridge_applied, delta)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    prefix_size=st.integers(1, 7),
+    prefix_size=st.integers(0, 7),
     n_candidates=st.integers(1, 9),
     sims=st.integers(1, 12),
     length=st.integers(1, 30),
     lam=st.floats(0.05, 0.95),
     kind=st.sampled_from(["full-rank", "ridged", "collinear"]),
     per_block=st.sampled_from([None, 1, 2, 3]),
-    unmatched=st.none() | st.integers(0, 8),
+    unmatched=st.sets(st.integers(0, 8), max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
+# one-predictor subsets, and runs that split and rejoin
+@example(prefix_size=0, n_candidates=3, sims=2, length=5, lam=0.3, kind="collinear",
+         per_block=1, unmatched={1}, seed=0)
+@example(prefix_size=2, n_candidates=7, sims=3, length=4, lam=0.6, kind="full-rank",
+         per_block=2, unmatched={1, 2, 4}, seed=1)
 def test_step_paths_equal_per_subset_simulation_bit_for_bit(
         prefix_size, n_candidates, sims, length, lam, kind, per_block, unmatched, seed):
     d = prefix_size + n_candidates
@@ -571,10 +607,10 @@ def test_step_paths_equal_per_subset_simulation_bit_for_bit(
     plan = calibrate._step_blocks
 
     def unmatched_plan(factors, n):
-        # as if the unmatched candidate's factor differed in its leading rows
-        factors = list(factors)
-        if unmatched is not None and unmatched < len(factors):
-            factors[unmatched] = (-factors[unmatched][0], factors[unmatched][1])
+        # as if the unmatched candidates' factors differed in their leading
+        # rows, so that runs split and rejoin
+        factors = [(-L, smoothed) if i in unmatched else (L, smoothed)
+                   for i, (L, smoothed) in enumerate(factors)]
         return plan(factors, n)
 
     with mock.patch.object(calibrate, "STEP_BLOCK_VALUES", values), \
@@ -583,6 +619,7 @@ def test_step_paths_equal_per_subset_simulation_bit_for_bit(
             null, prefix, candidates, lam, sims, length, seed))
     assert len(paths) == n_candidates
     for cand, E in zip(candidates, paths):
-        reference = simulate_statistic_paths(
-            null.subset(prefix + (cand,)), lam, sims, length, seed)
+        sub = null.subset(prefix + (cand,))
+        reference = per_subset_paths(sub, lam, sims, length, seed)
         assert np.array_equal(E, reference)
+        assert np.array_equal(simulate_statistic_paths(sub, lam, sims, length, seed), reference)

@@ -106,6 +106,11 @@ def test_detect_unknown_subset_on_a_wide_panel_writes_nothing(workspace, tmp_pat
     ["--baseline", "bogus:1"],
     ["--baseline", "week:x"],
     ["--subset", "pred1", "--lam", "0.3"],
+    ["--subset", "pred1", "--lam", "1.5", "--h", "3"],
+    ["--subset", "pred1", "--lam", "0.3", "--h", "0"],
+    ["--subset", "pred1", "--lam", "0.3", "--h", "-1"],
+    ["--subset", ","],
+    ["--subset", "pred1,pred1"],
 ])
 def test_detect_usage_errors_write_nothing(workspace, tmp_path, argv):
     out = tmp_path / "x"
