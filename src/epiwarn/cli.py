@@ -9,14 +9,10 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/validation problem.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
-import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
 from . import baselines, calibrate, evaluate, pipeline
@@ -31,8 +27,8 @@ from .panel import (
     load_panel_from_manifest,
     write_panel,
 )
-from .selection import SelectionStep, SelectionTrace, aggregate_replicates, make_folds
-from .selection import TooFewEventsError, write_aggregate_csv, write_traces_csv
+from .selection import TooFewEventsError, aggregate_replicates, make_folds
+from .selection import write_aggregate_csv, write_traces_csv
 
 
 class UsageError(Exception):
@@ -218,124 +214,19 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _trace_to_json(trace: SelectionTrace) -> dict:
-    return {
-        "stop_reason": trace.stop_reason,
-        "steps": [
-            {
-                "chosen": s.chosen,
-                "score": s.score,
-                "candidate_scores": [[n, v] for n, v in s.candidate_scores],
-            }
-            for s in trace.steps
-        ],
-    }
-
-
-def _trace_from_json(payload: dict) -> SelectionTrace:
-    steps = tuple(
-        SelectionStep(
-            chosen=s["chosen"],
-            score=s["score"],
-            candidate_scores=tuple((n, v) for n, v in s["candidate_scores"]),
-        )
-        for s in payload["steps"]
-    )
-    return SelectionTrace(steps=steps, stop_reason=payload["stop_reason"])
-
-
-def _selection_plan(config: ExperimentConfig) -> tuple:
-    """The config's panel and its selection fold plan."""
-    panel = load_panel_from_manifest(config.manifest)
-    events = detect_events(panel.gold, config.epsilon, config.min_duration)
-    return panel, make_folds(events, config.held_out, panel.n_weeks)
-
-
-def _run_replicate(config: ExperimentConfig, seed: int) -> SelectionTrace:
-    """Worker entry point: takes only the picklable config and reloads the panel."""
-    panel, folds = _selection_plan(config)
-    return pipeline.run_selection(panel, config, folds, (seed,))[0]
-
-
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextlib.contextmanager
-def _single_threaded_blas():
-    """Set each BLAS thread count the user left unset to 1 for the processes
-    started inside, so N workers use N cores; restore the environment after."""
-    unset = [name for name in BLAS_THREAD_VARIABLES if name not in os.environ]
-    os.environ.update(dict.fromkeys(unset, "1"))
-    try:
-        yield
-    finally:
-        for name in unset:
-            os.environ.pop(name, None)
-
-
-def _read_checkpoint(path: Path, fingerprint: str) -> SelectionTrace | None:
-    """A replicate's checkpointed trace, or None when it must be re-run: the
-    file is missing, unreadable or truncated, or another config wrote it."""
-    try:
-        payload = json.loads(path.read_text())
-        if not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint:
-            return None
-        return _trace_from_json(payload)
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
 def cmd_select(args) -> int:
     config = _load_config(args.config)
-    panel, folds = _selection_plan(config)  # too few events fail here, before any output
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    panel = load_panel_from_manifest(config.manifest)
+    events = detect_events(panel.gold, config.epsilon, config.min_duration)
+    folds = make_folds(events, config.held_out, panel.n_weeks)  # too few events fail here
     out = _prepare_out(config, "select", args.out)
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
-    fingerprint = config.fingerprint()
-
-    traces: dict[int, SelectionTrace] = {}
-    pending: list[int] = []
-    for r in range(config.replicates):
-        trace = _read_checkpoint(ckpt_dir / f"replicate_{r:03d}.json", fingerprint)
-        if trace is None:
-            pending.append(r)
-        else:
-            traces[r] = trace
-
-    failures: dict[int, Exception] = {}
-
-    def _store(r: int, run) -> None:
-        """Checkpoint a replicate as soon as it finishes; record its failure."""
-        try:
-            traces[r] = run()
-        except Exception as exc:
-            failures[r] = exc
-            return
-        payload = {"fingerprint": fingerprint, "replicate": r, **_trace_to_json(traces[r])}
-        path = ckpt_dir / f"replicate_{r:03d}.json"
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
-
-    workers = max(1, min(args.workers, len(pending) or 1))
-    if workers == 1 or len(pending) <= 1:
-        for r in pending:
-            _store(r, lambda: pipeline.run_selection(panel, config, folds, (config.seed + r,))[0])
-    else:
-        spawn = multiprocessing.get_context("spawn")
-        with _single_threaded_blas(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-            futures = {pool.submit(_run_replicate, config, config.seed + r): r for r in pending}
-            for fut in as_completed(futures):
-                _store(futures[fut], fut.result)
-    if failures:
-        raise RuntimeError("; ".join(
-            f"replicate {r} failed: {type(exc).__name__}: {exc}"
-            for r, exc in sorted(failures.items())
-        ))
-
-    ordered = [traces[r] for r in range(config.replicates)]
-    aggregate = aggregate_replicates(ordered, config.k_max)
-    write_traces_csv(ordered, out / "selection_trace.csv")
+    traces = pipeline.run_selection(
+        panel, config, folds, workers=args.workers, checkpoints=out / "checkpoints"
+    )
+    aggregate = aggregate_replicates(traces, config.k_max)
+    write_traces_csv(traces, out / "selection_trace.csv")
     write_aggregate_csv(aggregate, out / "selection_aggregate.csv")
     print(out)
     return 0

@@ -9,8 +9,15 @@ The sweep harness reruns the whole protocol along one config axis.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-from dataclasses import dataclass, replace
+import functools
+import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +32,7 @@ from .selection import (
     AuditLog,
     Fold,
     FoldPlan,
+    SelectionStep,
     SelectionTrace,
     aggregate_replicates,
     fit_folds,
@@ -180,32 +188,131 @@ def evaluate_baseline_cv(
     )
 
 
-def run_selection(
-    panel: AlignedPanel, config: ExperimentConfig, folds: FoldPlan, seeds: Sequence[int]
-) -> tuple[SelectionTrace, ...]:
-    """Run one forward selection over every panel candidate per seed, serially."""
-    events = detect_events(panel.gold, config.epsilon, config.min_duration)
-    windows = build_windows(events, config.window, config.lead, panel.gold)
-    contexts = prepare_fold_contexts(panel, events, windows, folds, config.lambda_grid)
-    return tuple(
-        forward_select(
-            panel,
-            panel.candidate_names(),
-            config.k_max,
-            config.atfs,
-            folds,
-            seed=seed,
-            epsilon=config.epsilon,
-            window=config.window,
-            min_duration=config.min_duration,
-            lead=config.lead,
-            sims=config.sims,
-            lambda_grid=config.lambda_grid,
-            min_improvement=config.min_improvement,
-            contexts=contexts,
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Set each BLAS thread count the user left unset to 1 for the processes
+    started inside, so N workers use N cores; restore the environment after."""
+    unset = [name for name in BLAS_THREAD_VARIABLES if name not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        yield
+    finally:
+        for name in unset:
+            os.environ.pop(name, None)
+
+
+def _read_checkpoint(path: Path, fingerprint: str) -> SelectionTrace | None:
+    """A replicate's checkpointed trace, or None when it must be re-run: the
+    file is missing, unreadable or truncated, or another config wrote it."""
+    try:
+        payload = json.loads(path.read_text())
+        if not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint:
+            return None
+        steps = tuple(
+            SelectionStep(
+                chosen=s["chosen"],
+                score=s["score"],
+                candidate_scores=tuple((n, v) for n, v in s["candidate_scores"]),
+            )
+            for s in payload["steps"]
         )
-        for seed in seeds
+        return SelectionTrace(steps=steps, stop_reason=payload["stop_reason"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def _run_replicate(
+    panel: AlignedPanel, config: ExperimentConfig, folds: FoldPlan, seed
+) -> SelectionTrace:
+    """One replicate: a forward selection over every panel candidate. It is
+    also the worker entry point, so it takes only picklable arguments."""
+    return forward_select(
+        panel,
+        panel.candidate_names(),
+        config.k_max,
+        config.atfs,
+        folds,
+        seed=seed,
+        epsilon=config.epsilon,
+        window=config.window,
+        min_duration=config.min_duration,
+        lead=config.lead,
+        sims=config.sims,
+        lambda_grid=config.lambda_grid,
+        min_improvement=config.min_improvement,
     )
+
+
+def run_selection(
+    panel: AlignedPanel,
+    config: ExperimentConfig,
+    folds: FoldPlan,
+    *,
+    workers: int = 1,
+    checkpoints: Path | None = None,
+) -> tuple[SelectionTrace, ...]:
+    """Run ``config.replicates`` forward selections; replicate r seeds with
+    ``config.seed + r``. Returns the traces in replicate order.
+
+    With ``workers`` > 1 and more than one replicate to run, the replicates
+    run in up to ``workers`` spawned processes, each given the panel and fold
+    plan and limited to one BLAS thread unless the user set a count. With a
+    ``checkpoints`` directory, a replicate checkpointed there under the same
+    config fingerprint is read instead of run, and every replicate that
+    finishes is checkpointed at once, atomically.
+
+    Failures: a run without checkpoints keeps nothing, so it re-raises its
+    first failure unchanged. A checkpointing run finishes and checkpoints the
+    other replicates, then raises one ``RuntimeError`` naming each failed
+    replicate; a rerun resumes from the checkpoints.
+    """
+    traces: dict[int, SelectionTrace] = {}
+    if checkpoints is not None:
+        checkpoints.mkdir(exist_ok=True)
+        fingerprint = config.fingerprint()
+        for r in range(config.replicates):
+            trace = _read_checkpoint(checkpoints / f"replicate_{r:03d}.json", fingerprint)
+            if trace is not None:
+                traces[r] = trace
+    seeds = {r: config.seed + r for r in range(config.replicates) if r not in traces}
+    failures: dict[int, Exception] = {}
+
+    def _store(r: int, run) -> None:
+        """Keep a finished replicate (checkpointed at once) or apply the failure rule."""
+        try:
+            traces[r] = run()
+        except Exception as exc:
+            if checkpoints is None:
+                raise
+            failures[r] = exc
+            return
+        if checkpoints is not None:
+            payload = {"fingerprint": fingerprint, "replicate": r, **asdict(traces[r])}
+            path = checkpoints / f"replicate_{r:03d}.json"
+            tmp = path.with_name(path.name + ".tmp")
+            tmp.write_text(json.dumps(payload, sort_keys=True))
+            os.replace(tmp, path)
+
+    workers = min(workers, len(seeds))
+    if workers <= 1:
+        for r, seed in seeds.items():
+            _store(r, functools.partial(_run_replicate, panel, config, folds, seed))
+    else:
+        spawn = multiprocessing.get_context("spawn")
+        with _single_threaded_blas(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            futures = {pool.submit(_run_replicate, panel, config, folds, seed): r
+                       for r, seed in seeds.items()}
+            for fut in as_completed(futures):
+                _store(futures[fut], fut.result)
+    if failures:
+        raise RuntimeError("; ".join(
+            f"replicate {r} failed: {type(exc).__name__}: {exc}"
+            for r, exc in sorted(failures.items())
+        ))
+    return tuple(traces[r] for r in range(config.replicates))
 
 
 def train_spec_folds(
@@ -250,11 +357,11 @@ def select_and_evaluate(
 ) -> PipelineResult:
     """Full pipeline for one config: select predictors, then score them.
 
-    Selection runs ``config.replicates`` replicates (replicate r seeds with
-    ``config.seed + r``) under ``config.held_out`` seasons per fold, or under
-    the folds of ``train_spec`` = (training seasons, gap); the aggregated
-    subset is then evaluated out of sample under two-held-out folds when
-    enough events exist, as the ``optimized`` model.
+    Selection runs ``config.replicates`` replicates in process, keeping no
+    checkpoints (``run_selection``), under ``config.held_out`` seasons per
+    fold, or under the folds of ``train_spec`` = (training seasons, gap);
+    the aggregated subset is then evaluated out of sample under two-held-out
+    folds when enough events exist, as the ``optimized`` model.
     """
     events = detect_events(panel.gold, config.epsilon, config.min_duration)
     windows = build_windows(events, config.window, config.lead, panel.gold)
@@ -264,8 +371,7 @@ def select_and_evaluate(
         select_folds = make_folds(events, config.held_out, panel.n_weeks)
         compare_folds = make_folds(events, 2 if len(events) > 2 else 1, panel.n_weeks)
 
-    seeds = range(config.seed, config.seed + config.replicates)
-    traces = run_selection(panel, config, select_folds, seeds)
+    traces = run_selection(panel, config, select_folds)
     subset = aggregate_replicates(traces, config.k_max).selected()[: config.k_max]
     if not subset:
         raise ValueError("selection chose no predictors")

@@ -444,8 +444,7 @@ def test_step_paths_match_per_subset_simulation(prefix_size, n_candidates, sims,
         paths = [unit] * n_candidates
     assert len(paths) == n_candidates
     for cand, E in zip(candidates, paths):
-        reference = simulate_statistic_paths(
-            null.subset(prefix + (cand,)), lam, sims, length, seed)
+        reference = per_subset_paths(null.subset(prefix + (cand,)), lam, sims, length, seed)
         # a scaled 1-d null rounds its near-zero values differently from the
         # unit null, so those compare on the statistic's own scale
         atol = 0.0 if prefix else 1e-12 * reference.max()
@@ -470,9 +469,9 @@ def test_step_thresholds_match_per_subset_solve(prefix_size, n_candidates, lam, 
     assert len(solves) == n_candidates
     length = calibrate._checked_length(phi)
     for cand, solved in zip(candidates, solves):
+        paths = per_subset_paths(null.subset(prefix + (cand,)), lam, 40, length, step_seed)
         try:
-            h, atfs = calibrate._solve(null.subset(prefix + (cand,)), lam, phi, 40, length,
-                                       step_seed)
+            h, atfs = calibrate._solve_paths(paths, phi)
         except CalibrationError as exc:
             assert type(solved) is type(exc)
             continue

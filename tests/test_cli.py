@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import epiwarn
-from epiwarn import cli, pipeline
+from epiwarn import pipeline
 from epiwarn.cli import main
 from epiwarn.config import load_config
 from epiwarn.panel import load_panel_from_manifest
@@ -115,6 +115,15 @@ def test_detect_unknown_subset_on_a_wide_panel_writes_nothing(workspace, tmp_pat
 def test_detect_usage_errors_write_nothing(workspace, tmp_path, argv):
     out = tmp_path / "x"
     assert run(["detect", "--config", workspace / "exp.cfg", *argv, "--out", out]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_select_workers_below_one_write_nothing(workspace, tmp_path, capsys, workers):
+    out = tmp_path / "x"
+    assert run(["select", "--config", workspace / "exp.cfg", "--workers", workers,
+                "--out", out]) == 2
+    assert "--workers" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -316,6 +325,18 @@ def test_sweep_atfs_axis_row_shape(workspace, tmp_path):
     assert phis == ["5.0", "20.0"]
 
 
+def test_sweep_failing_point_records_its_own_error(workspace, tmp_path):
+    # no threshold reaches ATFS 1: that point's first replicate fails, and the
+    # row records that failure as raised, not a summary of every replicate
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--config", workspace / "exp.cfg", "--axis", "atfs",
+                "--values", "1,20", "--out", out]) == 0
+    failed, passed = csv_rows(out / "sweep.csv")
+    assert failed["error"].startswith("CalibrationError: ")
+    assert "replicate" not in failed["error"]
+    assert passed["error"] == ""
+
+
 @pytest.mark.parametrize("axis, values, bad", [
     ("epsilon", "1.25,high", "high"),
     ("window", "12,1.5", "1.5"),
@@ -433,13 +454,13 @@ def test_select_truncated_checkpoint_is_rerun(workspace, tmp_path):
         "replicate_000.json", "replicate_001.json"]
 
 
-_run_replicate = cli._run_replicate
+_run_replicate = pipeline._run_replicate
 
 
-def _second_replicate_fails(config, seed):
+def _second_replicate_fails(panel, config, folds, seed):
     if seed == config.seed + 1:
         raise RuntimeError("forced failure")
-    return _run_replicate(config, seed)
+    return _run_replicate(panel, config, folds, seed)
 
 
 def test_parallel_select_keeps_finished_replicates_on_failure(workspace, tmp_path,
@@ -448,7 +469,7 @@ def test_parallel_select_keeps_finished_replicates_on_failure(workspace, tmp_pat
     clean = tmp_path / "clean"
     assert run(["select", "--config", cfg, "--out", clean, "--workers", 1]) == 0
     out = tmp_path / "failing"
-    monkeypatch.setattr(cli, "_run_replicate", _second_replicate_fails)
+    monkeypatch.setattr(pipeline, "_run_replicate", _second_replicate_fails)
     assert run(["select", "--config", cfg, "--out", out, "--workers", 2]) == 1
     assert "replicate 1 failed: RuntimeError: forced failure" in capsys.readouterr().err
     ckpts = sorted(p.name for p in (out / "checkpoints").iterdir())
@@ -457,22 +478,22 @@ def test_parallel_select_keeps_finished_replicates_on_failure(workspace, tmp_pat
         assert (out / "checkpoints" / name).read_bytes() == (
             clean / "checkpoints" / name).read_bytes()
     # the resumed run re-runs only the failed replicate and matches a clean run
-    monkeypatch.setattr(cli, "_run_replicate", _run_replicate)
+    monkeypatch.setattr(pipeline, "_run_replicate", _run_replicate)
     assert run(["select", "--config", cfg, "--out", out, "--workers", 2]) == 0
     assert tree_bytes(out) == tree_bytes(clean)
 
 
-def _report_blas_threads(config, seed):
+def _report_blas_threads(panel, config, folds, seed):
     raise RuntimeError(" ".join(
-        f"{name}={os.environ.get(name)}" for name in cli.BLAS_THREAD_VARIABLES))
+        f"{name}={os.environ.get(name)}" for name in pipeline.BLAS_THREAD_VARIABLES))
 
 
 def test_parallel_select_workers_use_one_blas_thread(workspace, tmp_path, monkeypatch,
                                                      capsys):
-    for name in cli.BLAS_THREAD_VARIABLES:
+    for name in pipeline.BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "3")  # a value the user set is kept
-    monkeypatch.setattr(cli, "_run_replicate", _report_blas_threads)
+    monkeypatch.setattr(pipeline, "_run_replicate", _report_blas_threads)
     assert run(["select", "--config", workspace / "exp.cfg", "--out", tmp_path / "sel",
                 "--workers", 2]) == 1
     err = capsys.readouterr().err

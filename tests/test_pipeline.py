@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from epiwarn.pipeline import (
     evaluate_baseline_cv,
     evaluate_mewma_cv,
     pooled_cv_report,
+    run_selection,
     select_and_evaluate,
     sweep,
     train_spec_folds,
@@ -255,7 +258,6 @@ def alternating_timing_panel(lead=3):
 
 
 def test_optimized_model_earliest_among_four_models():
-    from epiwarn.pipeline import run_selection
     from epiwarn.selection import aggregate_replicates
 
     panel = alternating_timing_panel()
@@ -265,7 +267,8 @@ def test_optimized_model_earliest_among_four_models():
     compare = make_folds(events, 2, panel.n_weeks)
     grid = (0.3, 0.6)
     config = small_config(sims=80, lambda_grid=grid, k_max=1)
-    traces = run_selection(panel, config, make_folds(events, 1, panel.n_weeks), (0,))
+    traces = run_selection(panel, replace(config, replicates=1),
+                           make_folds(events, 1, panel.n_weeks))
     subset = aggregate_replicates(traces, 1).selected()[:1]
     optimized = evaluate_mewma_cv(
         panel, subset, events, windows, compare, 20.0,
@@ -285,6 +288,18 @@ def test_optimized_model_earliest_among_four_models():
     assert optimized.report.performance > max(
         m.report.performance for m in (univariate, week, rise)
     )
+
+
+def test_spawned_replicates_take_the_given_panel_and_folds():
+    # an in-memory panel (its config's manifest does not exist) and a
+    # training-length selection plan, which no config key describes
+    panel = two_predictor_panel()
+    events = detect_events(panel.gold, 1.25, 3)
+    select_plan, _ = train_spec_folds(events, panel.n_weeks, 3, 1)
+    config = small_config()
+    serial = run_selection(panel, config, select_plan, workers=1)
+    assert len(serial) == config.replicates
+    assert run_selection(panel, config, select_plan, workers=2) == serial
 
 
 def test_sweep_singleton_row_equals_direct_pipeline_run():
