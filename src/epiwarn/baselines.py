@@ -7,7 +7,7 @@ is just the scan module with a one-series subset, so it has no code here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -23,10 +23,16 @@ class WeekTriggerConfig:
     """Alarm in the same ISO week of every year."""
 
     trigger_week: int
+    grid: ClassVar[range] = range(1, 54)  # the weeks `evaluate` fits over
 
     def __post_init__(self):
         if not 1 <= self.trigger_week <= 53:
             raise ValueError(f"trigger_week must be in [1, 53], got {self.trigger_week}")
+
+    param = property(lambda self: self.trigger_week)  # the grid-fit parameter
+
+    def alarms(self, panel: AlignedPanel) -> AlarmTrace:
+        return week_trigger(panel, self)
 
 
 @dataclass(frozen=True)
@@ -34,10 +40,19 @@ class RiseTriggerConfig:
     """Alarm once the gold series has strictly risen for n consecutive weeks."""
 
     n_consecutive: int
+    grid: ClassVar[range] = range(2, 21)  # the run lengths `evaluate` fits over
 
     def __post_init__(self):
         if self.n_consecutive < 2:
             raise ValueError(f"n_consecutive must be >= 2, got {self.n_consecutive}")
+
+    param = property(lambda self: self.n_consecutive)  # the grid-fit parameter
+
+    def alarms(self, panel: AlignedPanel) -> AlarmTrace:
+        return rise_trigger(panel, self)
+
+
+TRIGGERS = {"week": WeekTriggerConfig, "rise": RiseTriggerConfig}  # --baseline KIND:N
 
 
 def week_trigger(panel: AlignedPanel, config: WeekTriggerConfig) -> AlarmTrace:
@@ -81,12 +96,10 @@ def rise_trigger(panel: AlignedPanel, config: RiseTriggerConfig) -> AlarmTrace:
 
 
 def baseline_trace(panel: AlignedPanel, kind: str, param: int) -> AlarmTrace:
-    """Alarm trace of the ``week`` or ``rise`` trigger with parameter ``param``."""
-    if kind == "week":
-        return week_trigger(panel, WeekTriggerConfig(param))
-    if kind == "rise":
-        return rise_trigger(panel, RiseTriggerConfig(param))
-    raise ValueError(f"unknown baseline kind {kind!r}")
+    """Alarm trace of the trigger ``kind`` (a ``TRIGGERS`` key) with parameter ``param``."""
+    if kind not in TRIGGERS:
+        raise ValueError(f"unknown baseline kind {kind!r}")
+    return TRIGGERS[kind](param).alarms(panel)
 
 
 def fit_baseline(
@@ -117,6 +130,4 @@ def fit_baseline(
         if score > best_score:
             best_score = score
             best_param = int(param)
-    if kind == "week":
-        return WeekTriggerConfig(best_param)
-    return RiseTriggerConfig(best_param)
+    return TRIGGERS[kind](best_param)

@@ -1,33 +1,31 @@
-"""Command-line orchestration for panel experiments.
+"""Command-line interface for panel experiments.
 
 Subcommands: ``synth`` (emit a synthetic panel), ``detect`` (run one
 detector), ``select`` (replicated forward selection with per-replicate
 checkpoints), ``evaluate`` (model comparison), ``sweep`` (parameter grids).
-Exit codes: 0 success, 1 runtime failure, 2 usage/validation problem.
+Every experiment rule (events, windows, fold plans, models) lives in
+``pipeline``; a command parses and validates its input, sets up the
+experiment, and only then writes its output directory. Exit codes: 0
+success, 1 runtime failure, 2 usage/validation problem (too few events and
+overlapping detection windows included).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import os
 import sys
 from pathlib import Path
 
 from . import baselines, calibrate, evaluate, pipeline
 from .config import ExperimentConfig, load_config
-from .events import build_windows, detect_events, write_events_csv
+from .events import WindowOverlapError, write_events_csv
 from .mewma import (DetectorConfig, estimate_null, precompute_shared_states, run_scan,
                     write_trace_csv)
-from .panel import (
-    ParseError,
-    SyntheticPanelSpec,
-    generate_synthetic,
-    load_panel_from_manifest,
-    write_panel,
-)
-from .selection import TooFewEventsError, aggregate_replicates, make_folds
+from .panel import (ParseError, SyntheticPanelSpec, generate_synthetic,
+                    load_panel_from_manifest, write_panel)
+from .selection import TooFewEventsError, aggregate_replicates
 from .selection import write_aggregate_csv, write_traces_csv
 
 
@@ -43,7 +41,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (UsageError, TooFewEventsError) as exc:
+    except (UsageError, TooFewEventsError, WindowOverlapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
@@ -90,8 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="compare optimized and baseline models")
     p.add_argument("--config", required=True)
-    p.add_argument("--models",
-                   default="optimized,week-trigger,rise-trigger,univariate-gold")
+    p.add_argument("--models", default=",".join(pipeline.MODELS))
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
@@ -141,8 +138,9 @@ def cmd_synth(args) -> int:
 
 def _parse_baseline_spec(text: str):
     kind, _, param = text.partition(":")
-    if kind not in ("week", "rise") or not param:
-        raise UsageError(f"bad baseline spec {text!r}; expected week:N or rise:N")
+    if kind not in baselines.TRIGGERS or not param:
+        expected = " or ".join(f"{k}:N" for k in baselines.TRIGGERS)
+        raise UsageError(f"bad baseline spec {text!r}; expected {expected}")
     try:
         value = int(param)
     except ValueError:
@@ -156,8 +154,8 @@ def cmd_detect(args) -> int:
     if bool(args.subset) == bool(args.baseline_spec):
         raise UsageError("pass exactly one of --subset or --baseline")
 
-    events = detect_events(panel.gold, config.epsilon, config.min_duration)
-    windows = build_windows(events, config.window, config.lead, panel.gold)
+    experiment = pipeline.Experiment(panel, config)
+    events, windows = experiment.events, experiment.windows
     curve = None  # the calibration curve, when (lambda, h) is calibrated here
     if args.baseline_spec:
         kind, param = _parse_baseline_spec(args.baseline_spec)
@@ -219,8 +217,7 @@ def cmd_select(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     panel = load_panel_from_manifest(config.manifest)
-    events = detect_events(panel.gold, config.epsilon, config.min_duration)
-    folds = make_folds(events, config.held_out, panel.n_weeks)  # too few events fail here
+    folds = pipeline.Experiment(panel, config).select_folds  # bad events or windows fail here
     out = _prepare_out(config, "select", args.out)
     traces = pipeline.run_selection(
         panel, config, folds, workers=args.workers, checkpoints=out / "checkpoints"
@@ -235,44 +232,13 @@ def cmd_select(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
     panel = load_panel_from_manifest(config.manifest)
-    model_names = [m.strip() for m in args.models.split(",") if m.strip()]
-    known = {"optimized", "week-trigger", "rise-trigger", "univariate-gold"}
-    for m in model_names:
-        if m not in known:
-            raise UsageError(f"unknown model {m!r}; choose from {sorted(known)}")
-
-    events = detect_events(panel.gold, config.epsilon, config.min_duration)
-    compare_folds = make_folds(events, 2 if len(events) > 2 else 1, panel.n_weeks)
-    windows = build_windows(events, config.window, config.lead, panel.gold)
-
-    results = []
-    for m in model_names:
-        if m == "optimized":
-            results.append(pipeline.select_and_evaluate(panel, config).model)
-        elif m == "univariate-gold":
-            gpanel = panel.with_gold_candidate()
-            model = pipeline.evaluate_mewma_cv(
-                gpanel, (gpanel.gold.name,), events, windows, compare_folds,
-                config.atfs, sims=config.sims, lambda_grid=config.lambda_grid,
-                seed=config.seed, reporting_threshold=config.lead_threshold,
-            )
-            # named here: the perfbench tracer's wrapper cannot forward a `name` keyword
-            results.append(dataclasses.replace(model, name="univariate-gold"))
-        elif m == "week-trigger":
-            results.append(
-                pipeline.evaluate_baseline_cv(
-                    panel, "week", range(1, 54), events, windows, compare_folds,
-                    config.lead_threshold,
-                )
-            )
-        else:
-            results.append(
-                pipeline.evaluate_baseline_cv(
-                    panel, "rise", range(2, 21), events, windows, compare_folds,
-                    config.lead_threshold,
-                )
-            )
-
+    models = [m.strip() for m in args.models.split(",") if m.strip()]
+    for m in models:
+        if m not in pipeline.MODELS:
+            raise UsageError(f"unknown model {m!r}; choose from {sorted(pipeline.MODELS)}")
+    if not models or len(set(models)) < len(models):
+        raise UsageError(f"--models must name one or more models, each once: {args.models!r}")
+    results = pipeline.evaluate_models(panel, config, models)
     out = _prepare_out(config, "evaluate", args.out)
     with open(out / "model_comparison.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -283,14 +249,9 @@ def cmd_evaluate(args) -> int:
         for r in results:
             mean_lead = r.leads.mean_lead if r.leads is not None else None
             writer.writerow([
-                r.name,
-                r.parameter,
-                repr(r.report.performance),
-                repr(r.report.precision),
-                repr(r.report.recall),
-                "" if mean_lead is None else repr(mean_lead),
-                len(r.report.delta_t) - len(r.report.missed_events),
-                r.report.false_onset_count,
+                r.name, r.parameter, repr(r.report.performance), repr(r.report.precision),
+                repr(r.report.recall), "" if mean_lead is None else repr(mean_lead),
+                len(r.report.delta_t) - len(r.report.missed_events), r.report.false_onset_count,
             ])
     for r in results:
         evaluate.write_event_report_csv(r.report, r.leads, out / f"{r.name}_events.csv")

@@ -135,20 +135,14 @@ class DetectionWindowSet:
         return labels
 
 
-def build_windows(
-    events: EventSet,
-    window_length: int,
-    lead: int | None = None,
-    gold: Series | None = None,
-) -> DetectionWindowSet:
+def build_windows(events: EventSet, window_length: int, lead: int | None,
+                  gold: Series) -> DetectionWindowSet:
     """Construct detection windows of ``window_length`` weeks, one per event.
 
-    The window starts ``lead`` weeks before the event start (default: half
-    the window, so alarms at the window start are a half-window early).
-    Windows running past the panel edges are clipped and flagged.
+    The window starts ``lead`` weeks before the event start (None: half the
+    window, so alarms at the window start are a half-window early). Windows
+    running past the ends of the ``gold`` series' axis are clipped and flagged.
     """
-    if gold is None:
-        raise ValueError("build_windows needs the gold series for panel bounds")
     if window_length < 1:
         raise ValueError("window_length must be >= 1")
     if lead is None:

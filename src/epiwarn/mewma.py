@@ -115,9 +115,11 @@ def cluster_onsets(alarm_weeks) -> np.ndarray:
     return aw[keep]
 
 
-def condition_covariance(
-    sigma: np.ndarray, max_condition: float = 1e12, delta: float = 1e-8
-) -> tuple[np.ndarray, bool, float]:
+MAX_CONDITION = 1e12  # largest condition number a conditioned covariance may have
+RIDGE_START = 1e-8  # first ridge, as a fraction of the mean variance
+
+
+def condition_covariance(sigma: np.ndarray) -> tuple[np.ndarray, bool, float]:
     """Make a sample covariance usable in an SPD solve.
 
     Singular or badly conditioned matrices get ridge inflation
@@ -132,14 +134,14 @@ def condition_covariance(
             np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
             return False
-        return np.linalg.cond(m) <= max_condition
+        return np.linalg.cond(m) <= MAX_CONDITION
 
     if usable(sym):
         return sym, False, 0.0
     scale = float(np.mean(np.diag(sym)))
     if scale <= 0.0:
         scale = 1.0
-    d = delta
+    d = RIDGE_START
     eye = np.eye(sym.shape[0])
     while d < 1e8:
         candidate = sym + (d * scale) * eye

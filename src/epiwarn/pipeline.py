@@ -2,9 +2,9 @@
 
 The two-stage protocol selects predictor combinations under one fold plan
 (by default one season held out per fold) and compares finished models under
-a coarser plan (two seasons held out). Out-of-sample results are pooled over
-folds so every event is scored exactly once, by the fold that held it out.
-The sweep harness reruns the whole protocol along one config axis.
+a coarser plan (two seasons held out), both made by ``Experiment``. Out-of-sample
+results are pooled over folds so every event is scored exactly once, by the fold
+that held it out. The sweep harness reruns the whole protocol along one config axis.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import calibrate, evaluate
-from .baselines import baseline_trace, fit_baseline
+from .baselines import TRIGGERS, fit_baseline
 from .config import ExperimentConfig
 from .events import DetectionWindowSet, EventSet, build_windows, detect_events
 from .mewma import AlarmTrace
@@ -41,6 +41,7 @@ from .selection import (
     prepare_fold_contexts,
 )
 
+MODELS = ("optimized", *(f"{kind}-trigger" for kind in TRIGGERS), "univariate-gold")
 SWEEP_AXES = ("epsilon", "window", "atfs", "train")
 SWEEP_FIELDS = ("axis", "value", "epsilon", "window", "phi",
                 "selected", "performance", "precision", "recall", "error")
@@ -175,17 +176,9 @@ def evaluate_baseline_cv(
 ) -> ModelEvaluation:
     """Grid-fit a trigger baseline and report its pooled out-of-sample scores."""
     config = fit_baseline(panel, events, windows, grid, kind, folds)
-    param = config.trigger_week if kind == "week" else config.n_consecutive
-    trace = baseline_trace(panel, kind, param)
-    report, leads = pooled_cv_report(
-        panel, events, windows, folds, [trace] * folds.n_folds, reporting_threshold
-    )
-    return ModelEvaluation(
-        name=f"{kind}-trigger",
-        parameter=str(param),
-        report=report,
-        leads=leads,
-    )
+    traces = [config.alarms(panel)] * folds.n_folds
+    report, leads = pooled_cv_report(panel, events, windows, folds, traces, reporting_threshold)
+    return ModelEvaluation(f"{kind}-trigger", str(config.param), report, leads)
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -349,46 +342,83 @@ def train_spec_folds(
     return select_plan, eval_plan
 
 
-def select_and_evaluate(
-    panel: AlignedPanel,
-    config: ExperimentConfig,
-    *,
-    train_spec: tuple[int, int] | None = None,
-) -> PipelineResult:
-    """Full pipeline for one config: select predictors, then score them.
+class Experiment:
+    """A config's events, detection windows and fold plans on one panel.
 
-    Selection runs ``config.replicates`` replicates in process, keeping no
-    checkpoints (``run_selection``), under ``config.held_out`` seasons per
-    fold, or under the folds of ``train_spec`` = (training seasons, gap);
-    the aggregated subset is then evaluated out of sample under two-held-out
-    folds when enough events exist, as the ``optimized`` model.
+    Selection holds out ``config.held_out`` seasons per fold, comparison two
+    if there are more than two events, else one; a ``train_spec`` = (training
+    seasons, gap) gives both from ``train_spec_folds``. Each plan is made on
+    first use: a run that selects nothing never needs the selection plan.
     """
-    events = detect_events(panel.gold, config.epsilon, config.min_duration)
-    windows = build_windows(events, config.window, config.lead, panel.gold)
-    if train_spec is not None:
-        select_folds, compare_folds = train_spec_folds(events, panel.n_weeks, *train_spec)
-    else:
-        select_folds = make_folds(events, config.held_out, panel.n_weeks)
-        compare_folds = make_folds(events, 2 if len(events) > 2 else 1, panel.n_weeks)
 
-    traces = run_selection(panel, config, select_folds)
-    subset = aggregate_replicates(traces, config.k_max).selected()[: config.k_max]
-    if not subset:
-        raise ValueError("selection chose no predictors")
-    model = evaluate_mewma_cv(
-        panel,
-        subset,
-        events,
-        windows,
-        compare_folds,
-        config.atfs,
-        sims=config.sims,
-        lambda_grid=config.lambda_grid,
-        seed=config.seed,
-        reporting_threshold=config.lead_threshold,
-    )
-    # named here: the perfbench tracer's wrapper cannot forward a `name` keyword
-    return PipelineResult(subset=subset, traces=traces, model=replace(model, name="optimized"))
+    def __init__(self, panel: AlignedPanel, config: ExperimentConfig,
+                 train_spec: tuple[int, int] | None = None):
+        self.panel, self.config = panel, config
+        self.events = detect_events(panel.gold, config.epsilon, config.min_duration)
+        self.windows = build_windows(self.events, config.window, config.lead, panel.gold)
+        if train_spec is not None:  # set here, the plans shadow the cached properties
+            plans = train_spec_folds(self.events, panel.n_weeks, *train_spec)
+            self.select_folds, self.compare_folds = plans
+
+    @functools.cached_property
+    def select_folds(self) -> FoldPlan:
+        return make_folds(self.events, self.config.held_out, self.panel.n_weeks)
+
+    @functools.cached_property
+    def compare_folds(self) -> FoldPlan:
+        return make_folds(self.events, 2 if len(self.events) > 2 else 1, self.panel.n_weeks)
+
+    def evaluate_subset(self, panel: AlignedPanel, subset: Sequence[str],
+                        name: str) -> ModelEvaluation:
+        """``subset`` of ``panel``'s candidates, calibrated on each compare
+        fold's training weeks at the config's values, as model ``name``."""
+        c = self.config
+        model = evaluate_mewma_cv(
+            panel, subset, self.events, self.windows, self.compare_folds, c.atfs,
+            sims=c.sims, lambda_grid=c.lambda_grid, seed=c.seed,
+            reporting_threshold=c.lead_threshold,
+        )
+        # named here: the perfbench tracer's wrapper cannot forward a `name` keyword
+        return replace(model, name=name)
+
+    def select_and_evaluate(self) -> PipelineResult:
+        """``select_and_evaluate`` on this experiment's panel, config and plans."""
+        traces = run_selection(self.panel, self.config, self.select_folds)
+        subset = aggregate_replicates(traces, self.config.k_max).selected()[: self.config.k_max]
+        if not subset:
+            raise ValueError("selection chose no predictors")
+        model = self.evaluate_subset(self.panel, subset, "optimized")
+        return PipelineResult(subset=subset, traces=traces, model=model)
+
+
+def select_and_evaluate(panel: AlignedPanel, config: ExperimentConfig, *,
+                        train_spec: tuple[int, int] | None = None) -> PipelineResult:
+    """Full pipeline for one config: ``config.replicates`` selections in process,
+    without checkpoints (``run_selection``), under the ``Experiment``'s selection
+    plan; the aggregated subset is then scored under its compare plan."""
+    return Experiment(panel, config, train_spec).select_and_evaluate()
+
+
+def evaluate_models(panel: AlignedPanel, config: ExperimentConfig,
+                    models: Sequence[str]) -> list[ModelEvaluation]:
+    """``models`` (``MODELS`` names) scored under one compare plan: ``optimized``
+    is ``select_and_evaluate``'s model, ``univariate-gold`` the gold series alone."""
+    experiment = Experiment(panel, config)
+    folds = experiment.compare_folds  # every model is scored under it: fail before any work
+    results = []
+    for model in models:
+        if model == "optimized":
+            results.append(experiment.select_and_evaluate().model)
+        elif model == "univariate-gold":
+            gold = panel.with_gold_candidate()
+            results.append(experiment.evaluate_subset(gold, (gold.gold.name,), model))
+        else:
+            kind = model.removesuffix("-trigger")
+            results.append(evaluate_baseline_cv(
+                panel, kind, TRIGGERS[kind].grid, experiment.events, experiment.windows, folds,
+                config.lead_threshold,
+            ))
+    return results
 
 
 def sweep(

@@ -230,6 +230,50 @@ def test_too_few_events_exits_2_before_any_output(workspace, tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("select", ["--workers", 1]),
+    ("evaluate", []),
+    ("detect", ["--subset", "pred1"]),
+])
+def test_window_overlap_exits_2_and_writes_nothing(workspace, tmp_path, capsys, command, argv):
+    # 60-week windows around events one 40-week season apart must collide
+    cfg = derived_config(workspace, tmp_path / "wide.cfg", window=60)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, *argv, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: window for event 1 ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("models", [
+    "week-trigger,week-trigger", "optimized,rise-trigger,optimized", "", ",",
+])
+def test_evaluate_repeated_or_no_models_exit_2_before_any_work(workspace, tmp_path, capsys,
+                                                               monkeypatch, models):
+    def no_work(*args, **kwargs):
+        raise AssertionError("evaluate ran a model")
+
+    monkeypatch.setattr(pipeline, "evaluate_models", no_work)
+    out = tmp_path / "out"
+    assert run(["evaluate", "--config", workspace / "exp.cfg", "--models", models,
+                "--out", out]) == 2
+    assert "--models must name one or more models, each once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_triggers_need_no_selection_plan(tmp_path):
+    # compare-3fold cannot hold out 2 of 2 seasons, but the triggers select nothing
+    assert run(["synth", "--out", tmp_path / "panel", "--seasons", 2, "--seed", 3]) == 0
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(f"manifest = {tmp_path / 'panel' / 'panel.manifest'}\n"
+                   "fold_preset = compare-3fold\n")
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--config", cfg, "--models", "week-trigger,rise-trigger",
+                "--out", out]) == 0
+    rows = csv_rows(out / "model_comparison.csv")
+    assert [r["model"] for r in rows] == ["week-trigger", "rise-trigger"]
+
+
 def test_numpy_is_the_only_imported_dependency():
     # in a fresh interpreter: every epiwarn module, and whatever it imports;
     # underscored names are runtime aliases such as multiprocessing's __mp_main__
