@@ -24,10 +24,19 @@ those of the scan's own recursion and quadratic form bit for bit.
 A one-predictor statistic does not depend on the null's variance, so all
 1-d nulls share one memoized solve against the unit null per (lambda,
 target, simulation size, seed).
+
+A greedy step calibrates every lambda of the grid with the same seed, and
+while it solves its thresholds (``optimize_step``) the normals of one (seed,
+shape) are drawn once, read-only, and shared by all lambdas: common random
+numbers. Each lambda's threshold keeps its distribution, and the argmax
+over lambda compares thresholds solved on the same paths. Outside a step
+every call draws its own normals.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import csv
 import functools
 import math
@@ -88,8 +97,9 @@ def simulate_statistic_paths(
     Draws are i.i.d. multivariate normal with the null mean and covariance;
     since the scan only sees deviations from the mean, centered draws are
     used directly. Deterministic for a fixed seed. This is the one-candidate
-    step ``names[:-1] + names[-1:]`` of ``step_statistic_paths``, so for
-    d > 1 the paths are a strided view into the draws' product.
+    step ``names[:-1] + names[-1:]`` of ``step_statistic_paths``, so the
+    paths are a contiguous array of their own: for d = 1 the draws' product,
+    for d > 1 a copy of its last column.
     """
     names = null.predictor_names
     return next(step_statistic_paths(null, names[:-1], names[-1:], lam, sims, length, seed))
@@ -107,16 +117,16 @@ def step_statistic_paths(
     """Yield the (sims, length) null statistic paths of each subset prefix + (c,).
 
     Every extension of one prefix draws the same standard normals, so they
-    are drawn once, and each candidate applies its own Cholesky factor (the
-    prefix's factor plus one row) to them. The candidates are cut into
-    blocks (``_step_blocks``): runs of candidates whose factors of sigma and
-    of the smoothed covariance share their leading rows bit for bit, so that
-    their prefix states and terms do too. Those are recursed and substituted
-    once per run, from its first candidate's product, and each block's new
-    columns are recursed together; each candidate's E is the prefix's
-    partial sum plus its own squared term (``mewma._extend``). A subset whose
-    covariance is not positive definite raises ``LinAlgError`` before any
-    paths are yielded.
+    are drawn once (``_normals``), and each candidate applies its own
+    Cholesky factor (the prefix's factor plus one row) to them. The
+    candidates are cut into blocks (``_step_blocks``): runs of candidates
+    whose factors of sigma and of the smoothed covariance share their
+    leading rows bit for bit, so that their prefix states and terms do too.
+    Those are recursed and substituted once per run, from its first
+    candidate's product, and each block's new columns are recursed together;
+    each candidate's E is the prefix's partial sum plus its own squared term
+    (``mewma._extend``). A subset whose covariance is not positive definite
+    raises ``LinAlgError`` before any paths are yielded.
     """
     prefix = tuple(prefix)
     _check_path_shape(lam, sims, length)
@@ -124,7 +134,7 @@ def step_statistic_paths(
         (np.linalg.cholesky(sub.sigma), np.linalg.cholesky(sub.smoothed_cov(lam)))
         for sub in (null.subset(prefix + (cand,)) for cand in candidates)
     ]
-    z = np.random.default_rng(seed).standard_normal((sims, length, len(prefix) + 1))
+    z = _normals(seed, (sims, length, len(prefix) + 1))
     lead = None
     for rows, members in _step_blocks(factors, sims * length):
         states = head = None  # the previous block goes before the next one is made
@@ -136,13 +146,43 @@ def step_statistic_paths(
             terms = e = None
             terms, e = _prefix_terms(head, smoothed, lam)
         if len(members) == 1:
-            # a lone candidate's block is its own product's last column
-            states = mewma._ewma_states(head[..., -1:], lam).reshape(1, -1)
+            # a lone candidate's block is its own product's last column, made
+            # contiguous so that the solve partitions it in place
+            column, head = np.ascontiguousarray(head[..., -1:]), None
+            states = mewma._ewma_states(column, lam).reshape(1, -1)
         else:
             head = None
             states = _block_states(z, [factors[m][0] for m in members], lam)
         for row, m in enumerate(members):
             yield mewma._extend(states[row], factors[m][1][-1], terms, e).reshape(sims, length)
+
+
+# (seed key, shape) -> read-only normals, set only inside _common_random_numbers
+_SHARED_DRAWS = contextvars.ContextVar("_SHARED_DRAWS", default=None)
+
+
+@contextlib.contextmanager
+def _common_random_numbers():
+    """Within the block, ``_normals`` draws each (seed, shape) once and shares
+    the read-only array; the draws are dropped when the block exits."""
+    token = _SHARED_DRAWS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_DRAWS.reset(token)
+
+
+def _normals(seed, shape: tuple) -> np.ndarray:
+    """Standard normals of ``shape`` from ``seed``: fresh, or inside
+    ``_common_random_numbers`` the shared draw of an integer or sequence seed."""
+    shared, key = _SHARED_DRAWS.get(), _seed_key(seed)
+    if shared is None or key is None:
+        return np.random.default_rng(seed).standard_normal(shape)
+    z = shared.get((key, shape))
+    if z is None:
+        z = shared[key, shape] = np.random.default_rng(seed).standard_normal(shape)
+        z.flags.writeable = False  # no lambda may change another's draws
+    return z
 
 
 STEP_BLOCK_VALUES = 2**17  # most float64 states in one block of a step's new columns
@@ -398,15 +438,17 @@ def optimize_step(
 ) -> list[ConstraintCurvePoint]:
     """``optimize_params`` for every subset prefix + (c,): one point per candidate.
 
-    Lambda k calibrates every candidate with seed ``(*seed, k)``. With a
-    nonempty prefix all of them are solved on paths from one draw of normals
-    (``step_statistic_paths``); with an empty prefix they are 1-d nulls and
-    share one solve against the unit null. The null and every scan come from
-    ``table``; a single candidate may leave it out, and a table is then built
-    from its subset's null, estimated from ``events``. ``curves`` (if given)
-    holds one list per candidate that collects its solved grid points, and
-    ``traces`` (if given) receives each candidate's scan at its chosen point.
-    Raises ``CalibrationError`` when a candidate fails at every lambda.
+    Every lambda calibrates every candidate with ``seed``, and all of them
+    share one draw of normals (``_common_random_numbers``), held only while
+    the thresholds are solved. With a nonempty prefix every candidate is
+    solved on paths from that draw (``step_statistic_paths``); with an empty
+    prefix they are 1-d nulls and share one solve per lambda against the
+    unit null. The null and every scan come from ``table``; a single
+    candidate may leave it out, and a table is then built from its subset's
+    null, estimated from ``events``. ``curves`` (if given) holds one list per
+    candidate that collects its solved grid points, and ``traces`` (if
+    given) receives each candidate's scan at its chosen point. Raises
+    ``CalibrationError`` when a candidate fails at every lambda.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
     if not candidates:
@@ -423,12 +465,12 @@ def optimize_step(
     best: list[ConstraintCurvePoint | None] = [None] * len(candidates)
     best_traces: list[AlarmTrace | None] = [None] * len(candidates)
     failures: list[list[str]] = [[] for _ in candidates]
-    for k, lam in enumerate(lambda_grid):
-        lam = float(lam)
-        solves = _step_solves(
-            table.null, prefix, candidates, lam, phi, sims, (*_seed_tuple(seed), k)
-        )
-        for i, (cand, solved) in enumerate(zip(candidates, solves)):
+    lambdas, seed = [float(lam) for lam in lambda_grid], _seed_tuple(seed)
+    with _common_random_numbers():
+        solves = [_step_solves(table.null, prefix, candidates, lam, phi, sims, seed)
+                  for lam in lambdas]
+    for lam, lam_solves in zip(lambdas, solves):
+        for i, (cand, solved) in enumerate(zip(candidates, lam_solves)):
             if isinstance(solved, CalibrationError):
                 failures[i].append(f"lam={lam}: {solved}")
                 continue
@@ -461,7 +503,7 @@ def optimize_step(
 def _step_solves(null, prefix, candidates, lam, phi, sims, seed) -> list:
     """Each candidate's (h, achieved ATFS) at ``lam``, or the CalibrationError
     its solve raised. Besides the step's draws and prefix terms, one block
-    of new columns (a lone candidate's: its own product) is live at a time,
+    of new columns (a lone candidate's: its own column) is live at a time,
     and each candidate's E is formed in it."""
     try:
         length = _checked_length(phi)

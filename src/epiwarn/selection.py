@@ -23,7 +23,8 @@ from .panel import AlignedPanel
 
 
 class TooFewEventsError(ValueError):
-    """Fewer than two events: the seasons cannot be split into folds."""
+    """Too few events to split the seasons into folds: fewer than two, or no
+    more than a fold holds out, so that it keeps no season to train on."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,8 @@ def make_folds(events: EventSet, held_out: int, n_weeks: int) -> FoldPlan:
     Season boundaries sit midway between consecutive events. With
     ``held_out`` seasons per fold, folds take consecutive seasons in order;
     the last fold absorbs any remainder. Training seasons are the complement
-    of the held-out seasons.
+    of the held-out seasons. Raises ``TooFewEventsError`` where the events
+    cannot leave a training season.
     """
     K = len(events)
     if K < 2:
@@ -74,8 +76,10 @@ def make_folds(events: EventSet, held_out: int, n_weeks: int) -> FoldPlan:
             f"found {K} event(s) at epsilon {events.threshold} with min_duration "
             f"{events.min_duration}; cross-validation needs at least 2"
         )
-    if held_out < 1 or held_out >= K:
-        raise ValueError(
+    if held_out < 1:
+        raise ValueError(f"held-out count must be >= 1, got {held_out}")
+    if held_out >= K:
+        raise TooFewEventsError(
             f"held-out count must be in [1, {K - 1}] for {K} events, got {held_out}"
         )
     cuts = [0]
@@ -180,11 +184,12 @@ def fit_folds(
 
     Returns each candidate's fold fits, in fold order. Fold f picks (lambda,
     h) for every candidate on its training events under the ATFS target
-    ``phi``, seeding the calibration with ``(*seed, f)``; per lambda, all
-    candidates are calibrated from one draw of null normals
-    (``calibrate.optimize_step``). A fit's scan covers the whole panel; it
-    is scored on the fold's held-out windows as it is made and not kept, so
-    a wide step holds no scan per candidate and fold. Each fit is recorded,
+    ``phi``, seeding the calibration of every lambda with ``(*seed, f)``:
+    all candidates and lambdas are calibrated from one draw of null normals
+    (``calibrate.optimize_step``), and each fold draws its own. A fit's scan
+    covers the whole panel; it is scored on the fold's held-out windows as
+    it is made and not kept, so a wide step holds no scan per candidate and
+    fold. Each fit is recorded,
     with its score, in ``audit`` if given, candidate by candidate.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
@@ -305,9 +310,9 @@ def forward_select(
     stops at ``k_max`` predictors or when the best marginal improvement is
     <= ``min_improvement``. Ties go to the earlier candidate in the given
     order. Each step fits all remaining candidates at once (``fit_folds``),
-    so per fold and lambda the step's null normals are drawn once and every
-    candidate applies its own Cholesky factor to them. A candidate scores
-    the mean of its folds' held-out timeliness.
+    so per fold the step's null normals are drawn once, for every lambda,
+    and every candidate applies its own Cholesky factor to them. A candidate
+    scores the mean of its folds' held-out timeliness.
     """
     candidates = list(candidates)
     if not candidates:

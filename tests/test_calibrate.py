@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -526,6 +528,113 @@ def test_one_subset_peak_memory_is_the_draws_and_one_product():
         tracemalloc.stop()
     # the draws and their product, in which the states and E are formed
     assert peak <= 16 * n + 128 * 1024
+
+
+def test_lone_candidate_paths_are_contiguous_and_solved_in_place():
+    null = unit_null(3, seed=2)
+    [E] = calibrate.step_statistic_paths(null, ("x0", "x1"), ("x2",), 0.4, 1000, 200, (1, 2))
+    assert E.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        calibrate._solve_paths(E, 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two boolean alarm masks; partitioning a strided E would copy it (8 bytes a value)
+    assert peak <= 2 * E.size + 64 * 1024
+
+
+def _step_setup(prefix_size):
+    from epiwarn.mewma import estimate_null, precompute_shared_states
+    from epiwarn.panel import SyntheticPanelSpec, generate_synthetic
+
+    panel = generate_synthetic(SyntheticPanelSpec(seasons=4, predictor_count=3, rng_seed=3))
+    events = detect_events(panel.gold, 1.25, 3)
+    windows = build_windows(events, 16, 8, panel.gold)
+    names = panel.candidate_names()
+    table = precompute_shared_states(
+        panel, estimate_null(panel, events, names), DEFAULT_LAMBDA_GRID
+    )
+    return panel, events, windows, table, names[:prefix_size], names[prefix_size:]
+
+
+def counted_draws(monkeypatch) -> list:
+    """Patch the normal draws to record a (shape, weak reference) per draw."""
+    draws = []
+    default_rng = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, shape):
+            z = self.rng.standard_normal(shape)
+            draws.append((shape, weakref.ref(z)))
+            return z
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    return draws
+
+
+@pytest.mark.parametrize("prefix_size", [0, 1])
+def test_optimize_step_draws_once_for_every_lambda_and_keeps_nothing(monkeypatch, prefix_size):
+    panel, events, windows, table, prefix, candidates = _step_setup(prefix_size)
+    calibrate._solve_unit_null.cache_clear()
+    draws = counted_draws(monkeypatch)
+    curves = [[] for _ in candidates]
+    calibrate.optimize_step(panel, events, windows, prefix, candidates, 20.0,
+                            DEFAULT_LAMBDA_GRID, sims=50, seed=(4, 2), table=table,
+                            curves=curves)
+    assert all(len(curve) == len(DEFAULT_LAMBDA_GRID) for curve in curves)
+    assert [shape for shape, _ in draws] == [(50, 200, prefix_size + 1)]
+    gc.collect()
+    assert calibrate._SHARED_DRAWS.get() is None
+    assert all(ref() is None for _, ref in draws)
+
+
+def test_shared_draws_are_read_only_per_seed_and_shape():
+    shape = (4, 5, 2)
+    with calibrate._common_random_numbers():
+        z = calibrate._normals((3, 1), shape)
+        assert calibrate._normals([3, 1], shape) is z
+        assert not z.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            z[0, 0, 0] = 1.0
+        assert calibrate._normals((3, 2), shape) is not z
+        assert calibrate._normals((3, 1), (4, 5, 1)) is not z
+        rng = np.random.default_rng(3)
+        assert calibrate._normals(rng, shape) is not calibrate._normals(rng, shape)
+    fresh = calibrate._normals((3, 1), shape)
+    assert fresh is not z and fresh.flags.writeable and np.array_equal(fresh, z)
+
+
+def test_shared_draws_are_dropped_when_the_step_raises(monkeypatch):
+    panel, events, windows, table, prefix, candidates = _step_setup(1)
+
+    def interrupted(E, phi):
+        assert calibrate._SHARED_DRAWS.get()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(calibrate, "_solve_paths", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        calibrate.optimize_step(panel, events, windows, prefix, candidates, 20.0,
+                                DEFAULT_LAMBDA_GRID, sims=50, seed=(4, 2), table=table)
+    assert calibrate._SHARED_DRAWS.get() is None
+
+
+@pytest.mark.parametrize("subset", [("pred1",), ("pred1", "pred3")])
+def test_every_curve_point_is_solved_with_the_steps_own_seed(subset):
+    from epiwarn.mewma import estimate_null
+
+    panel, events, windows, *_ = _step_setup(0)
+    calibrate._solve_unit_null.cache_clear()
+    curve = []
+    optimize_params(panel, events, windows, subset, 20.0, sims=60, seed=(7, 1), curve=curve)
+    assert [p.lam for p in curve] == list(DEFAULT_LAMBDA_GRID)
+    null = estimate_null(panel, events, subset)
+    for point in curve:
+        # no lambda index in the seed: every lambda solves on the same draw
+        assert point.h == solve_threshold(null, point.lam, 20.0, sims=60, seed=(7, 1))
 
 
 def test_step_blocks_hold_matching_candidates_in_order():

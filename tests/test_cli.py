@@ -274,6 +274,36 @@ def test_evaluate_triggers_need_no_selection_plan(tmp_path):
     assert [r["model"] for r in rows] == ["week-trigger", "rise-trigger"]
 
 
+@pytest.fixture
+def two_season_compare_config(tmp_path):
+    """A two-season panel's config whose fold preset holds out two seasons."""
+    assert run(["synth", "--out", tmp_path / "panel", "--seasons", 2, "--seed", 3]) == 0
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(f"manifest = {tmp_path / 'panel' / 'panel.manifest'}\n"
+                   "fold_preset = compare-3fold\nsims = 40\nlambda_grid = 0.3\n")
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["select", "evaluate"])
+def test_fold_preset_holding_out_every_season_exits_2(two_season_compare_config, tmp_path,
+                                                      capsys, command):
+    out = tmp_path / "out"
+    assert run([command, "--config", two_season_compare_config, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: held-out count must be in [1, 1] for 2 events, got 2"]
+    assert not out.exists()
+
+
+def test_sweep_point_records_a_fold_preset_holding_out_every_season(
+        two_season_compare_config, tmp_path):
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--config", two_season_compare_config, "--axis", "atfs",
+                "--values", "20", "--out", out]) == 0
+    [row] = csv_rows(out / "sweep.csv")
+    assert row["error"] == ("TooFewEventsError: held-out count must be in [1, 1] "
+                            "for 2 events, got 2")
+
+
 def test_numpy_is_the_only_imported_dependency():
     # in a fresh interpreter: every epiwarn module, and whatever it imports;
     # underscored names are runtime aliases such as multiprocessing's __mp_main__
