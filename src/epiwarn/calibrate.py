@@ -21,6 +21,7 @@ subset's paths (``simulate_statistic_paths``) are the one-candidate step
 of its last predictor; only one block is live at a time. The paths equal
 those of the scan's own recursion and quadratic form bit for bit.
 
+A calibration seed is an integer s, drawn as (s,), or a sequence of them.
 A one-predictor statistic does not depend on the null's variance, so all
 1-d nulls share one memoized solve against the unit null per (lambda,
 target, simulation size, seed).
@@ -40,6 +41,7 @@ import contextvars
 import csv
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -157,7 +159,7 @@ def step_statistic_paths(
             yield mewma._extend(states[row], factors[m][1][-1], terms, e).reshape(sims, length)
 
 
-# (seed key, shape) -> read-only normals, set only inside _common_random_numbers
+# (seed, shape) -> read-only normals, set only inside _common_random_numbers
 _SHARED_DRAWS = contextvars.ContextVar("_SHARED_DRAWS", default=None)
 
 
@@ -174,13 +176,13 @@ def _common_random_numbers():
 
 def _normals(seed, shape: tuple) -> np.ndarray:
     """Standard normals of ``shape`` from ``seed``: fresh, or inside
-    ``_common_random_numbers`` the shared draw of an integer or sequence seed."""
-    shared, key = _SHARED_DRAWS.get(), _seed_key(seed)
-    if shared is None or key is None:
+    ``_common_random_numbers`` the shared draw of that seed and shape."""
+    shared, seed = _SHARED_DRAWS.get(), _seed(seed)
+    if shared is None:
         return np.random.default_rng(seed).standard_normal(shape)
-    z = shared.get((key, shape))
+    z = shared.get((seed, shape))
     if z is None:
-        z = shared[key, shape] = np.random.default_rng(seed).standard_normal(shape)
+        z = shared[seed, shape] = np.random.default_rng(seed).standard_normal(shape)
         z.flags.writeable = False  # no lambda may change another's draws
     return z
 
@@ -323,9 +325,8 @@ _UNIT_NULL = NullModel(("unit",), np.zeros(1), np.ones((1, 1)), 0)
 
 def _solve(null: NullModel, lam, phi, sims, length, seed) -> tuple[float, float]:
     """``solve_threshold``'s h and achieved ATFS."""
-    key = _seed_key(seed)
-    if null.dim == 1 and key is not None:
-        return _solve_unit_null(lam, phi, sims, length, key)
+    if null.dim == 1:
+        return _solve_unit_null(lam, phi, sims, length, _seed(seed))
     return _solve_paths(simulate_statistic_paths(null, lam, sims, length, seed), phi)
 
 
@@ -334,14 +335,13 @@ def _solve_unit_null(lam, phi, sims, length, seed):
     return _solve_paths(simulate_statistic_paths(_UNIT_NULL, lam, sims, length, seed), phi)
 
 
-def _seed_key(seed):
-    """An integer seed or seed sequence as a hashable key; None for a seed that
-    carries state of its own (a Generator or SeedSequence), which is not memoized."""
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    if isinstance(seed, (tuple, list)) and all(isinstance(s, (int, np.integer)) for s in seed):
-        return tuple(int(s) for s in seed)
-    return None
+def _seed(seed) -> tuple[int, ...]:
+    """A calibration seed, an integer or a sequence of integers, as a tuple of
+    ints; any other seed (a Generator, SeedSequence, array or float) raises
+    ``TypeError``. numpy seeds an integer s and the tuple (s,) alike."""
+    if isinstance(seed, (tuple, list)):
+        return tuple(map(operator.index, seed))
+    return (operator.index(seed),)
 
 
 def _solve_paths(E: np.ndarray, phi: float) -> tuple[float, float]:
@@ -438,14 +438,14 @@ def optimize_step(
 ) -> list[ConstraintCurvePoint]:
     """``optimize_params`` for every subset prefix + (c,): one point per candidate.
 
-    Every lambda calibrates every candidate with ``seed``, and all of them
-    share one draw of normals (``_common_random_numbers``), held only while
-    the thresholds are solved. With a nonempty prefix every candidate is
-    solved on paths from that draw (``step_statistic_paths``); with an empty
-    prefix they are 1-d nulls and share one solve per lambda against the
-    unit null. The null and every scan come from ``table``; a single
-    candidate may leave it out, and a table is then built from its subset's
-    null, estimated from ``events``. ``curves`` (if given) holds one list per
+    Every lambda calibrates every candidate with ``seed`` (``_seed``), and
+    all share one draw of normals (``_common_random_numbers``), held only
+    while the thresholds are solved. With a nonempty prefix every candidate
+    is solved on paths from that draw (``step_statistic_paths``); with an
+    empty prefix they are 1-d nulls and share one solve per lambda against
+    the unit null. The null and every scan come from ``table``; a single
+    candidate (calibrated ``detect``) may leave it out, and a table is then
+    built from its subset's null, estimated from ``events``. ``curves`` (if given) holds one list per
     candidate that collects its solved grid points, and ``traces`` (if
     given) receives each candidate's scan at its chosen point. Raises
     ``CalibrationError`` when a candidate fails at every lambda.
@@ -465,7 +465,7 @@ def optimize_step(
     best: list[ConstraintCurvePoint | None] = [None] * len(candidates)
     best_traces: list[AlarmTrace | None] = [None] * len(candidates)
     failures: list[list[str]] = [[] for _ in candidates]
-    lambdas, seed = [float(lam) for lam in lambda_grid], _seed_tuple(seed)
+    lambdas, seed = [float(lam) for lam in lambda_grid], _seed(seed)
     with _common_random_numbers():
         solves = [_step_solves(table.null, prefix, candidates, lam, phi, sims, seed)
                   for lam in lambdas]
@@ -509,8 +509,7 @@ def _step_solves(null, prefix, candidates, lam, phi, sims, seed) -> list:
         length = _checked_length(phi)
         if not prefix:
             # every 1-d null shares the memoized unit-null solve
-            solved = _solve(null.subset(candidates[:1]), lam, phi, sims, length, seed)
-            return [solved] * len(candidates)
+            return [_solve_unit_null(lam, phi, sims, length, seed)] * len(candidates)
     except CalibrationError as exc:
         return [exc] * len(candidates)
     solves: list = []
@@ -521,12 +520,6 @@ def _step_solves(null, prefix, candidates, lam, phi, sims, seed) -> list:
             solves.append(exc)
         del E  # the next candidate's paths take its place
     return solves
-
-
-def _seed_tuple(seed) -> tuple:
-    if isinstance(seed, (tuple, list)):
-        return tuple(seed)
-    return (seed,)
 
 
 def write_calibration_csv(points: Sequence[ConstraintCurvePoint], path) -> None:

@@ -21,8 +21,7 @@ from pathlib import Path
 from . import baselines, calibrate, evaluate, pipeline
 from .config import ExperimentConfig, load_config
 from .events import WindowOverlapError, write_events_csv
-from .mewma import (DetectorConfig, estimate_null, precompute_shared_states, run_scan,
-                    write_trace_csv)
+from .mewma import DetectorConfig, estimate_null, run_scan, write_trace_csv
 from .panel import (ParseError, SyntheticPanelSpec, generate_synthetic,
                     load_panel_from_manifest, write_panel)
 from .selection import TooFewEventsError, aggregate_replicates
@@ -119,18 +118,21 @@ def _prepare_out(config: ExperimentConfig, command: str, override) -> Path:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticPanelSpec(
-        seasons=args.seasons,
-        weeks_per_season=args.weeks_per_season,
-        baseline_level=args.baseline,
-        peak_height=args.peak,
-        peak_week_jitter=args.jitter,
-        noise_scale=args.noise,
-        predictor_count=args.predictors,
-        predictor_lead=args.lead,
-        rng_seed=args.seed,
-        start_week=args.start,
-    )
+    try:
+        spec = SyntheticPanelSpec(
+            seasons=args.seasons,
+            weeks_per_season=args.weeks_per_season,
+            baseline_level=args.baseline,
+            peak_height=args.peak,
+            peak_week_jitter=args.jitter,
+            noise_scale=args.noise,
+            predictor_count=args.predictors,
+            predictor_lead=args.lead,
+            rng_seed=args.seed,
+            start_week=args.start,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     manifest = write_panel(generate_synthetic(spec), args.out)
     print(manifest)
     return 0
@@ -180,18 +182,15 @@ def cmd_detect(args) -> int:
                 detector = DetectorConfig(subset, args.lam, args.h)
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
-        null = estimate_null(scan_panel, events, subset)
-        if args.lam is not None:
-            trace = run_scan(scan_panel, null, detector)
+            trace = run_scan(scan_panel, estimate_null(scan_panel, events, subset), detector)
         else:
-            table = precompute_shared_states(scan_panel, null, config.lambda_grid)
-            curve = []
-            point = calibrate.optimize_params(
-                scan_panel, events, windows, subset, config.atfs,
+            curve, traces = [], []
+            calibrate.optimize_step(
+                scan_panel, events, windows, subset[:-1], subset[-1:], config.atfs,
                 config.lambda_grid, sims=config.sims, seed=config.seed,
-                table=table, curve=curve,
+                curves=[curve], traces=traces,
             )
-            trace = table.scan(point.lam, subset, point.h)
+            [trace] = traces
         label = "mewma"
 
     out = _prepare_out(config, "detect", args.out)

@@ -9,6 +9,7 @@ up to 8 predictors, and 40 selection replicates.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -50,12 +51,14 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0 <= self.lead <= self.window:
             raise ValueError(f"lead must be in [0, window={self.window}], got {self.lead}")
-        if not self.atfs >= 1.0:
-            raise ValueError(f"atfs must be >= 1 week, got {self.atfs}")
+        if not 1.0 <= self.atfs < math.inf:
+            raise ValueError(f"atfs must be finite and >= 1 week, got {self.atfs}")
         object.__setattr__(self, "manifest", Path(self.manifest))
         object.__setattr__(self, "lambda_grid", tuple(float(l) for l in self.lambda_grid))
         if not self.lambda_grid or not all(0.0 < l < 1.0 for l in self.lambda_grid):
             raise ValueError(f"lambda_grid must be nonempty, in (0, 1), got {self.lambda_grid}")
+        if len(set(self.lambda_grid)) < len(self.lambda_grid):
+            raise ValueError(f"lambda_grid values must be distinct, got {self.lambda_grid}")
         if self.out is not None:
             object.__setattr__(self, "out", Path(self.out))
 
@@ -122,11 +125,12 @@ _PARSERS = {
 }
 
 
-def load_config(path, **overrides) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     """Read a flat key-value config file; unknown keys are errors.
 
     Relative ``manifest`` and ``out`` paths resolve against the config file's
-    directory. Keyword overrides (from CLI flags) win over file values.
+    directory. An empty ``out`` is unset, as ``resolved_text`` writes it, so a
+    resolved config loads back to the config that wrote it.
     """
     path = Path(path)
     base = path.parent
@@ -135,7 +139,7 @@ def load_config(path, **overrides) -> ExperimentConfig:
         if key in values:
             raise ParseError(f"{path}: repeated key {key!r}")
         if key in ("manifest", "out"):
-            values[key] = base / raw
+            values[key] = base / raw if raw else None
         elif key in _PARSERS:
             try:
                 values[key] = _PARSERS[key](raw)
@@ -143,7 +147,6 @@ def load_config(path, **overrides) -> ExperimentConfig:
                 raise ParseError(f"{path}: bad value {raw!r} for {key!r}") from None
         else:
             raise ParseError(f"{path}: unknown config key {key!r}")
-    if "manifest" not in values:
+    if values.get("manifest") is None:
         raise ParseError(f"{path}: config is missing the 'manifest' key")
-    values.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentConfig(**values)

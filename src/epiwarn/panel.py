@@ -113,7 +113,6 @@ class Series:
 
     name: str
     values: np.ndarray
-    unit: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -165,12 +164,9 @@ class AlignedPanel:
                 return s
         raise KeyError(f"no candidate series named {name!r}")
 
-    def candidate_matrix(self, names=None) -> np.ndarray:
-        """Stack candidate values into an (n_weeks, d) observation matrix."""
-        if names is None:
-            names = self.candidate_names()
-        cols = [self.candidate(n).values for n in names]
-        return np.column_stack(cols) if cols else np.empty((self.n_weeks, 0))
+    def candidate_matrix(self, names) -> np.ndarray:
+        """Stack the named candidates' values into an (n_weeks, d) observation matrix."""
+        return np.column_stack([self.candidate(n).values for n in names])
 
     def with_gold_candidate(self) -> "AlignedPanel":
         """Return a panel whose candidates include the gold series itself."""
@@ -466,14 +462,14 @@ def generate_synthetic(spec: SyntheticPanelSpec) -> AlignedPanel:
         signal[mask] += spec.peak_height * 0.5 * (1.0 + np.cos(np.pi * z[mask]))
 
     gold_ext = signal + rng.uniform(-1.0, 1.0, size=ext) * spec.noise_scale
-    gold = Series(name="gold", values=gold_ext[:n].copy(), unit="synthetic level")
+    gold = Series(name="gold", values=gold_ext[:n].copy())
 
     candidates = []
     width = len(str(spec.predictor_count))
     for p in range(spec.predictor_count):
         noise = rng.uniform(-1.0, 1.0, size=n) * spec.noise_scale
         values = np.maximum(gold_ext[spec.predictor_lead : spec.predictor_lead + n] + noise, 0.0)
-        candidates.append(Series(name=f"pred{p + 1:0{width}d}", values=values, unit="synthetic level"))
+        candidates.append(Series(name=f"pred{p + 1:0{width}d}", values=values))
 
     axis = WeekAxis(start=spec.start_week, length=n)
     return AlignedPanel(axis=axis, gold=gold, candidates=tuple(candidates))

@@ -329,15 +329,12 @@ def train_spec_folds(
             f"gap={gap}; have {K}"
         )
     train = tuple(range(K - 1 - gap - train_seasons, K - 1 - gap))
-    eval_plan = FoldPlan(
-        seasons=base.seasons, folds=(Fold(train, (K - 1,)),), held_out=1
-    )
+    eval_plan = FoldPlan(seasons=base.seasons, folds=(Fold(train, (K - 1,)),))
     select_plan = FoldPlan(
         seasons=base.seasons,
         folds=tuple(
             Fold(tuple(s for s in train if s != held), (held,)) for held in train
         ),
-        held_out=1,
     )
     return select_plan, eval_plan
 

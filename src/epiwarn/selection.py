@@ -41,7 +41,6 @@ class FoldPlan:
 
     seasons: tuple[tuple[int, int], ...]
     folds: tuple[Fold, ...]
-    held_out: int
 
     @property
     def n_folds(self) -> int:
@@ -94,7 +93,7 @@ def make_folds(events: EventSet, held_out: int, n_weeks: int) -> FoldPlan:
         test = tuple(k for k in range(K) if min(k // held_out, n_folds - 1) == f)
         train = tuple(k for k in range(K) if k not in test)
         folds.append(Fold(train_seasons=train, test_seasons=test))
-    return FoldPlan(seasons=seasons, folds=tuple(folds), held_out=held_out)
+    return FoldPlan(seasons=seasons, folds=tuple(folds))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,12 +183,12 @@ def fit_folds(
 
     Returns each candidate's fold fits, in fold order. Fold f picks (lambda,
     h) for every candidate on its training events under the ATFS target
-    ``phi``, seeding the calibration of every lambda with ``(*seed, f)``:
-    all candidates and lambdas are calibrated from one draw of null normals
-    (``calibrate.optimize_step``), and each fold draws its own. A fit's scan
-    covers the whole panel; it is scored on the fold's held-out windows as
-    it is made and not kept, so a wide step holds no scan per candidate and
-    fold. Each fit is recorded,
+    ``phi``, seeding every lambda's calibration with ``(*seed, f)``, where an
+    integer seed counts as ``(seed,)``: all candidates and lambdas are
+    calibrated from one draw of null normals (``calibrate.optimize_step``),
+    and each fold draws its own. A fit's scan covers the whole panel; it is
+    scored on the fold's held-out windows as it is made and not kept, so a
+    wide step holds no scan per candidate and fold. Each fit is recorded,
     with its score, in ``audit`` if given, candidate by candidate.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
@@ -205,7 +204,7 @@ def fit_folds(
             phi,
             lambda_grid,
             sims=sims,
-            seed=(*calibrate._seed_tuple(seed), ctx.fold),
+            seed=(*calibrate._seed(seed), ctx.fold),
             table=ctx.table,
             traces=traces,
         )

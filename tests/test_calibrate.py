@@ -405,11 +405,25 @@ def test_failed_solve_is_not_memoized():
     assert calibrate._solve_unit_null.cache_info().currsize == 0
 
 
-def test_generator_seed_is_not_memoized():
+def test_generator_seed_is_rejected():
+    # a calibration seed is an integer or a sequence of integers at every entry point
+    from epiwarn.selection import forward_select, make_folds
+
     rng = np.random.default_rng(5)
-    first = solve_threshold(unit_null(), 0.4, 20.0, sims=50, seed=rng)
-    second = solve_threshold(unit_null(), 0.4, 20.0, sims=50, seed=rng)
-    assert first != second
+    panel, events, windows, *_ = _step_setup(0)
+    folds = make_folds(events, 1, panel.n_weeks)
+    calls = [
+        lambda: solve_threshold(unit_null(), 0.4, 20.0, sims=50, seed=rng),
+        lambda: simulate_atfs(unit_null(2), 0.4, 5.0, sims=50, seed=rng),
+        lambda: simulate_statistic_paths(unit_null(), 0.4, 50, 20, rng),
+        lambda: optimize_params(panel, events, windows, ("pred1",), 20.0, [0.4], sims=50,
+                                seed=rng),
+        lambda: forward_select(panel, panel.candidate_names(), 1, 20.0, folds, rng, sims=50,
+                               lambda_grid=[0.4]),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            call()
 
 
 def step_null(d, seed, ridged):
@@ -602,8 +616,7 @@ def test_shared_draws_are_read_only_per_seed_and_shape():
             z[0, 0, 0] = 1.0
         assert calibrate._normals((3, 2), shape) is not z
         assert calibrate._normals((3, 1), (4, 5, 1)) is not z
-        rng = np.random.default_rng(3)
-        assert calibrate._normals(rng, shape) is not calibrate._normals(rng, shape)
+        assert calibrate._normals(3, shape) is calibrate._normals((3,), shape)
     fresh = calibrate._normals((3, 1), shape)
     assert fresh is not z and fresh.flags.writeable and np.array_equal(fresh, z)
 

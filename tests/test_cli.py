@@ -73,6 +73,19 @@ def test_synth_deterministic(tmp_path):
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seasons", 0, "seasons"),
+    ("--predictors", 0, "predictor_count"),
+    ("--weeks-per-season", 4, "weeks_per_season"),
+])
+def test_synth_out_of_range_values_exit_2_and_write_nothing(tmp_path, capsys, flag, value,
+                                                            message):
+    out = tmp_path / "panel"
+    assert run(["synth", "--out", out, flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_detect_writes_full_length_trace(workspace, tmp_path):
     out = tmp_path / "detect"
     assert run(["detect", "--config", workspace / "exp.cfg",
@@ -491,9 +504,11 @@ def test_select_single_replicate_two_candidates(tmp_path):
     ("lead", 20),
     ("lead", -1),
     ("atfs", 0.5),
+    ("atfs", "inf"),
     ("min_duration", 0),
     ("lambda_grid", ""),
     ("lambda_grid", "0.3,1.0"),
+    ("lambda_grid", "0.3,0.3"),
     ("seed", -1),
     ("fold_preset", "weird"),
     ("window", "abc"),

@@ -27,7 +27,7 @@ def test_defaults_match_operating_point(manifest):
     assert config.reporting_threshold == 2.0
 
 
-def test_load_config_parses_and_overrides(manifest, tmp_path):
+def test_load_config_parses_values(manifest, tmp_path):
     cfg = tmp_path / "e.cfg"
     cfg.write_text(
         f"manifest = {manifest}\n"
@@ -41,8 +41,6 @@ def test_load_config_parses_and_overrides(manifest, tmp_path):
     assert config.lambda_grid == (0.2, 0.4)
     assert config.held_out == 2
     assert config.replicates == 7
-    overridden = load_config(cfg, replicates=2)
-    assert overridden.replicates == 2
 
 
 def test_load_config_rejects_unknown_and_repeated_keys(manifest, tmp_path):
@@ -82,9 +80,6 @@ def test_resolved_text_round_trips_through_loader(manifest, tmp_path):
     config = ExperimentConfig(manifest=manifest, epsilon=1.4, replicates=3)
     echo = tmp_path / "echo.cfg"
     echo.write_text(config.resolved_text())
-    # the echo omits nothing: loading it back reproduces every field
-    reloaded = load_config(echo, manifest=manifest)
-    assert reloaded.epsilon == config.epsilon
-    assert reloaded.replicates == config.replicates
-    assert reloaded.lambda_grid == config.lambda_grid
-    assert reloaded.fold_preset == config.fold_preset
+    # the echo omits nothing: loading it back reproduces every field, and
+    # its empty ``out`` stays unset
+    assert load_config(echo) == config
