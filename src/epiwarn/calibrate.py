@@ -7,39 +7,34 @@ fixed smoothing parameter one set of statistic paths is simulated, and on it
 ATFS(h) = N / #{E > h} for N path-weeks, so the threshold meeting a target
 ATFS is solved exactly from an order statistic of the pooled values.
 
-Every null path set comes from one kernel, ``step_statistic_paths``. A
+Every null path set comes from one loop, ``step_statistic_paths``. A
 greedy selection step scores every extension prefix + (c,) of the chosen
-prefix, and all of them draw the same standard normals for one (lambda,
-seed), so the normals are drawn once per step and each candidate applies
-its own Cholesky factor, the prefix's factor plus one row, to them. The
-recursion is elementwise and the quadratic form sums its terms in
-coordinate order, so the prefix's states and partial sum are formed once
-per run of candidates whose factors share their leading rows, the
-candidates' new columns are recursed together a block at a time, and each
-candidate's statistic is the partial sum plus its own squared term. One
-subset's paths (``simulate_statistic_paths``) are the one-candidate step
-of its last predictor; only one block is live at a time. The paths equal
-those of the scan's own recursion and quadratic form bit for bit.
+prefix at every lambda of the grid with one seed, so the standard normals
+are drawn once per step and each candidate applies its own Cholesky
+factor, the prefix's factor plus one row, to them: common random numbers.
+Each lambda's threshold keeps its distribution, and the argmax over lambda
+compares thresholds solved on the same paths. The recursion is
+elementwise and the quadratic form sums its terms in coordinate order, so
+the loop takes the lambdas a chunk at a time and, within a chunk, forms
+the prefix's terms and partial sums once per run of candidates whose
+factors share their leading rows, recurses each candidate's new column at
+all the chunk's lambdas at once, and forms each statistic as the partial
+sum plus its own squared term. One subset's paths
+(``simulate_statistic_paths``) are the one-candidate step of its last
+predictor. The paths equal those of the scan's own recursion and
+quadratic form bit for bit.
 
 A calibration seed is an integer s, drawn as (s,), or a sequence of them.
 A one-predictor statistic does not depend on the null's variance, so all
-1-d nulls share one memoized solve against the unit null per (lambda,
-target, simulation size, seed).
-
-A greedy step calibrates every lambda of the grid with the same seed, and
-while it solves its thresholds (``optimize_step``) the normals of one (seed,
-shape) are drawn once, read-only, and shared by all lambdas: common random
-numbers. Each lambda's threshold keeps its distribution, and the argmax
-over lambda compares thresholds solved on the same paths. Outside a step
-every call draws its own normals.
+1-d nulls share one memoized solve against the unit null per (lambda
+grid, target, simulation size, seed).
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import csv
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -92,148 +87,128 @@ class ConstraintCurvePoint:
 
 
 def simulate_statistic_paths(
-    null: NullModel, lam: float, sims: int, length: int, seed
-) -> np.ndarray:
+    null: NullModel, lam: float | Sequence[float], sims: int, length: int, seed
+) -> np.ndarray | Iterator[np.ndarray]:
     """Simulate (sims, length) test-statistic paths under the null model.
 
     Draws are i.i.d. multivariate normal with the null mean and covariance;
     since the scan only sees deviations from the mean, centered draws are
     used directly. Deterministic for a fixed seed. This is the one-candidate
-    step ``names[:-1] + names[-1:]`` of ``step_statistic_paths``, so the
-    paths are a contiguous array of their own: for d = 1 the draws' product,
-    for d > 1 a copy of its last column.
+    step ``names[:-1] + names[-1:]`` of ``step_statistic_paths``: for one
+    smoothing parameter ``lam`` its paths, and for a sequence of them an
+    iterator over each one's paths in turn, all from one draw.
     """
     names = null.predictor_names
-    return next(step_statistic_paths(null, names[:-1], names[-1:], lam, sims, length, seed))
+    paths = map(operator.itemgetter(2), step_statistic_paths(
+        null, names[:-1], names[-1:], np.atleast_1d(lam), sims, length, seed))
+    return paths if np.ndim(lam) else next(paths)
+
+
+# most float64 values of one lambda chunk's prefix terms, partial sums and new columns
+STEP_CHUNK_VALUES = 2**18
 
 
 def step_statistic_paths(
     null: NullModel,
     prefix: Sequence[str],
     candidates: Sequence[str],
-    lam: float,
+    lambdas: Sequence[float],
     sims: int,
     length: int,
     seed,
-) -> Iterator[np.ndarray]:
-    """Yield the (sims, length) null statistic paths of each subset prefix + (c,).
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (lambda index, candidate index, paths) for the (sims, length)
+    null statistic paths of every subset prefix + (c,) at every lambda.
 
-    Every extension of one prefix draws the same standard normals, so they
-    are drawn once (``_normals``), and each candidate applies its own
-    Cholesky factor (the prefix's factor plus one row) to them. The
-    candidates are cut into blocks (``_step_blocks``): runs of candidates
-    whose factors of sigma and of the smoothed covariance share their
-    leading rows bit for bit, so that their prefix states and terms do too.
-    Those are recursed and substituted once per run, from its first
-    candidate's product, and each block's new columns are recursed together;
-    each candidate's E is the prefix's partial sum plus its own squared term
-    (``mewma._extend``). A subset whose covariance is not positive definite
-    raises ``LinAlgError`` before any paths are yielded.
+    Every extension of one prefix draws the same standard normals for every
+    lambda, so they are drawn once (``_normals``), and each candidate applies
+    its own Cholesky factor (the prefix's factor plus one row) to them. The
+    lambdas are cut into chunks whose prefix terms, partial sums and new
+    columns fit ``STEP_CHUNK_VALUES`` values (at least one lambda a chunk),
+    and each chunk's candidates into runs whose factors of sigma and of the
+    chunk's smoothed covariances share their leading rows bit for bit
+    (``_runs``). A run's prefix terms and partial sums are formed once per
+    chunk, from its first candidate's product; each candidate forms its
+    product once per chunk (a lone candidate once per step), in one buffer,
+    and recurses its new column at all the chunk's lambdas at once, in a
+    week-major (lambdas, length, sims) stack. Each E is formed in that stack
+    as the prefix's partial sum plus the candidate's own squared term
+    (``mewma._extend``) and yielded transposed. The draws go after the
+    step's last product, and a candidate's stack before the next one's is
+    made. A subset whose covariance is not positive definite raises
+    ``LinAlgError`` before any paths are yielded.
     """
-    prefix = tuple(prefix)
-    _check_path_shape(lam, sims, length)
+    prefix, lambdas = tuple(prefix), [float(lam) for lam in lambdas]
+    for lam in lambdas:
+        _check_path_shape(lam, sims, length)
     factors = [
-        (np.linalg.cholesky(sub.sigma), np.linalg.cholesky(sub.smoothed_cov(lam)))
+        (np.linalg.cholesky(sub.sigma), [np.linalg.cholesky(sub.smoothed_cov(lam))
+                                         for lam in lambdas])
         for sub in (null.subset(prefix + (cand,)) for cand in candidates)
     ]
-    z = _normals(seed, (sims, length, len(prefix) + 1))
-    lead = None
-    for rows, members in _step_blocks(factors, sims * length):
-        states = head = None  # the previous block goes before the next one is made
-        L, smoothed = factors[members[0]]
-        if rows != lead or len(members) == 1:
-            head = z @ L.T
-        if rows != lead:  # a new run: the old run's terms go before its own are made
-            lead = rows
-            terms = e = None
-            terms, e = _prefix_terms(head, smoothed, lam)
-        if len(members) == 1:
-            # a lone candidate's block is its own product's last column, made
-            # contiguous so that the solve partitions it in place
-            column, head = np.ascontiguousarray(head[..., -1:]), None
-            states = mewma._ewma_states(column, lam).reshape(1, -1)
-        else:
-            head = None
-            states = _block_states(z, [factors[m][0] for m in members], lam)
-        for row, m in enumerate(members):
-            yield mewma._extend(states[row], factors[m][1][-1], terms, e).reshape(sims, length)
+    k = len(prefix) + 1
+    size = max(1, STEP_CHUNK_VALUES // ((k + 1) * sims * length))
+    z = _normals(seed, (sims, length, k))
+    product = np.empty_like(z)  # every candidate's deviations: fresh buffers page-fault
+    formed = None  # the candidate whose deviations the buffer holds
+    for a in range(0, len(lambdas), size):
+        lams = np.array(lambdas[a : a + size])[:, None]
+        chunk = [(L, *smoothed[a : a + size]) for L, smoothed in factors]
+        for run in _runs(chunk):
+            terms = e = None  # the last run's go before this run's are made
+            for c in run:
+                L, *smoothed = chunk[c]
+                if formed != c:
+                    np.matmul(z, L.T, out=product)
+                    formed = c
+                if len(chunk) == 1 or a + size >= len(lambdas) and c == len(chunk) - 1:
+                    z = None  # no product is formed after this one
+                if terms is None:
+                    terms, e = _prefix_terms(product, smoothed, lams)
+                stack = np.empty((len(lams), length, sims))
+                # gathered sims-major first: copied straight from a wide
+                # product, week-major order reads a cache line per value
+                stack[...] = np.ascontiguousarray(product[..., -1]).T
+                mewma._ewma_states(stack, lams)
+                for i, (column, S) in enumerate(zip(stack, smoothed)):
+                    E = mewma._extend(column.reshape(-1), S[-1], terms[i], e[i])
+                    yield a + i, c, E.reshape(length, sims).T
+                stack = column = E = None  # before the next candidate's stack is made
 
 
-# (seed, shape) -> read-only normals, set only inside _common_random_numbers
-_SHARED_DRAWS = contextvars.ContextVar("_SHARED_DRAWS", default=None)
+def _runs(factors) -> list[list[int]]:
+    """The candidates' indices in order, cut into runs whose factors' leading
+    rows are the same bytes. The factors share their leading blocks and
+    their size, so they match wherever the Cholesky routine's operation
+    order depends on the size alone; the check keeps the paths exact where
+    it does not."""
+    keys = [tuple(f[:-1].tobytes() for f in fs) for fs in factors]
+    return [list(run) for _, run in itertools.groupby(range(len(keys)), keys.__getitem__)]
 
 
-@contextlib.contextmanager
-def _common_random_numbers():
-    """Within the block, ``_normals`` draws each (seed, shape) once and shares
-    the read-only array; the draws are dropped when the block exits."""
-    token = _SHARED_DRAWS.set({})
-    try:
-        yield
-    finally:
-        _SHARED_DRAWS.reset(token)
-
-
-def _normals(seed, shape: tuple) -> np.ndarray:
-    """Standard normals of ``shape`` from ``seed``: fresh, or inside
-    ``_common_random_numbers`` the shared draw of that seed and shape."""
-    shared, seed = _SHARED_DRAWS.get(), _seed(seed)
-    if shared is None:
-        return np.random.default_rng(seed).standard_normal(shape)
-    z = shared.get((seed, shape))
-    if z is None:
-        z = shared[seed, shape] = np.random.default_rng(seed).standard_normal(shape)
-        z.flags.writeable = False  # no lambda may change another's draws
-    return z
-
-
-STEP_BLOCK_VALUES = 2**17  # most float64 states in one block of a step's new columns
-
-
-def _step_blocks(factors, n: int) -> list:
-    """The step's blocks in candidate order, each as (leading rows, candidate
-    indices): consecutive candidates whose factors' leading rows are the same
-    bytes, at most ``max(1, STEP_BLOCK_VALUES // n)`` of them for paths of
-    ``n`` path-weeks. The factors share their leading blocks and their size,
-    so they match wherever the Cholesky routine's operation order depends on
-    the size alone; the check keeps the paths exact where it does not.
-    """
-    size = max(1, STEP_BLOCK_VALUES // n)
-    blocks: list = []
-    for i, pair in enumerate(factors):
-        rows = tuple(f[:-1].tobytes() for f in pair)
-        if blocks and blocks[-1][0] == rows and len(blocks[-1][1]) < size:
-            blocks[-1][1].append(i)
-        else:
-            blocks.append((rows, [i]))
-    return blocks
-
-
-def _prefix_terms(deviations: np.ndarray, smoothed: np.ndarray, lam: float):
-    """The substituted terms (k - 1, sims * length) of the prefix columns of
-    a candidate's deviations (sims, length, k), whose smoothed covariance has
-    the factor ``smoothed``, and their partial sum. An empty prefix has no
-    terms, and its partial sum is 0.0, which adds exactly."""
-    k = deviations.shape[-1]
+def _prefix_terms(deviations: np.ndarray, smoothed, lams: np.ndarray):
+    """The substituted terms (m, k - 1, length * sims) of the prefix columns
+    of a candidate's deviations (sims, length, k), week-major, at each of the
+    m lambdas ``lams`` (m, 1), whose smoothed covariances have the factors
+    ``smoothed``, and their partial sums (m, length * sims). An empty prefix
+    has no terms, and its partial sums are 0.0, which adds exactly."""
+    m, k = len(lams), deviations.shape[-1]
     if k == 1:
-        return (), 0.0
-    terms = np.moveaxis(deviations[..., :-1], -1, 0).copy()
-    mewma._ewma_states(terms[..., None], lam)
-    terms = terms.reshape(k - 1, -1)
-    e = np.zeros(terms.shape[1])
-    mewma._substitute(terms, smoothed[:-1, :-1], e, keep=True)
+        return np.empty((m, 0, 0)), np.zeros((m, 1))
+    terms = np.empty((m, k - 1) + deviations.shape[1::-1])
+    for j in range(k - 1):
+        terms[:, j] = np.ascontiguousarray(deviations[..., j]).T  # as in step_statistic_paths
+    mewma._ewma_states(terms, lams[..., None])
+    terms = terms.reshape(m, k - 1, -1)
+    e = np.zeros((m, terms.shape[-1]))
+    for t, S, partial in zip(terms, smoothed, e):
+        mewma._substitute(t, S[:-1, :-1], partial, keep=True)
     return terms, e
 
 
-def _block_states(z: np.ndarray, factors, lam: float) -> np.ndarray:
-    """The (candidates, sims * length) states of several candidates' new
-    columns: the last column of each one's deviations ``z @ L.T``, recursed
-    together."""
-    block = np.empty((len(factors),) + z.shape[:-1])
-    for column, L in zip(block, factors):
-        column[...] = (z @ L.T)[..., -1]
-    mewma._ewma_states(block[..., None], lam)
-    return block.reshape(len(factors), -1)
+def _normals(seed, shape: tuple) -> np.ndarray:
+    """Standard normals of ``shape`` from ``seed``."""
+    return np.random.default_rng(_seed(seed)).standard_normal(shape)
 
 
 def _check_path_shape(lam: float, sims: int, length: int) -> None:
@@ -326,13 +301,31 @@ _UNIT_NULL = NullModel(("unit",), np.zeros(1), np.ones((1, 1)), 0)
 def _solve(null: NullModel, lam, phi, sims, length, seed) -> tuple[float, float]:
     """``solve_threshold``'s h and achieved ATFS."""
     if null.dim == 1:
-        return _solve_unit_null(lam, phi, sims, length, _seed(seed))
+        return _solve_unit_null((lam,), phi, sims, length, _seed(seed))[0]
     return _solve_paths(simulate_statistic_paths(null, lam, sims, length, seed), phi)
 
 
 @functools.lru_cache(maxsize=1024)
-def _solve_unit_null(lam, phi, sims, length, seed):
-    return _solve_paths(simulate_statistic_paths(_UNIT_NULL, lam, sims, length, seed), phi)
+def _solve_unit_null(lambdas: tuple, phi, sims, length, seed) -> tuple:
+    """Each lambda's (h, achieved ATFS) against the unit null, or the
+    CalibrationError its solve raised, all from one draw. Where every solve
+    fails their error is raised instead, so a failed solve is not memoized."""
+    solves = []
+    for E in simulate_statistic_paths(_UNIT_NULL, lambdas, sims, length, seed):
+        solves.append(_attempt(_solve_paths, E, phi))
+        del E  # the next lambda's paths take its place
+    if all(isinstance(solved, CalibrationError) for solved in solves):
+        raise solves[0]
+    return tuple(solves)
+
+
+def _attempt(solve, *args):
+    """``solve(*args)``, or the CalibrationError it raised, without its
+    traceback, which would hold the paths."""
+    try:
+        return solve(*args)
+    except CalibrationError as exc:
+        return exc.with_traceback(None)
 
 
 def _seed(seed) -> tuple[int, ...]:
@@ -357,7 +350,7 @@ def _solve_paths(E: np.ndarray, phi: float) -> tuple[float, float]:
     """
     if phi <= 1.0:
         return 0.0, atfs_from_paths(E, 0.0)
-    values = E.reshape(-1)
+    values = E.ravel(order="K")
     n = values.size
     # ascending positions of the (floor(n/phi) + 1)-th and ceil(n/phi)-th
     # largest values; below is above - 1 where phi divides n, else above.
@@ -439,16 +432,17 @@ def optimize_step(
     """``optimize_params`` for every subset prefix + (c,): one point per candidate.
 
     Every lambda calibrates every candidate with ``seed`` (``_seed``), and
-    all share one draw of normals (``_common_random_numbers``), held only
-    while the thresholds are solved. With a nonempty prefix every candidate
-    is solved on paths from that draw (``step_statistic_paths``); with an
-    empty prefix they are 1-d nulls and share one solve per lambda against
-    the unit null. The null and every scan come from ``table``; a single
+    one call (``_step_solves``) solves them all from one draw of normals,
+    held only while it runs. With a nonempty prefix every candidate is
+    solved on its own paths (``step_statistic_paths``); with an empty
+    prefix they are 1-d nulls and share one solve per lambda against the
+    unit null. The null and every scan come from ``table``; a single
     candidate (calibrated ``detect``) may leave it out, and a table is then
-    built from its subset's null, estimated from ``events``. ``curves`` (if given) holds one list per
-    candidate that collects its solved grid points, and ``traces`` (if
-    given) receives each candidate's scan at its chosen point. Raises
-    ``CalibrationError`` when a candidate fails at every lambda.
+    built from its subset's null, estimated from ``events``. ``curves`` (if
+    given) holds one list per candidate that collects its solved grid
+    points, and ``traces`` (if given) receives each candidate's scan at its
+    chosen point. Raises ``CalibrationError`` when a candidate fails at
+    every lambda.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
     if not candidates:
@@ -466,9 +460,7 @@ def optimize_step(
     best_traces: list[AlarmTrace | None] = [None] * len(candidates)
     failures: list[list[str]] = [[] for _ in candidates]
     lambdas, seed = [float(lam) for lam in lambda_grid], _seed(seed)
-    with _common_random_numbers():
-        solves = [_step_solves(table.null, prefix, candidates, lam, phi, sims, seed)
-                  for lam in lambdas]
+    solves = _step_solves(table.null, prefix, candidates, lambdas, phi, sims, seed)
     for lam, lam_solves in zip(lambdas, solves):
         for i, (cand, solved) in enumerate(zip(candidates, lam_solves)):
             if isinstance(solved, CalibrationError):
@@ -500,25 +492,22 @@ def optimize_step(
     return best
 
 
-def _step_solves(null, prefix, candidates, lam, phi, sims, seed) -> list:
-    """Each candidate's (h, achieved ATFS) at ``lam``, or the CalibrationError
-    its solve raised. Besides the step's draws and prefix terms, one block
-    of new columns (a lone candidate's: its own column) is live at a time,
-    and each candidate's E is formed in it."""
+def _step_solves(null, prefix, candidates, lambdas, phi, sims, seed) -> list:
+    """Each lambda's list of each candidate's (h, achieved ATFS), or the
+    CalibrationError its solve raised, all from one draw; each candidate's E
+    is solved where ``step_statistic_paths`` formed it."""
     try:
         length = _checked_length(phi)
         if not prefix:
             # every 1-d null shares the memoized unit-null solve
-            return [_solve_unit_null(lam, phi, sims, length, seed)] * len(candidates)
+            unit = _solve_unit_null(tuple(lambdas), phi, sims, length, seed)
+            return [[solved] * len(candidates) for solved in unit]
     except CalibrationError as exc:
-        return [exc] * len(candidates)
-    solves: list = []
-    for E in step_statistic_paths(null, prefix, candidates, lam, sims, length, seed):
-        try:
-            solves.append(_solve_paths(E, phi))
-        except CalibrationError as exc:
-            solves.append(exc)
-        del E  # the next candidate's paths take its place
+        return [[exc] * len(candidates) for _ in lambdas]
+    solves = [[None] * len(candidates) for _ in lambdas]
+    for i, c, E in step_statistic_paths(null, prefix, candidates, lambdas, sims, length, seed):
+        solves[i][c] = _attempt(_solve_paths, E, phi)
+        del E  # the next paths take its place
     return solves
 
 

@@ -194,9 +194,9 @@ def _ewma_states(D: np.ndarray, lam) -> np.ndarray:
     EWMA states along axis -2, starting from zero; returns ``D``. ``lam`` is a
     float or an array that broadcasts against one week's (..., d) slice, such
     as one lambda per leading row, shaped (n_lambda, 1)."""
-    s = np.zeros(D.shape[:-2] + D.shape[-1:])
+    s, keep = np.zeros(D.shape[:-2] + D.shape[-1:]), 1.0 - lam
     for t in range(D.shape[-2]):
-        s = np.maximum(0.0, lam * D[..., t, :] + (1.0 - lam) * s)
+        s = np.maximum(0.0, lam * D[..., t, :] + keep * s)
         D[..., t, :] = s
     return D
 

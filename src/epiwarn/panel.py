@@ -424,6 +424,12 @@ class SyntheticPanelSpec:
             raise ValueError("predictor_lead must be >= 0")
         if self.weeks_per_season < 8:
             raise ValueError("weeks_per_season must be >= 8")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
+        try:
+            week_to_index(self.start_week)
+        except ParseError as exc:
+            raise ValueError(f"start_week: {exc}") from None
         half_width = self.pulse_half_width
         max_jitter = self.weeks_per_season // 2 - half_width - 1
         if not 0 <= self.peak_week_jitter <= max_jitter:

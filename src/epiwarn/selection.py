@@ -184,8 +184,8 @@ def fit_folds(
     Returns each candidate's fold fits, in fold order. Fold f picks (lambda,
     h) for every candidate on its training events under the ATFS target
     ``phi``, seeding every lambda's calibration with ``(*seed, f)``, where an
-    integer seed counts as ``(seed,)``: all candidates and lambdas are
-    calibrated from one draw of null normals (``calibrate.optimize_step``),
+    integer seed counts as ``(seed,)``: one loop calibrates all candidates
+    at all lambdas from one draw of null normals (``calibrate.optimize_step``),
     and each fold draws its own. A fit's scan covers the whole panel; it is
     scored on the fold's held-out windows as it is made and not kept, so a
     wide step holds no scan per candidate and fold. Each fit is recorded,

@@ -348,22 +348,31 @@ def test_cached_solve_equals_cold_solve(lam, phi, seed):
     assert cached == cold
 
 
+def solved_or_message(solve, *args):
+    try:
+        return solve(*args)
+    except CalibrationError as exc:
+        return str(exc)
+
+
 @settings(max_examples=20, deadline=None)
-@given(lam=st.sampled_from(DEFAULT_LAMBDA_GRID), phi=st.floats(2.0, 30.0),
-       sims=st.integers(1, 60), seed=st.integers(0, 1000))
-def test_unit_null_solve_equals_the_simulated_reference(lam, phi, sims, seed):
+@given(lambdas=st.lists(st.sampled_from(DEFAULT_LAMBDA_GRID), min_size=1, max_size=3,
+                        unique=True),
+       phi=st.floats(2.0, 30.0), sims=st.integers(1, 60), seed=st.integers(0, 1000))
+def test_unit_null_solve_equals_the_simulated_reference(lambdas, phi, sims, seed):
     length = calibrate._checked_length(phi)
     calibrate._solve_unit_null.cache_clear()
-    try:
-        solved = calibrate._solve_unit_null(lam, phi, sims, length, (seed, 1))
-    except CalibrationError:
-        solved = None
-    paths = simulate_statistic_paths(calibrate._UNIT_NULL, lam, sims, length, (seed, 1))
-    try:
-        reference = calibrate._solve_paths(paths, phi)
-    except CalibrationError:
-        reference = None
-    assert solved == reference
+    references = [
+        solved_or_message(calibrate._solve_paths, simulate_statistic_paths(
+            calibrate._UNIT_NULL, lam, sims, length, (seed, 1)), phi)
+        for lam in lambdas
+    ]
+    solved = solved_or_message(calibrate._solve_unit_null, tuple(lambdas), phi, sims, length,
+                               (seed, 1))
+    if isinstance(solved, str):  # every lambda failed, with the same message
+        assert references == [solved] * len(lambdas)
+    else:
+        assert [str(s) if isinstance(s, CalibrationError) else s for s in solved] == references
 
 
 @settings(max_examples=30, deadline=None)
@@ -436,6 +445,18 @@ def step_null(d, seed, ridged):
     return NullModel(names, X.mean(axis=0), sigma, 100, ridge_applied, delta)
 
 
+def step_paths(null, prefix, candidates, lambdas, sims, length, seed):
+    """``step_statistic_paths`` as a list per lambda of each candidate's
+    paths, after checking that each is yielded once."""
+    paths = [[None] * len(candidates) for _ in lambdas]
+    for i, c, E in calibrate.step_statistic_paths(
+            null, prefix, candidates, lambdas, sims, length, seed):
+        assert paths[i][c] is None
+        paths[i][c] = E
+    assert all(E is not None for row in paths for E in row)
+    return paths
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     prefix_size=st.integers(0, 3),
@@ -453,8 +474,7 @@ def test_step_paths_match_per_subset_simulation(prefix_size, n_candidates, sims,
     assert null.ridge_applied or not ridged or d == 1
     prefix, candidates = null.predictor_names[:prefix_size], null.predictor_names[prefix_size:]
     if prefix:
-        paths = list(calibrate.step_statistic_paths(
-            null, prefix, candidates, lam, sims, length, seed))
+        [paths] = step_paths(null, prefix, candidates, [lam], sims, length, seed)
     else:  # the first step's nulls are all the unit null
         unit = simulate_statistic_paths(calibrate._UNIT_NULL, lam, sims, length, seed)
         paths = [unit] * n_candidates
@@ -471,28 +491,31 @@ def test_step_paths_match_per_subset_simulation(prefix_size, n_candidates, sims,
 @given(
     prefix_size=st.integers(0, 3),
     n_candidates=st.integers(1, 12),
-    lam=st.sampled_from(DEFAULT_LAMBDA_GRID),
+    lambdas=st.lists(st.sampled_from(DEFAULT_LAMBDA_GRID), min_size=1, max_size=4,
+                     unique=True),
     phi=st.floats(2.0, 30.0),
     ridged=st.booleans(),
     seed=st.integers(0, 1000),
 )
-def test_step_thresholds_match_per_subset_solve(prefix_size, n_candidates, lam, phi,
+def test_step_thresholds_match_per_subset_solve(prefix_size, n_candidates, lambdas, phi,
                                                 ridged, seed):
     null = step_null(prefix_size + n_candidates, seed, ridged)
     prefix, candidates = null.predictor_names[:prefix_size], null.predictor_names[prefix_size:]
     step_seed = (seed, 1, 0)
-    solves = calibrate._step_solves(null, prefix, candidates, lam, phi, 40, step_seed)
-    assert len(solves) == n_candidates
+    calibrate._solve_unit_null.cache_clear()
+    solves = calibrate._step_solves(null, prefix, candidates, lambdas, phi, 40, step_seed)
+    assert [len(row) for row in solves] == [n_candidates] * len(lambdas)
     length = calibrate._checked_length(phi)
-    for cand, solved in zip(candidates, solves):
-        paths = per_subset_paths(null.subset(prefix + (cand,)), lam, 40, length, step_seed)
-        try:
-            h, atfs = calibrate._solve_paths(paths, phi)
-        except CalibrationError as exc:
-            assert type(solved) is type(exc)
-            continue
-        assert solved[0] == pytest.approx(h, rel=1e-12, abs=0.0)
-        assert solved[1] == atfs
+    for lam, row in zip(lambdas, solves):
+        for cand, solved in zip(candidates, row):
+            paths = per_subset_paths(null.subset(prefix + (cand,)), lam, 40, length, step_seed)
+            try:
+                h, atfs = calibrate._solve_paths(paths, phi)
+            except CalibrationError as exc:
+                assert type(solved) is type(exc)
+                continue
+            assert solved[0] == pytest.approx(h, rel=1e-12, abs=0.0)
+            assert solved[1] == atfs
 
 
 def test_non_positive_definite_extension_fails_loudly():
@@ -500,17 +523,17 @@ def test_non_positive_definite_extension_fails_loudly():
     # its Cholesky pivot is negative
     sigma = np.array([[2.0, 0.5, 2.5], [0.5, 1.0, 1.5], [2.5, 1.5, 3.9]])
     null = NullModel(("x0", "x1", "x2"), np.zeros(3), sigma, 100)
-    paths = calibrate.step_statistic_paths(null, ("x0", "x1"), ("x2",), 0.3, 10, 10, 0)
+    paths = calibrate.step_statistic_paths(null, ("x0", "x1"), ("x2",), [0.3, 0.6], 10, 10, 0)
     with pytest.raises(np.linalg.LinAlgError):
         next(paths)
 
 
-def step_peak(n_candidates, sims):
+def step_peak(n_candidates, sims, lambdas=(0.4,)):
     null = unit_null(n_candidates + 1, seed=3)
     prefix, candidates = null.predictor_names[:1], null.predictor_names[1:]
     tracemalloc.start()
     try:
-        calibrate._step_solves(null, prefix, candidates, 0.4, 10.0, sims, (1, 2))
+        calibrate._step_solves(null, prefix, candidates, lambdas, 10.0, sims, (1, 2))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -520,13 +543,18 @@ def test_step_peak_memory_is_one_block_plus_the_draws():
     sims, k = 100, 2
     n = sims * calibrate._checked_length(10.0)
     peaks = {c: step_peak(c, sims) for c in (30, 60)}
-    # the draws, the prefix's terms and partial sum, one block of new
-    # columns, one candidate's deviations (k columns) and small objects
-    assert peaks[30] <= 8 * (n * k + (k - 1) * n + n + calibrate.STEP_BLOCK_VALUES + n * k) \
-        + 128 * 1024
-    # a block left live beside the next would add about a megabyte; twice the
+    # a one-lambda chunk: the draws, the prefix's terms and partial sum, one
+    # candidate's stack of new columns and its deviations (k columns), one
+    # temporary column, and small objects
+    assert peaks[30] <= 8 * (n * k + (k - 1) * n + n + n + n * k + n) + 128 * 1024
+    # a stack left live beside the next would add n values; twice the
     # candidates add only their factors and solves
     assert abs(peaks[60] - peaks[30]) <= 30 * 1024
+    # three lambdas in a chunk hold three lambdas' terms, partial sums and new columns
+    lambdas = (0.2, 0.4, 0.6)
+    with mock.patch.object(calibrate, "STEP_CHUNK_VALUES", 3 * (k + 1) * n):
+        peak = step_peak(30, sims, lambdas)
+    assert peak <= 8 * (n * k + 3 * (k + 1) * n + n * k + n) + 128 * 1024
 
 
 def test_one_subset_peak_memory_is_the_draws_and_one_product():
@@ -546,8 +574,10 @@ def test_one_subset_peak_memory_is_the_draws_and_one_product():
 
 def test_lone_candidate_paths_are_contiguous_and_solved_in_place():
     null = unit_null(3, seed=2)
-    [E] = calibrate.step_statistic_paths(null, ("x0", "x1"), ("x2",), 0.4, 1000, 200, (1, 2))
-    assert E.flags.c_contiguous
+    [(_, _, E)] = calibrate.step_statistic_paths(
+        null, ("x0", "x1"), ("x2",), [0.4], 1000, 200, (1, 2))
+    # a week-major stack's row, transposed
+    assert E.T.flags.c_contiguous
     tracemalloc.start()
     try:
         calibrate._solve_paths(E, 20.0)
@@ -602,37 +632,31 @@ def test_optimize_step_draws_once_for_every_lambda_and_keeps_nothing(monkeypatch
     assert all(len(curve) == len(DEFAULT_LAMBDA_GRID) for curve in curves)
     assert [shape for shape, _ in draws] == [(50, 200, prefix_size + 1)]
     gc.collect()
-    assert calibrate._SHARED_DRAWS.get() is None
     assert all(ref() is None for _, ref in draws)
 
 
-def test_shared_draws_are_read_only_per_seed_and_shape():
+def test_normals_are_one_stream_per_seed():
     shape = (4, 5, 2)
-    with calibrate._common_random_numbers():
-        z = calibrate._normals((3, 1), shape)
-        assert calibrate._normals([3, 1], shape) is z
-        assert not z.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            z[0, 0, 0] = 1.0
-        assert calibrate._normals((3, 2), shape) is not z
-        assert calibrate._normals((3, 1), (4, 5, 1)) is not z
-        assert calibrate._normals(3, shape) is calibrate._normals((3,), shape)
-    fresh = calibrate._normals((3, 1), shape)
-    assert fresh is not z and fresh.flags.writeable and np.array_equal(fresh, z)
+    z = calibrate._normals((3, 1), shape)
+    assert np.array_equal(calibrate._normals([3, 1], shape), z)
+    assert not np.array_equal(calibrate._normals((3, 2), shape), z)
+    assert np.array_equal(calibrate._normals(3, shape), calibrate._normals((3,), shape))
 
 
 def test_shared_draws_are_dropped_when_the_step_raises(monkeypatch):
     panel, events, windows, table, prefix, candidates = _step_setup(1)
+    draws = counted_draws(monkeypatch)
 
     def interrupted(E, phi):
-        assert calibrate._SHARED_DRAWS.get()
+        assert [ref() is not None for _, ref in draws] == [True]
         raise KeyboardInterrupt
 
     monkeypatch.setattr(calibrate, "_solve_paths", interrupted)
     with pytest.raises(KeyboardInterrupt):
         calibrate.optimize_step(panel, events, windows, prefix, candidates, 20.0,
                                 DEFAULT_LAMBDA_GRID, sims=50, seed=(4, 2), table=table)
-    assert calibrate._SHARED_DRAWS.get() is None
+    gc.collect()
+    assert [ref() for _, ref in draws] == [None]
 
 
 @pytest.mark.parametrize("subset", [("pred1",), ("pred1", "pred3")])
@@ -650,29 +674,46 @@ def test_every_curve_point_is_solved_with_the_steps_own_seed(subset):
         assert point.h == solve_threshold(null, point.lam, 20.0, sims=60, seed=(7, 1))
 
 
-def test_step_blocks_hold_matching_candidates_in_order():
+def test_step_chunks_cut_the_grid_and_runs_hold_matching_candidates():
     null = unit_null(8, seed=5)
-    subs = [null.subset(("x0", c)) for c in null.predictor_names[1:]]
-    factors = [(np.linalg.cholesky(s.sigma), np.linalg.cholesky(s.smoothed_cov(0.3)))
-               for s in subs]
+    prefix, candidates = ("x0",), null.predictor_names[1:]
+    lambdas, sims, length, k = [0.1, 0.2, 0.3, 0.4, 0.5], 5, 10, 2
+    n = sims * length
+    recurse, recursions = mewma._ewma_states, []
 
-    def members(blocks):
-        return [indices for _, indices in blocks]
+    def recorded(D, lam):
+        # a run's prefix terms are (lambdas, k - 1, length, sims), a
+        # candidate's new columns (lambdas, length, sims)
+        recursions.append(D.shape[:2] if D.ndim == 4 else D.shape[:1])
+        return recurse(D, lam)
 
-    # three candidates' new columns fit in a block; the seventh is a block of its own
-    with mock.patch.object(calibrate, "STEP_BLOCK_VALUES", 3 * 50 + 49):
-        blocks = calibrate._step_blocks(factors, 50)
-        assert members(blocks) == [[0, 1, 2], [3, 4, 5], [6]]
-        assert len({rows for rows, _ in blocks}) == 1
-        # a candidate whose leading factor rows differ ends one run and starts another
-        factors[1] = (factors[1][0] * 2.0, factors[1][1])
-        blocks = calibrate._step_blocks(factors, 50)
-    assert members(blocks) == [[0], [1], [2, 3, 4], [5, 6]]
-    rows = [rows for rows, _ in blocks]
-    assert rows[0] == rows[2] == rows[3] != rows[1]
-    # paths longer than a block leave every candidate on its own
-    blocks = calibrate._step_blocks(factors, calibrate.STEP_BLOCK_VALUES + 1)
-    assert members(blocks) == [[i] for i in range(7)]
+    # chunk values -> lambdas per chunk: one lambda's terms, partial sums and
+    # new columns take (k + 1) * n values, and a chunk holds at least one lambda
+    cases = {3 * (k + 1) * n - 1: (2, 2, 1), (k + 1) * n - 1: (1,) * 5, 5 * (k + 1) * n: (5,)}
+    for values, sizes in cases.items():
+        recursions.clear()
+        with mock.patch.object(calibrate, "STEP_CHUNK_VALUES", values), \
+                mock.patch.object(mewma, "_ewma_states", recorded):
+            order = [(i, c) for i, c, _ in calibrate.step_statistic_paths(
+                null, prefix, candidates, lambdas, sims, length, 0)]
+        starts = np.cumsum((0,) + sizes)
+        # chunk by chunk; in a chunk, candidate by candidate at all its lambdas
+        assert order == [(a + i, c) for a, m in zip(starts, sizes)
+                         for c in range(len(candidates)) for i in range(m)]
+        # the candidates share their leading factor rows: one run, and one
+        # set of prefix terms, per chunk
+        assert recursions == [r for m in sizes for r in [(m, k - 1)] + [(m,)] * 7]
+
+    subs = [null.subset(("x0", c)) for c in candidates]
+    factors = [(np.linalg.cholesky(s.sigma), np.linalg.cholesky(s.smoothed_cov(0.3)),
+                np.linalg.cholesky(s.smoothed_cov(0.6))) for s in subs]
+    assert calibrate._runs(factors) == [list(range(7))]
+    # a candidate whose leading rows differ, of sigma's factor or of any
+    # lambda's smoothed factor, ends one run and starts another
+    factors[1] = (factors[1][0] * 2.0,) + factors[1][1:]
+    assert calibrate._runs(factors) == [[0], [1], [2, 3, 4, 5, 6]]
+    factors[4] = factors[4][:2] + (factors[4][2] * 2.0,)
+    assert calibrate._runs(factors) == [[0], [1], [2, 3], [4], [5, 6]]
 
 
 def per_subset_paths(null, lam, sims, length, seed):
@@ -702,19 +743,21 @@ def collinear_null(d, seed):
     n_candidates=st.integers(1, 9),
     sims=st.integers(1, 12),
     length=st.integers(1, 30),
-    lam=st.floats(0.05, 0.95),
+    lambdas=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
     kind=st.sampled_from(["full-rank", "ridged", "collinear"]),
-    per_block=st.sampled_from([None, 1, 2, 3]),
+    per_chunk=st.sampled_from([1, 2, None]),
     unmatched=st.sets(st.integers(0, 8), max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
-# one-predictor subsets, and runs that split and rejoin
-@example(prefix_size=0, n_candidates=3, sims=2, length=5, lam=0.3, kind="collinear",
-         per_block=1, unmatched={1}, seed=0)
-@example(prefix_size=2, n_candidates=7, sims=3, length=4, lam=0.6, kind="full-rank",
-         per_block=2, unmatched={1, 2, 4}, seed=1)
+# one-predictor subsets, runs that split and rejoin, and one-sim draws
+@example(prefix_size=0, n_candidates=3, sims=2, length=5, lambdas=[0.3], kind="collinear",
+         per_chunk=1, unmatched={1}, seed=0)
+@example(prefix_size=2, n_candidates=7, sims=3, length=4, lambdas=[0.6, 0.2, 0.9],
+         kind="full-rank", per_chunk=2, unmatched={1, 2, 4}, seed=1)
+@example(prefix_size=3, n_candidates=2, sims=1, length=6, lambdas=[0.4, 0.7],
+         kind="ridged", per_chunk=None, unmatched=set(), seed=2)
 def test_step_paths_equal_per_subset_simulation_bit_for_bit(
-        prefix_size, n_candidates, sims, length, lam, kind, per_block, unmatched, seed):
+        prefix_size, n_candidates, sims, length, lambdas, kind, per_chunk, unmatched, seed):
     d = prefix_size + n_candidates
     if kind == "collinear":
         null = collinear_null(d, seed)
@@ -722,25 +765,31 @@ def test_step_paths_equal_per_subset_simulation_bit_for_bit(
     else:
         null = step_null(d, seed, kind == "ridged")
     prefix, candidates = null.predictor_names[:prefix_size], null.predictor_names[prefix_size:]
-    # per_block candidates' new columns fit in a block (None: the default size),
-    # so that blocks split the candidates and a last block may hold only one
-    values = calibrate.STEP_BLOCK_VALUES if per_block is None else per_block * sims * length
-    plan = calibrate._step_blocks
+    # per_chunk lambdas' terms, partial sums and new columns fit in a chunk
+    # (None: the whole grid), so that chunks split the grid and a last chunk
+    # may hold only one lambda
+    per_chunk = len(lambdas) if per_chunk is None else per_chunk
+    runs = calibrate._runs
 
-    def unmatched_plan(factors, n):
+    def unmatched_runs(factors):
         # as if the unmatched candidates' factors differed in their leading
         # rows, so that runs split and rejoin
-        factors = [(-L, smoothed) if i in unmatched else (L, smoothed)
-                   for i, (L, smoothed) in enumerate(factors)]
-        return plan(factors, n)
+        return runs([(-L, *smoothed) if i in unmatched else (L, *smoothed)
+                     for i, (L, *smoothed) in enumerate(factors)])
 
-    with mock.patch.object(calibrate, "STEP_BLOCK_VALUES", values), \
-            mock.patch.object(calibrate, "_step_blocks", unmatched_plan):
-        paths = list(calibrate.step_statistic_paths(
-            null, prefix, candidates, lam, sims, length, seed))
-    assert len(paths) == n_candidates
-    for cand, E in zip(candidates, paths):
-        sub = null.subset(prefix + (cand,))
-        reference = per_subset_paths(sub, lam, sims, length, seed)
-        assert np.array_equal(E, reference)
-        assert np.array_equal(simulate_statistic_paths(sub, lam, sims, length, seed), reference)
+    values = per_chunk * (prefix_size + 2) * sims * length
+    with mock.patch.object(calibrate, "STEP_CHUNK_VALUES", values), \
+            mock.patch.object(calibrate, "_runs", unmatched_runs):
+        paths = step_paths(null, prefix, candidates, lambdas, sims, length, seed)
+        for cand in candidates:
+            sub = null.subset(prefix + (cand,))
+            grid = list(simulate_statistic_paths(sub, lambdas, sims, length, seed))
+            for lam, E in zip(lambdas, grid, strict=True):
+                assert np.array_equal(E, per_subset_paths(sub, lam, sims, length, seed))
+    for lam, row in zip(lambdas, paths):
+        for cand, E in zip(candidates, row):
+            sub = null.subset(prefix + (cand,))
+            reference = per_subset_paths(sub, lam, sims, length, seed)
+            assert np.array_equal(E, reference)
+            assert np.array_equal(simulate_statistic_paths(sub, lam, sims, length, seed),
+                                  reference)

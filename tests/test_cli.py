@@ -77,6 +77,9 @@ def test_synth_deterministic(tmp_path):
     ("--seasons", 0, "seasons"),
     ("--predictors", 0, "predictor_count"),
     ("--weeks-per-season", 4, "weeks_per_season"),
+    ("--start", "junk", "bad week label 'junk'"),
+    ("--start", "2010-W99", "bad week label '2010-W99'"),
+    ("--seed", -1, "rng_seed"),
 ])
 def test_synth_out_of_range_values_exit_2_and_write_nothing(tmp_path, capsys, flag, value,
                                                             message):
