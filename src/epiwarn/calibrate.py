@@ -202,7 +202,7 @@ def _prefix_terms(deviations: np.ndarray, smoothed, lams: np.ndarray):
     terms = terms.reshape(m, k - 1, -1)
     e = np.zeros((m, terms.shape[-1]))
     for t, S, partial in zip(terms, smoothed, e):
-        mewma._substitute(t, S[:-1, :-1], partial, keep=True)
+        mewma._substitute(t, S[:-1, :-1], partial)
     return terms, e
 
 

@@ -216,10 +216,11 @@ def cmd_select(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     panel = load_panel_from_manifest(config.manifest)
-    folds = pipeline.Experiment(panel, config).select_folds  # bad events or windows fail here
+    experiment = pipeline.Experiment(panel, config)
+    experiment.select_folds  # bad events, windows or fold plans fail before any output
     out = _prepare_out(config, "select", args.out)
     traces = pipeline.run_selection(
-        panel, config, folds, workers=args.workers, checkpoints=out / "checkpoints"
+        experiment, workers=args.workers, checkpoints=out / "checkpoints"
     )
     aggregate = aggregate_replicates(traces, config.k_max)
     write_traces_csv(traces, out / "selection_trace.csv")

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .calibrate import DEFAULT_LAMBDA_GRID
+from .calibrate import DEFAULT_ATFS, DEFAULT_LAMBDA_GRID, DEFAULT_SIMS
 from .panel import ParseError, read_kv_file
 
 FOLD_PRESETS = {"select-6fold": 1, "compare-3fold": 2}
@@ -28,8 +28,8 @@ class ExperimentConfig:
     min_duration: int = 3
     window: int = 16
     lead: int = 8
-    atfs: float = 20.0
-    sims: int = 1000
+    atfs: float = DEFAULT_ATFS
+    sims: int = DEFAULT_SIMS
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     k_max: int = 8
     replicates: int = 40
@@ -46,6 +46,9 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        for key in sorted(_FLOAT_KEYS):
+            if math.isnan(getattr(self, key)):
+                raise ValueError(f"{key} must be a number, got nan")
         for key in ("min_duration", "window", "sims", "k_max", "replicates"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")

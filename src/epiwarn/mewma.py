@@ -203,40 +203,35 @@ def _ewma_states(D: np.ndarray, lam) -> np.ndarray:
 
 def _quad_form(S: np.ndarray, smoothed_cov: np.ndarray) -> np.ndarray:
     """E = S' inv(smoothed_cov) S per (..., d) state, S unchanged: forward
-    substitution (``_substitute``) on column-major copies of blocks of 2**12
-    to 2**17 values, a quarter of S (few calls, columns in cache, small beside
-    S). Elementwise operations only, so E depends neither on where S sits nor
-    on the block size; its first k terms are the leading k x k block's."""
+    substitution (``_substitute``) on one column-major copy of the states.
+    Elementwise operations only, so E does not depend on where S sits, and
+    each state's E is the same whichever other states it is formed with; its
+    first k terms are the leading k x k block's."""
     L = np.linalg.cholesky(smoothed_cov)
-    rows = S.reshape(-1, len(L))
-    E = np.empty(S.shape[:-1])
-    step = max(1, min(max(rows.size // 4, 2**12), 2**17) // len(L))
-    for a in range(0, len(rows), step):
-        e = E.reshape(-1)[a : a + step]
-        e.fill(0.0)
-        _substitute(rows[a : a + step].T.copy(), L, e)
+    E = np.zeros(S.shape[:-1])
+    _substitute(S.reshape(-1, len(L)).T.copy(), L, E.reshape(-1))
     return E
 
 
-def _substitute(Z: np.ndarray, L: np.ndarray, e: np.ndarray, keep: bool = False) -> None:
+def _substitute(Z: np.ndarray, L: np.ndarray, e: np.ndarray) -> None:
     """Forward-substitute column-major states Z (d, m) in place with the lower
-    triangular factor L, and add each term's square to e in column order.
+    triangular factor L, so Z ends holding the terms, and add each term's
+    square to e in column order.
 
     Term j is (Z_j - L_j0 t_0 - L_j1 t_1 - ...) / L_jj, subtracted in order,
     so the first k terms and their partial sum depend only on L's first k
-    rows; ``_extend`` adds one more term in the same order. With ``keep`` Z
-    ends holding the terms, otherwise their squares."""
+    rows; ``_extend`` adds one more term in the same order."""
     for j in range(len(L)):
         Z[j] /= L[j, j]
         Z[j + 1 :] -= L[j + 1 :, j, None] * Z[j]
-        e += np.square(Z[j], out=None if keep else Z[j])
+        e += np.square(Z[j])
 
 
 def _extend(z: np.ndarray, row: np.ndarray, terms: np.ndarray, e: np.ndarray) -> np.ndarray:
     """E of states extended by one coordinate: ``e`` plus the squared last term,
     written over ``z`` and returned.
 
-    ``terms`` (k - 1, m) and ``e`` are ``_substitute(keep=True)``'s terms and
+    ``terms`` (k - 1, m) and ``e`` are ``_substitute``'s terms and
     partial sum for the first k - 1 coordinates (no terms and 0.0 for k = 1),
     ``z`` (m,) the new coordinate's states and ``row`` the last row of the
     k x k factor. Bit for bit what ``_substitute`` does to its last row, so
@@ -252,7 +247,8 @@ def run_scan(
     null: NullModel,
     config: DetectorConfig,
 ) -> AlarmTrace:
-    """Run the scan over the panel; alarms are weeks with E > h, never reset."""
+    """Run the scan over the panel; alarms are weeks with E > h, never reset.
+    It is the ``SharedScanTable`` scan of a one-lambda table of the subset."""
     if null.predictor_names != config.predictor_names:
         raise ValueError(
             f"null model covers {null.predictor_names}, config asks for "
@@ -261,16 +257,8 @@ def run_scan(
     missing = [n for n in config.predictor_names if n not in panel.candidate_names()]
     if missing:
         raise ValueError(f"panel has no candidate series {missing[0]!r}")
-
-    S = _ewma_states(panel.candidate_matrix(config.predictor_names) - null.mu, config.lam)
-    E = _quad_form(S, null.smoothed_cov(config.lam))
-    return _trace_from_statistic(E, config.h, S)
-
-
-def _trace_from_statistic(E: np.ndarray, h: float, S: np.ndarray | None = None) -> AlarmTrace:
-    with np.errstate(invalid="ignore"):
-        alarms = np.flatnonzero(E > h)
-    return AlarmTrace(E=E, alarm_weeks=alarms, cluster_onsets=cluster_onsets(alarms), S=S)
+    table = precompute_shared_states(panel, null, (config.lam,))
+    return table.scan(config.lam, config.predictor_names, config.h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +267,8 @@ class SharedScanTable:
 
     Any subset's scan is recovered exactly by projecting the stored state
     onto the subset coordinates and forming the quadratic form with the
-    subset's covariance block; no per-subset rescans are needed.
+    subset's covariance block; no per-subset rescans are needed. ``scan``
+    forms every scan statistic, ``run_scan``'s included.
     """
 
     null: NullModel
@@ -287,13 +276,16 @@ class SharedScanTable:
     states: Mapping[float, np.ndarray]
 
     def scan(self, lam: float, subset: Sequence[str], h: float) -> AlarmTrace:
+        """``subset``'s scan at ``lam``, alarming where E > h; ``S`` is a copy."""
         if lam not in self.states:
             raise KeyError(f"lambda {lam} not in shared table grid {self.lambdas}")
         idx = [self.null.predictor_names.index(n) for n in subset]
         S = self.states[lam][:, idx]
         sub = self.null.subset(subset)
         E = _quad_form(S, sub.smoothed_cov(lam))
-        return _trace_from_statistic(E, h, S)
+        with np.errstate(invalid="ignore"):
+            alarms = np.flatnonzero(E > h)
+        return AlarmTrace(E=E, alarm_weeks=alarms, cluster_onsets=cluster_onsets(alarms), S=S)
 
 
 def precompute_shared_states(

@@ -217,11 +217,14 @@ def _read_checkpoint(path: Path, fingerprint: str) -> SelectionTrace | None:
         return None
 
 
-def _run_replicate(
-    panel: AlignedPanel, config: ExperimentConfig, folds: FoldPlan, seed
-) -> SelectionTrace:
-    """One replicate: a forward selection over every panel candidate. It is
-    also the worker entry point, so it takes only picklable arguments."""
+def _run_replicate(experiment: Experiment, seed) -> SelectionTrace:
+    """One replicate: a forward selection over every panel candidate, on fold
+    contexts built here from the experiment's events, windows and selection
+    plan. It is also the worker entry point, so it takes picklable arguments."""
+    panel, config, folds = experiment.panel, experiment.config, experiment.select_folds
+    contexts = prepare_fold_contexts(
+        panel, experiment.events, experiment.windows, folds, config.lambda_grid
+    )
     return forward_select(
         panel,
         panel.candidate_names(),
@@ -229,30 +232,26 @@ def _run_replicate(
         config.atfs,
         folds,
         seed=seed,
-        epsilon=config.epsilon,
-        window=config.window,
-        min_duration=config.min_duration,
-        lead=config.lead,
         sims=config.sims,
         lambda_grid=config.lambda_grid,
         min_improvement=config.min_improvement,
+        contexts=contexts,
     )
 
 
 def run_selection(
-    panel: AlignedPanel,
-    config: ExperimentConfig,
-    folds: FoldPlan,
+    experiment: Experiment,
     *,
     workers: int = 1,
     checkpoints: Path | None = None,
 ) -> tuple[SelectionTrace, ...]:
-    """Run ``config.replicates`` forward selections; replicate r seeds with
-    ``config.seed + r``. Returns the traces in replicate order.
+    """Run ``config.replicates`` forward selections on the experiment's panel
+    and selection plan; replicate r seeds with ``config.seed + r``. Returns
+    the traces in replicate order.
 
     With ``workers`` > 1 and more than one replicate to run, the replicates
-    run in up to ``workers`` spawned processes, each given the panel and fold
-    plan and limited to one BLAS thread unless the user set a count. With a
+    run in up to ``workers`` spawned processes, each given the experiment
+    and limited to one BLAS thread unless the user set a count. With a
     ``checkpoints`` directory, a replicate checkpointed there under the same
     config fingerprint is read instead of run, and every replicate that
     finishes is checkpointed at once, atomically.
@@ -262,6 +261,7 @@ def run_selection(
     other replicates, then raises one ``RuntimeError`` naming each failed
     replicate; a rerun resumes from the checkpoints.
     """
+    config = experiment.config
     traces: dict[int, SelectionTrace] = {}
     if checkpoints is not None:
         checkpoints.mkdir(exist_ok=True)
@@ -292,11 +292,11 @@ def run_selection(
     workers = min(workers, len(seeds))
     if workers <= 1:
         for r, seed in seeds.items():
-            _store(r, functools.partial(_run_replicate, panel, config, folds, seed))
+            _store(r, functools.partial(_run_replicate, experiment, seed))
     else:
         spawn = multiprocessing.get_context("spawn")
         with _single_threaded_blas(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-            futures = {pool.submit(_run_replicate, panel, config, folds, seed): r
+            futures = {pool.submit(_run_replicate, experiment, seed): r
                        for r, seed in seeds.items()}
             for fut in as_completed(futures):
                 _store(futures[fut], fut.result)
@@ -346,6 +346,8 @@ class Experiment:
     if there are more than two events, else one; a ``train_spec`` = (training
     seasons, gap) gives both from ``train_spec_folds``. Each plan is made on
     first use: a run that selects nothing never needs the selection plan.
+    Every replicate (``run_selection``) runs on it, pickled whole to spawned
+    workers, so it holds no fold contexts: they would dwarf the panel.
     """
 
     def __init__(self, panel: AlignedPanel, config: ExperimentConfig,
@@ -380,7 +382,7 @@ class Experiment:
 
     def select_and_evaluate(self) -> PipelineResult:
         """``select_and_evaluate`` on this experiment's panel, config and plans."""
-        traces = run_selection(self.panel, self.config, self.select_folds)
+        traces = run_selection(self)
         subset = aggregate_replicates(traces, self.config.k_max).selected()[: self.config.k_max]
         if not subset:
             raise ValueError("selection chose no predictors")

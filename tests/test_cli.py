@@ -508,6 +508,8 @@ def test_select_single_replicate_two_candidates(tmp_path):
     ("lead", -1),
     ("atfs", 0.5),
     ("atfs", "inf"),
+    ("min_improvement", "nan"),
+    ("reporting_threshold", "nan"),
     ("min_duration", 0),
     ("lambda_grid", ""),
     ("lambda_grid", "0.3,1.0"),
@@ -549,10 +551,10 @@ def test_select_truncated_checkpoint_is_rerun(workspace, tmp_path):
 _run_replicate = pipeline._run_replicate
 
 
-def _second_replicate_fails(panel, config, folds, seed):
-    if seed == config.seed + 1:
+def _second_replicate_fails(experiment, seed):
+    if seed == experiment.config.seed + 1:
         raise RuntimeError("forced failure")
-    return _run_replicate(panel, config, folds, seed)
+    return _run_replicate(experiment, seed)
 
 
 def test_parallel_select_keeps_finished_replicates_on_failure(workspace, tmp_path,
@@ -575,7 +577,7 @@ def test_parallel_select_keeps_finished_replicates_on_failure(workspace, tmp_pat
     assert tree_bytes(out) == tree_bytes(clean)
 
 
-def _report_blas_threads(panel, config, folds, seed):
+def _report_blas_threads(experiment, seed):
     raise RuntimeError(" ".join(
         f"{name}={os.environ.get(name)}" for name in pipeline.BLAS_THREAD_VARIABLES))
 

@@ -123,8 +123,8 @@ def test_baseline_mask_against_bruteforce(noiseless_panel):
 
 def test_scan_matches_naive_oracle_random_panels():
     rng = np.random.default_rng(1234)
-    for trial in range(8):
-        n, d = 200, 3
+    # the last shape is a 20-season panel's scan of 10 predictors
+    for n, d in [(200, 3)] * 8 + [(1040, 10)]:
         mu = rng.normal(size=d)
         A = rng.normal(size=(d, d))
         sigma = A @ A.T + 0.5 * np.eye(d)
@@ -200,13 +200,13 @@ def test_quadratic_form_does_not_depend_on_memory_placement(d, n, offset, seed):
         assert np.array_equal(_quad_form(placed, sigma_s), E)
 
 
-def test_quadratic_form_does_not_depend_on_block_size():
+def test_quadratic_form_does_not_depend_on_row_split():
     from epiwarn.mewma import _quad_form
 
     rng = np.random.default_rng(12)
     A = rng.normal(size=(4, 4))
     sigma_s = A @ A.T + np.eye(4)
-    S = np.abs(rng.normal(size=(3000, 4)))  # several blocks at once
+    S = np.abs(rng.normal(size=(3000, 4)))
     pieces = [_quad_form(S[a : a + 7], sigma_s) for a in range(0, len(S), 7)]
     assert np.array_equal(_quad_form(S, sigma_s), np.concatenate(pieces))
 

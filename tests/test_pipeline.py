@@ -8,6 +8,7 @@ from epiwarn.events import build_windows, detect_events
 from epiwarn.mewma import AlarmTrace, estimate_null
 from epiwarn.panel import AlignedPanel, Series, SyntheticPanelSpec, generate_synthetic
 from epiwarn.pipeline import (
+    Experiment,
     evaluate_baseline_cv,
     evaluate_mewma_cv,
     pooled_cv_report,
@@ -267,8 +268,7 @@ def test_optimized_model_earliest_among_four_models():
     compare = make_folds(events, 2, panel.n_weeks)
     grid = (0.3, 0.6)
     config = small_config(sims=80, lambda_grid=grid, k_max=1)
-    traces = run_selection(panel, replace(config, replicates=1),
-                           make_folds(events, 1, panel.n_weeks))
+    traces = run_selection(Experiment(panel, replace(config, replicates=1)))
     subset = aggregate_replicates(traces, 1).selected()[:1]
     optimized = evaluate_mewma_cv(
         panel, subset, events, windows, compare, 20.0,
@@ -293,13 +293,24 @@ def test_optimized_model_earliest_among_four_models():
 def test_spawned_replicates_take_the_given_panel_and_folds():
     # an in-memory panel (its config's manifest does not exist) and a
     # training-length selection plan, which no config key describes
-    panel = two_predictor_panel()
-    events = detect_events(panel.gold, 1.25, 3)
-    select_plan, _ = train_spec_folds(events, panel.n_weeks, 3, 1)
     config = small_config()
-    serial = run_selection(panel, config, select_plan, workers=1)
+    experiment = Experiment(two_predictor_panel(), config, (3, 1))
+    serial = run_selection(experiment, workers=1)
     assert len(serial) == config.replicates
-    assert run_selection(panel, config, select_plan, workers=2) == serial
+    assert run_selection(experiment, workers=2) == serial
+
+
+def test_replicates_derive_no_events_or_windows_of_their_own(monkeypatch):
+    import epiwarn.selection
+
+    def derived(*args, **kwargs):
+        raise AssertionError("a replicate derived its own events or windows")
+
+    # the experiment derives them through the events module, not selection's names
+    monkeypatch.setattr(epiwarn.selection, "detect_events", derived)
+    monkeypatch.setattr(epiwarn.selection, "build_windows", derived)
+    config = small_config()
+    assert len(run_selection(Experiment(two_predictor_panel(), config))) == config.replicates
 
 
 def test_sweep_singleton_row_equals_direct_pipeline_run():
