@@ -131,12 +131,16 @@ def step_statistic_paths(
     chunk, from its first candidate's product; each candidate forms its
     product once per chunk (a lone candidate once per step), in one buffer,
     and recurses its new column at all the chunk's lambdas at once, in a
-    week-major (lambdas, length, sims) stack. Each E is formed in that stack
-    as the prefix's partial sum plus the candidate's own squared term
-    (``mewma._extend``) and yielded transposed. The draws go after the
-    step's last product, and a candidate's stack before the next one's is
-    made. A subset whose covariance is not positive definite raises
-    ``LinAlgError`` before any paths are yielded.
+    week-major (lambdas, length, sims) stack, in place (a one-lambda stack
+    takes its lambda as a float). Each E is formed in that stack as the
+    prefix's partial sum plus the candidate's own squared term
+    (``mewma._extend``; with no prefix, the squared term alone) and yielded
+    transposed. The draws go after the step's last product, and a
+    candidate's stack before the next one's is made. A lone 1-d candidate,
+    the unit null of every first step, copies its week-major column once
+    per step, and its draws and product go before any stack is made. A
+    subset whose covariance is not positive definite raises ``LinAlgError``
+    before any paths are yielded.
     """
     prefix, lambdas = tuple(prefix), [float(lam) for lam in lambdas]
     for lam in lambdas:
@@ -151,29 +155,38 @@ def step_statistic_paths(
     z = _normals(seed, (sims, length, k))
     product = np.empty_like(z)  # every candidate's deviations: fresh buffers page-fault
     formed = None  # the candidate whose deviations the buffer holds
+    if k == 1 and len(candidates) == 1:
+        # a lone 1-d candidate, the unit null of every first step, needs only
+        # its week-major column: copied once, and the draws and product go
+        np.matmul(z, factors[0][0].T, out=product)
+        z = None
+        column, product = product[..., 0].T.copy(), None
     for a in range(0, len(lambdas), size):
-        lams = np.array(lambdas[a : a + size])[:, None]
+        chunk_lambdas = lambdas[a : a + size]
+        m = len(chunk_lambdas)
+        lams = chunk_lambdas[0] if m == 1 else np.array(chunk_lambdas)[:, None]
         chunk = [(L, *smoothed[a : a + size]) for L, smoothed in factors]
         for run in _runs(chunk):
             terms = e = None  # the last run's go before this run's are made
             for c in run:
                 L, *smoothed = chunk[c]
-                if formed != c:
+                if product is not None and formed != c:
                     np.matmul(z, L.T, out=product)
                     formed = c
                 if len(chunk) == 1 or a + size >= len(lambdas) and c == len(chunk) - 1:
                     z = None  # no product is formed after this one
                 if terms is None:
                     terms, e = _prefix_terms(product, smoothed, lams)
-                stack = np.empty((len(lams), length, sims))
+                stack = np.empty((m, length, sims))
                 # gathered sims-major first: copied straight from a wide
                 # product, week-major order reads a cache line per value
-                stack[...] = np.ascontiguousarray(product[..., -1]).T
+                stack[...] = column if product is None else (
+                    np.ascontiguousarray(product[..., -1]).T)
                 mewma._ewma_states(stack, lams)
-                for i, (column, S) in enumerate(zip(stack, smoothed)):
-                    E = mewma._extend(column.reshape(-1), S[-1], terms[i], e[i])
+                for i, (states, S) in enumerate(zip(stack, smoothed)):
+                    E = mewma._extend(states.reshape(-1), S[-1], terms[i], e[i])
                     yield a + i, c, E.reshape(length, sims).T
-                stack = column = E = None  # before the next candidate's stack is made
+                stack = states = E = None  # before the next candidate's stack is made
 
 
 def _runs(factors) -> list[list[int]]:
@@ -186,19 +199,20 @@ def _runs(factors) -> list[list[int]]:
     return [list(run) for _, run in itertools.groupby(range(len(keys)), keys.__getitem__)]
 
 
-def _prefix_terms(deviations: np.ndarray, smoothed, lams: np.ndarray):
+def _prefix_terms(deviations: np.ndarray | None, smoothed, lams):
     """The substituted terms (m, k - 1, length * sims) of the prefix columns
     of a candidate's deviations (sims, length, k), week-major, at each of the
-    m lambdas ``lams`` (m, 1), whose smoothed covariances have the factors
-    ``smoothed``, and their partial sums (m, length * sims). An empty prefix
-    has no terms, and its partial sums are 0.0, which adds exactly."""
-    m, k = len(lams), deviations.shape[-1]
+    m lambdas ``lams`` ((m, 1), or a float for one), whose smoothed
+    covariances have the factors ``smoothed``, and their partial sums
+    (m, length * sims). An empty prefix has no terms and no partial sums
+    (``None``), so its deviations are not read."""
+    m, k = len(smoothed), len(smoothed[0])
     if k == 1:
-        return np.empty((m, 0, 0)), np.zeros((m, 1))
+        return [()] * m, [None] * m
     terms = np.empty((m, k - 1) + deviations.shape[1::-1])
     for j in range(k - 1):
         terms[:, j] = np.ascontiguousarray(deviations[..., j]).T  # as in step_statistic_paths
-    mewma._ewma_states(terms, lams[..., None])
+    mewma._ewma_states(terms, lams if m == 1 else lams[..., None])
     terms = terms.reshape(m, k - 1, -1)
     e = np.zeros((m, terms.shape[-1]))
     for t, S, partial in zip(terms, smoothed, e):
@@ -347,6 +361,12 @@ def _solve_paths(E: np.ndarray, phi: float) -> tuple[float, float]:
     only ones that can be nearest phi, and the one whose ATFS is nearer
     wins (the fewer alarms on a tie). h is the midpoint of the gap between
     its smallest alarming value and t.
+
+    One partition places the top ceil(N / phi) values last, and one max
+    finds the largest value before them, ``low``. Every value before the top
+    slice is at most ``low``, so every count, minimum and the ATFS recheck
+    at a threshold t >= low reads the top slice alone; the values before it
+    are read again only where ``low`` ties with the slice's least value.
     """
     if phi <= 1.0:
         return 0.0, atfs_from_paths(E, 0.0)
@@ -359,23 +379,35 @@ def _solve_paths(E: np.ndarray, phi: float) -> tuple[float, float]:
     # so the values are partitioned in place
     below, above = n - math.floor(n / phi) - 1, n - math.ceil(n / phi)
     values.partition(above)
-    top = values[above]
-    floors = {max(float(values[:above].max() if below < above else top), 0.0)}
+    rest, top_slice = values[:above], values[above:]
+    top = top_slice[0]
+    low = rest.max() if above else -math.inf
+
+    def alarms(t: float) -> tuple[int, np.ndarray]:
+        """#{values > t} and the top slice's mask of them; where t < low,
+        low ties top, and the values before the slice above t equal top"""
+        mask = top_slice > t
+        count = int(np.count_nonzero(mask))
+        if t < low:
+            count += int(np.count_nonzero(rest > t))
+        return count, mask
+
+    floors = {max(float(low if below < above else top), 0.0)}
     if top > 0.0:
         # alarm at every value >= top: t is the largest value below it, or 0
-        floors.add(float(np.max(values[:above], where=values[:above] < top, initial=0.0)))
+        floors.add(max(float(low), 0.0) if low < top else
+                   float(np.max(rest, where=rest < top, initial=0.0)))
     options = []
     for t in floors:
-        alarms = values > t
-        count = int(np.count_nonzero(alarms))
+        count, mask = alarms(t)
         if count:
-            midpoint = 0.5 * (t + float(values[alarms].min()))
+            midpoint = 0.5 * (t + float(np.min(top_slice, where=mask, initial=math.inf)))
             options.append((abs(n / count - phi), count, midpoint))
     if options:
         h = min(options)[2]
-        atfs = atfs_from_paths(E, h)
-        if h > 0.0 and abs(atfs - phi) <= ATFS_TOL:
-            return h, atfs
+        count = alarms(h)[0] if h > 0.0 else 0
+        if count and abs(n / count - phi) <= ATFS_TOL:
+            return h, n / count
     raise CalibrationError(
         f"no threshold h > 0 gives ATFS within {ATFS_TOL} of {phi} on {n} simulated path-weeks"
     )

@@ -6,8 +6,9 @@ checkpoints), ``evaluate`` (model comparison), ``sweep`` (parameter grids).
 Every experiment rule (events, windows, fold plans, models) lives in
 ``pipeline``; a command parses and validates its input, sets up the
 experiment, and only then writes its output directory. Exit codes: 0
-success, 1 runtime failure, 2 usage/validation problem (too few events and
-overlapping detection windows included).
+success, 1 runtime failure, 2 usage/validation problem (too few events, too
+few baseline weeks for the candidates and overlapping detection windows
+included).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from pathlib import Path
 from . import baselines, calibrate, evaluate, pipeline
 from .config import ExperimentConfig, load_config
 from .events import WindowOverlapError, write_events_csv
-from .mewma import DetectorConfig, estimate_null, run_scan, write_trace_csv
+from .mewma import (DetectorConfig, TooFewBaselineWeeksError, estimate_null, run_scan,
+                    write_trace_csv)
 from .panel import (ParseError, SyntheticPanelSpec, generate_synthetic,
                     load_panel_from_manifest, write_panel)
 from .selection import TooFewEventsError, aggregate_replicates
@@ -40,7 +42,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (UsageError, TooFewEventsError, WindowOverlapError) as exc:
+    except (UsageError, TooFewEventsError, TooFewBaselineWeeksError, WindowOverlapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -24,6 +24,20 @@ class EstimationError(ValueError):
     """Null-model estimation failed (too few baseline weeks, hopeless Sigma)."""
 
 
+class TooFewBaselineWeeksError(EstimationError):
+    """Fewer than d + 1 baseline weeks for a d-predictor null: a validation
+    problem of the panel and config, not a runtime failure."""
+
+
+def require_baseline_weeks(n_base: int, d: int, where: str = "") -> None:
+    """Raise ``TooFewBaselineWeeksError`` unless there are at least d + 1
+    baseline weeks, the minimum for a full-rank unbiased covariance."""
+    if n_base < d + 1:
+        raise TooFewBaselineWeeksError(
+            f"need at least {d + 1} baseline weeks for {d} predictors, have {n_base}{where}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class NullModel:
     """Baseline mean vector and covariance matrix of the predictor subset.
@@ -160,8 +174,8 @@ def estimate_null(
     """Sample mean and covariance of the subset over non-event weeks.
 
     ``week_mask`` further restricts the usable weeks (e.g. to a training
-    fold). Requires at least d + 1 baseline weeks for d predictors, the
-    minimum for a full-rank unbiased covariance.
+    fold). Requires at least d + 1 baseline weeks for d predictors
+    (``require_baseline_weeks``).
     """
     names = tuple(subset) if subset is not None else panel.candidate_names()
     if not names:
@@ -170,11 +184,7 @@ def estimate_null(
     if week_mask is not None:
         base = base & np.asarray(week_mask, dtype=bool)
     n_base = int(base.sum())
-    d = len(names)
-    if n_base < d + 1:
-        raise EstimationError(
-            f"need at least {d + 1} baseline weeks for {d} predictors, have {n_base}"
-        )
+    require_baseline_weeks(n_base, len(names))
     X = panel.candidate_matrix(names)[base]
     mu = X.mean(axis=0)
     sigma = np.atleast_2d(np.cov(X, rowvar=False, ddof=1))
@@ -193,11 +203,21 @@ def _ewma_states(D: np.ndarray, lam) -> np.ndarray:
     """Overwrite (..., n, d) deviations from the null mean with their one-sided
     EWMA states along axis -2, starting from zero; returns ``D``. ``lam`` is a
     float or an array that broadcasts against one week's (..., d) slice, such
-    as one lambda per leading row, shaped (n_lambda, 1)."""
-    s, keep = np.zeros(D.shape[:-2] + D.shape[-1:]), 1.0 - lam
-    for t in range(D.shape[-2]):
-        s = np.maximum(0.0, lam * D[..., t, :] + keep * s)
-        D[..., t, :] = s
+    as one lambda per leading row, shaped (n_lambda, 1).
+
+    The recursion runs in place: one pass scales every deviation by lambda,
+    then each week adds ``(1 - lam)`` times the last week's state and clips
+    at zero into preallocated buffers. Each state takes the same IEEE
+    operations as max(0, lam * x + (1 - lam) * s), so the same bits."""
+    keep = 1.0 - lam
+    D *= np.expand_dims(lam, -2) if np.ndim(lam) else lam
+    weeks = np.moveaxis(D, -2, 0)
+    carry = state = np.zeros(weeks.shape[1:])  # the state before week 0
+    for row in weeks:
+        np.multiply(keep, state, out=carry)
+        row += carry
+        np.maximum(0.0, row, out=row)
+        state = row
     return D
 
 
@@ -227,19 +247,21 @@ def _substitute(Z: np.ndarray, L: np.ndarray, e: np.ndarray) -> None:
         e += np.square(Z[j])
 
 
-def _extend(z: np.ndarray, row: np.ndarray, terms: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _extend(z: np.ndarray, row: np.ndarray, terms, e: np.ndarray | None) -> np.ndarray:
     """E of states extended by one coordinate: ``e`` plus the squared last term,
     written over ``z`` and returned.
 
     ``terms`` (k - 1, m) and ``e`` are ``_substitute``'s terms and
-    partial sum for the first k - 1 coordinates (no terms and 0.0 for k = 1),
-    ``z`` (m,) the new coordinate's states and ``row`` the last row of the
-    k x k factor. Bit for bit what ``_substitute`` does to its last row, so
-    the result equals ``_quad_form`` of the k states."""
+    partial sum for the first k - 1 coordinates (for k = 1 no terms and
+    ``None``: the squared term alone, as adding 0.0 changes no bits), ``z``
+    (m,) the new coordinate's states and ``row`` the last row of the k x k
+    factor. Bit for bit what ``_substitute`` does to its last row, so the
+    result equals ``_quad_form`` of the k states."""
     for j, terms_j in enumerate(terms):
         z -= row[j] * terms_j
     z /= row[-1]
-    return np.add(e, np.square(z, out=z), out=z)
+    np.square(z, out=z)
+    return z if e is None else np.add(e, z, out=z)
 
 
 def run_scan(

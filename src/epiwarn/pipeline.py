@@ -26,7 +26,7 @@ from . import calibrate, evaluate
 from .baselines import TRIGGERS, fit_baseline
 from .config import ExperimentConfig
 from .events import DetectionWindowSet, EventSet, build_windows, detect_events
-from .mewma import AlarmTrace
+from .mewma import AlarmTrace, require_baseline_weeks
 from .panel import AlignedPanel
 from .selection import (
     AuditLog,
@@ -346,6 +346,8 @@ class Experiment:
     if there are more than two events, else one; a ``train_spec`` = (training
     seasons, gap) gives both from ``train_spec_folds``. Each plan is made on
     first use: a run that selects nothing never needs the selection plan.
+    The selection plan is checked as it is made: every fold must train on
+    at least D + 1 baseline weeks to estimate the null of all D candidates.
     Every replicate (``run_selection``) runs on it, pickled whole to spawned
     workers, so it holds no fold contexts: they would dwarf the panel.
     """
@@ -356,12 +358,23 @@ class Experiment:
         self.events = detect_events(panel.gold, config.epsilon, config.min_duration)
         self.windows = build_windows(self.events, config.window, config.lead, panel.gold)
         if train_spec is not None:  # set here, the plans shadow the cached properties
-            plans = train_spec_folds(self.events, panel.n_weeks, *train_spec)
-            self.select_folds, self.compare_folds = plans
+            select_plan, self.compare_folds = train_spec_folds(
+                self.events, panel.n_weeks, *train_spec)
+            self.select_folds = self._checked(select_plan)
 
     @functools.cached_property
     def select_folds(self) -> FoldPlan:
-        return make_folds(self.events, self.config.held_out, self.panel.n_weeks)
+        return self._checked(make_folds(self.events, self.config.held_out, self.panel.n_weeks))
+
+    def _checked(self, plan: FoldPlan) -> FoldPlan:
+        """``plan``, once each of its folds has enough baseline weeks for a
+        null of every candidate (``TooFewBaselineWeeksError`` otherwise)."""
+        n = self.panel.n_weeks
+        base, d = self.events.baseline_mask(n), len(self.panel.candidate_names())
+        for f in range(plan.n_folds):
+            have = int(np.count_nonzero(base & plan.train_mask(f, n)))
+            require_baseline_weeks(have, d, f" in selection fold {f}")
+        return plan
 
     @functools.cached_property
     def compare_folds(self) -> FoldPlan:
@@ -404,6 +417,8 @@ def evaluate_models(panel: AlignedPanel, config: ExperimentConfig,
     is ``select_and_evaluate``'s model, ``univariate-gold`` the gold series alone."""
     experiment = Experiment(panel, config)
     folds = experiment.compare_folds  # every model is scored under it: fail before any work
+    if "optimized" in models:
+        experiment.select_folds  # and so is the selection plan, where one is needed
     results = []
     for model in models:
         if model == "optimized":

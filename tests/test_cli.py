@@ -246,6 +246,55 @@ def test_too_few_events_exits_2_before_any_output(workspace, tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def wide_config(tmp_path_factory):
+    """A 200-candidate panel of 160 weeks: no selection fold trains on the
+    201 baseline weeks a null of every candidate needs."""
+    ws = tmp_path_factory.mktemp("wide")
+    assert run(["synth", "--out", ws / "panel", "--seasons", 4, "--weeks-per-season", 40,
+                "--predictors", 200]) == 0
+    cfg = ws / "exp.cfg"
+    cfg.write_text(f"manifest = {ws / 'panel' / 'panel.manifest'}\n"
+                   "sims = 40\nlambda_grid = 0.3,0.6\n")
+    return cfg
+
+
+WIDE_PANEL_ERROR = ("need at least 201 baseline weeks for 200 predictors, have 73 "
+                    "in selection fold 0")
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("select", ["--workers", 1]),
+    ("select", ["--workers", 2]),
+    ("evaluate", ["--models", "optimized"]),
+    ("evaluate", ["--models", "week-trigger,optimized"]),
+])
+def test_panel_too_wide_for_its_baseline_weeks_exits_2_before_any_work(
+        wide_config, tmp_path, capsys, monkeypatch, command, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a replicate or model ran")
+
+    monkeypatch.setattr(pipeline, "run_selection", no_work)
+    monkeypatch.setattr(pipeline, "evaluate_baseline_cv", no_work)
+    out = tmp_path / "out"
+    assert run([command, "--config", wide_config, *argv, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {WIDE_PANEL_ERROR}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, values", [("atfs", "20"), ("train", "2")])
+def test_sweep_point_records_a_panel_too_wide_for_its_baseline_weeks(
+        wide_config, tmp_path, axis, values):
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--config", wide_config, "--axis", axis, "--values", values,
+                "--out", out]) == 0
+    [row] = csv_rows(out / "sweep.csv")
+    # a train-length 2 point's selection folds train on one season each
+    have = {"atfs": "73", "train": "26"}[axis]
+    assert row["error"] == "TooFewBaselineWeeksError: " + WIDE_PANEL_ERROR.replace(
+        "have 73", f"have {have}")
+
+
 @pytest.mark.parametrize("command, argv", [
     ("select", ["--workers", 1]),
     ("evaluate", []),

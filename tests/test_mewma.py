@@ -257,6 +257,57 @@ def test_shared_table_shape():
     assert sum(s.size for s in table.states.values()) == 9 * 240 * 350
 
 
+def textbook_states(X, lam):
+    """The one-sided EWMA of (..., n, d) deviations written out week by week
+    for one float lambda: s = max(0, lam * x + (1 - lam) * s) from s = 0."""
+    S, s = np.empty_like(X), np.zeros(X.shape[:-2] + X.shape[-1:])
+    for t in range(X.shape[-2]):
+        s = np.maximum(0.0, lam * X[..., t, :] + (1 - lam) * s)
+        S[..., t, :] = s
+    return S
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    k=st.integers(2, 4),
+    n=st.integers(1, 30),
+    width=st.integers(1, 8),
+    lambdas=st.lists(st.floats(0.01, 0.99), min_size=4, max_size=4),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ewma_states_equal_the_textbook_recursion_bit_for_bit(m, k, n, width, lambdas,
+                                                              zero_share, seed):
+    from epiwarn.mewma import _ewma_states
+
+    rng = np.random.default_rng(seed)
+
+    def deviations(shape):
+        # negative deviations, and exact zeros of either sign
+        X = rng.normal(size=shape) * rng.uniform(0.1, 10.0)
+        zeros = rng.random(shape) < zero_share
+        X[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        return X
+
+    def check(X, lam, expected):
+        D = X.copy()
+        assert _ewma_states(D, lam) is D
+        assert D.tobytes() == expected.tobytes()  # bit for bit: 0.0 is not -0.0
+
+    def check_rows(X, lam, lams):
+        check(X, lam, np.stack([textbook_states(x, float(l)) for x, l in zip(X, lams)]))
+
+    lams = np.array(lambdas[:m])
+    # a float lambda
+    X = deviations((n, width))
+    check(X, lambdas[0], textbook_states(X, lambdas[0]))
+    # one lambda per leading row, shaped (m, 1)
+    check_rows(deviations((m, n, width)), lams[:, None], lams)
+    # a prefix-terms stack (m, k - 1, length, sims) with (m, 1, 1) lambdas
+    check_rows(deviations((m, k - 1, n, width)), lams[:, None, None], lams)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 6),
