@@ -32,7 +32,6 @@ grid, target, simulation size, seed).
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -45,7 +44,7 @@ import numpy as np
 from . import evaluate, mewma
 from .events import DetectionWindowSet, EventSet
 from .mewma import AlarmTrace, NullModel, SharedScanTable, estimate_null, precompute_shared_states
-from .panel import AlignedPanel
+from .panel import AlignedPanel, write_csv
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 10))
 DEFAULT_ATFS = 20.0
@@ -84,6 +83,17 @@ class ConstraintCurvePoint:
     h: float
     performance: float
     atfs: float
+
+
+@dataclass(frozen=True)
+class StepFit:
+    """One candidate's calibration in a greedy step: the chosen grid
+    ``point``, its in-sample scan ``trace``, and every solved grid point
+    (``curve``, in grid order)."""
+
+    point: ConstraintCurvePoint
+    trace: AlarmTrace
+    curve: tuple[ConstraintCurvePoint, ...]
 
 
 def simulate_statistic_paths(
@@ -432,18 +442,20 @@ def optimize_params(
     the scan is run in-sample, and the mean-timeliness score over ``windows``
     is computed; the argmax is returned, ties broken by smaller lambda then
     smaller h. ``table`` lets callers reuse precomputed shared states and
-    their training null model; ``curve`` (if given) collects every solved
-    grid point, not just the winner. This is ``optimize_step`` for the one
-    extension ``subset[:-1] + subset[-1:]``.
+    their training null model; ``curve`` (if given) is extended with every
+    solved grid point, not just the winner. This is ``optimize_step`` for
+    the one extension ``subset[:-1] + subset[-1:]``.
     """
     subset = tuple(subset)
     if not subset:
         raise ValueError("predictor subset must be nonempty")
-    curves = None if curve is None else [curve]
-    return optimize_step(
+    [fit] = optimize_step(
         panel, events, windows, subset[:-1], subset[-1:], phi, lambda_grid,
-        sims=sims, seed=seed, table=table, curves=curves,
-    )[0]
+        sims=sims, seed=seed, table=table,
+    )
+    if curve is not None:
+        curve.extend(fit.curve)
+    return fit.point
 
 
 def optimize_step(
@@ -458,10 +470,8 @@ def optimize_step(
     sims: int = DEFAULT_SIMS,
     seed=0,
     table: SharedScanTable | None = None,
-    curves: Sequence[list] | None = None,
-    traces: list | None = None,
-) -> list[ConstraintCurvePoint]:
-    """``optimize_params`` for every subset prefix + (c,): one point per candidate.
+) -> list[StepFit]:
+    """``optimize_params`` for every subset prefix + (c,): one ``StepFit`` per candidate.
 
     Every lambda calibrates every candidate with ``seed`` (``_seed``), and
     one call (``_step_solves``) solves them all from one draw of normals,
@@ -470,11 +480,10 @@ def optimize_step(
     prefix they are 1-d nulls and share one solve per lambda against the
     unit null. The null and every scan come from ``table``; a single
     candidate (calibrated ``detect``) may leave it out, and a table is then
-    built from its subset's null, estimated from ``events``. ``curves`` (if
-    given) holds one list per candidate that collects its solved grid
-    points, and ``traces`` (if given) receives each candidate's scan at its
-    chosen point. Raises ``CalibrationError`` when a candidate fails at
-    every lambda.
+    built from its subset's null, estimated from ``events``. Each fit holds
+    the candidate's chosen point, its scan there and its solved grid
+    points; no other scan is kept. Raises ``CalibrationError`` when a
+    candidate fails at every lambda.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
     if not candidates:
@@ -488,8 +497,8 @@ def optimize_step(
         null = estimate_null(panel, events, prefix + candidates)
         table = precompute_shared_states(panel, null, lambda_grid)
 
-    best: list[ConstraintCurvePoint | None] = [None] * len(candidates)
-    best_traces: list[AlarmTrace | None] = [None] * len(candidates)
+    best: list[tuple | None] = [None] * len(candidates)  # (rank key, point, trace)
+    curves: list[list[ConstraintCurvePoint]] = [[] for _ in candidates]
     failures: list[list[str]] = [[] for _ in candidates]
     lambdas, seed = [float(lam) for lam in lambda_grid], _seed(seed)
     solves = _step_solves(table.null, prefix, candidates, lambdas, phi, sims, seed)
@@ -505,23 +514,17 @@ def optimize_step(
             trace = table.scan(lam, prefix + (cand,), h)
             perf = evaluate.performance(trace, windows)
             point = ConstraintCurvePoint(lam=lam, h=h, performance=perf, atfs=atfs)
-            if curves is not None:
-                curves[i].append(point)
-            if best[i] is None or (-point.performance, point.lam, point.h) < (
-                -best[i].performance,
-                best[i].lam,
-                best[i].h,
-            ):
-                best[i] = point
-                best_traces[i] = trace
-    for point, failed in zip(best, failures):
-        if point is None:
+            curves[i].append(point)
+            key = (-perf, lam, h)  # best score, then smaller lambda, then smaller h
+            if best[i] is None or key < best[i][0]:
+                best[i] = key, point, trace
+    for chosen, failed in zip(best, failures):
+        if chosen is None:
             raise CalibrationError(
                 "threshold solving failed for every lambda: " + "; ".join(failed)
             )
-    if traces is not None:
-        traces.extend(best_traces)
-    return best
+    return [StepFit(point, trace, tuple(curve))
+            for (_, point, trace), curve in zip(best, curves)]
 
 
 def _step_solves(null, prefix, candidates, lambdas, phi, sims, seed) -> list:
@@ -544,8 +547,7 @@ def _step_solves(null, prefix, candidates, lambdas, phi, sims, seed) -> list:
 
 
 def write_calibration_csv(points: Sequence[ConstraintCurvePoint], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "h", "atfs_est", "performance"])
-        for p in points:
-            writer.writerow([repr(p.lam), repr(p.h), repr(p.atfs), repr(p.performance)])
+    """Write one row per solved grid point: lambda, h, achieved ATFS and score."""
+    write_csv(path, ["lambda", "h", "atfs_est", "performance"], (
+        [repr(p.lam), repr(p.h), repr(p.atfs), repr(p.performance)] for p in points
+    ))

@@ -14,7 +14,6 @@ included).
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
@@ -185,14 +184,17 @@ def cmd_detect(args) -> int:
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
             trace = run_scan(scan_panel, estimate_null(scan_panel, events, subset), detector)
+        elif not len(events):
+            raise UsageError(
+                f"found 0 event(s) at epsilon {events.threshold} with min_duration "
+                f"{events.min_duration}; calibration needs events, or pass --lam and --h"
+            )
         else:
-            curve, traces = [], []
-            calibrate.optimize_step(
+            [fit] = calibrate.optimize_step(
                 scan_panel, events, windows, subset[:-1], subset[-1:], config.atfs,
                 config.lambda_grid, sims=config.sims, seed=config.seed,
-                curves=[curve], traces=traces,
             )
-            [trace] = traces
+            trace, curve = fit.trace, fit.curve
         label = "mewma"
 
     out = _prepare_out(config, "detect", args.out)
@@ -242,19 +244,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"--models must name one or more models, each once: {args.models!r}")
     results = pipeline.evaluate_models(panel, config, models)
     out = _prepare_out(config, "evaluate", args.out)
-    with open(out / "model_comparison.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "model", "parameter", "performance", "precision", "recall",
-            "mean_lead_weeks", "events_detected", "false_onsets",
-        ])
-        for r in results:
-            mean_lead = r.leads.mean_lead if r.leads is not None else None
-            writer.writerow([
-                r.name, r.parameter, repr(r.report.performance), repr(r.report.precision),
-                repr(r.report.recall), "" if mean_lead is None else repr(mean_lead),
-                len(r.report.delta_t) - len(r.report.missed_events), r.report.false_onset_count,
-            ])
+    pipeline.write_model_comparison_csv(results, out / "model_comparison.csv")
     for r in results:
         evaluate.write_event_report_csv(r.report, r.leads, out / f"{r.name}_events.csv")
     print(out)

@@ -8,14 +8,13 @@ and recall count cluster onsets, never raw alarm weeks.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .events import BASELINE, EVENT_AFTER_WINDOW, IN_WINDOW, DetectionWindowSet, EventSet
 from .mewma import AlarmTrace
-from .panel import Series
+from .panel import Series, write_csv
 
 
 def first_onsets(trace: AlarmTrace, windows: DetectionWindowSet) -> list[int | None]:
@@ -158,22 +157,16 @@ def lead_vs_threshold(
 
 
 def write_event_report_csv(report: EvaluationReport, leads: LeadReport | None, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["event", "onset_week", "delta_t", "lead_weeks", "detected"])
-        for k, (onset, dt) in enumerate(zip(report.onsets, report.delta_t)):
-            lead = leads.leads[k] if leads is not None else None
-            writer.writerow([
-                k,
-                "" if onset is None else onset,
-                repr(dt),
-                "" if lead is None else repr(lead),
-                0 if onset is None else 1,
-            ])
+    """Write one row per event: first in-window onset, delta t, lead and detected flag."""
+    write_csv(path, ["event", "onset_week", "delta_t", "lead_weeks", "detected"], (
+        [k, "" if onset is None else onset, repr(dt),
+         "" if leads is None or leads.leads[k] is None else repr(leads.leads[k]),
+         0 if onset is None else 1]
+        for k, (onset, dt) in enumerate(zip(report.onsets, report.delta_t))
+    ))
 
 
 def write_summary_csv(report: EvaluationReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["performance", "precision", "recall"])
-        writer.writerow([repr(report.performance), repr(report.precision), repr(report.recall)])
+    """Write the report's performance, precision and recall as one row."""
+    write_csv(path, ["performance", "precision", "recall"],
+              [[repr(report.performance), repr(report.precision), repr(report.recall)]])

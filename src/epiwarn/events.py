@@ -8,13 +8,12 @@ by how early they land inside that window.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import Series, WeekAxis
+from .panel import Series, WeekAxis, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -191,8 +190,7 @@ def build_windows(events: EventSet, window_length: int, lead: int | None,
 
 def write_events_csv(windows: DetectionWindowSet, axis: WeekAxis, path) -> None:
     """Serialize events with their windows, weeks as ISO labels."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["event_index", "start_week", "end_week", "window_start", "window_end"])
-        for k, ((es, ee), (ws, we)) in enumerate(zip(windows.events, windows.windows)):
-            writer.writerow([k, axis.label(es), axis.label(ee), axis.label(ws), axis.label(we)])
+    write_csv(path, ["event_index", "start_week", "end_week", "window_start", "window_end"], (
+        [k, axis.label(es), axis.label(ee), axis.label(ws), axis.label(we)]
+        for k, ((es, ee), (ws, we)) in enumerate(zip(windows.events, windows.windows))
+    ))

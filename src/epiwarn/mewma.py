@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import csv
 import numpy as np
 
 from .events import EventSet
-from .panel import AlignedPanel, WeekAxis
+from .panel import AlignedPanel, WeekAxis, write_csv
 
 
 class EstimationError(ValueError):
@@ -334,9 +333,6 @@ def write_trace_csv(trace: AlarmTrace, axis: WeekAxis, path) -> None:
     alarm[trace.alarm_weeks] = 1
     onset = np.zeros(axis.length, dtype=int)
     onset[trace.cluster_onsets] = 1
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["week", "E", "alarm", "cluster_onset"])
-        writer.writerows(zip(
-            axis.labels(), map(repr, trace.E.tolist()), alarm.tolist(), onset.tolist(), strict=True
-        ))
+    write_csv(path, ["week", "E", "alarm", "cluster_onset"], zip(
+        axis.labels(), map(repr, trace.E.tolist()), alarm.tolist(), onset.tolist(), strict=True
+    ))

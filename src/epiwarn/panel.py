@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -130,8 +131,9 @@ class Series:
 class AlignedPanel:
     """Gold-standard series plus candidate predictors on one weekly axis.
 
-    The gold name may also appear among the candidates (a detector may use
-    the gold series as its own predictor); candidate names must be unique.
+    The gold name may also appear among the candidates, but only for the gold
+    series itself (a detector may use it as its own predictor); candidate
+    names must be unique.
     """
 
     axis: WeekAxis
@@ -150,6 +152,10 @@ class AlignedPanel:
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise ValueError(f"duplicate series name: {sorted(dupes)[0]!r}")
+        for s in self.candidates:
+            if s.name == self.gold.name and not np.array_equal(s.values, self.gold.values):
+                raise ValueError(f"candidate {s.name!r} has the gold series' name "
+                                 "but other values")
 
     @property
     def n_weeks(self) -> int:
@@ -361,12 +367,19 @@ def load_panel_from_manifest(path) -> AlignedPanel:
     return load_panel(gold, candidates)
 
 
-def write_series_csv(series: Series, axis: WeekAxis, path) -> None:
-    """Write one series under the CSV contract (``repr`` floats round-trip)."""
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write an output table, ``header`` then ``rows``, in the default ``csv``
+    dialect (CRLF line ends); callers format floats with ``repr`` to round-trip."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["week", "value"])
-        writer.writerows(zip(axis.labels(), map(repr, series.values.tolist()), strict=True))
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_series_csv(series: Series, axis: WeekAxis, path) -> None:
+    """Write one series under the CSV contract (``repr`` floats round-trip)."""
+    write_csv(path, ["week", "value"],
+              zip(axis.labels(), map(repr, series.values.tolist()), strict=True))
 
 
 def write_panel(panel: AlignedPanel, out_dir) -> Path:

@@ -10,7 +10,6 @@ that held it out. The sweep harness reruns the whole protocol along one config a
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import json
 import multiprocessing
@@ -27,7 +26,7 @@ from .baselines import TRIGGERS, fit_baseline
 from .config import ExperimentConfig
 from .events import DetectionWindowSet, EventSet, build_windows, detect_events
 from .mewma import AlarmTrace, require_baseline_weeks
-from .panel import AlignedPanel
+from .panel import AlignedPanel, write_csv
 from .selection import (
     AuditLog,
     Fold,
@@ -56,6 +55,18 @@ class ModelEvaluation:
     report: evaluate.EvaluationReport
     leads: evaluate.LeadReport | None
     fold_params: tuple = ()
+
+
+def write_model_comparison_csv(results: Sequence[ModelEvaluation], path) -> None:
+    """Write one row per model: its pooled scores, mean lead, detections and false onsets."""
+    write_csv(path, ["model", "parameter", "performance", "precision", "recall",
+                     "mean_lead_weeks", "events_detected", "false_onsets"], (
+        [r.name, r.parameter, repr(r.report.performance), repr(r.report.precision),
+         repr(r.report.recall),
+         "" if r.leads is None or r.leads.mean_lead is None else repr(r.leads.mean_lead),
+         len(r.report.delta_t) - len(r.report.missed_events), r.report.false_onset_count]
+        for r in results
+    ))
 
 
 @dataclass(frozen=True)
@@ -474,7 +485,5 @@ def sweep(
 
 
 def write_sweep_csv(rows: Sequence[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+    """Write the sweep's rows, fields in ``SWEEP_FIELDS`` order."""
+    write_csv(path, SWEEP_FIELDS, ([row[f] for f in SWEEP_FIELDS] for row in rows))

@@ -9,7 +9,6 @@ their Monte-Carlo calibration seeds and are aggregated by median rank.
 
 from __future__ import annotations
 
-import csv
 import statistics
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -19,7 +18,7 @@ import numpy as np
 from . import calibrate, evaluate
 from .events import DetectionWindowSet, EventSet, build_windows, detect_events
 from .mewma import AlarmTrace, SharedScanTable, estimate_null, precompute_shared_states
-from .panel import AlignedPanel
+from .panel import AlignedPanel, write_csv
 
 
 class TooFewEventsError(ValueError):
@@ -186,16 +185,16 @@ def fit_folds(
     ``phi``, seeding every lambda's calibration with ``(*seed, f)``, where an
     integer seed counts as ``(seed,)``: one loop calibrates all candidates
     at all lambdas from one draw of null normals (``calibrate.optimize_step``),
-    and each fold draws its own. A fit's scan covers the whole panel; it is
-    scored on the fold's held-out windows as it is made and not kept, so a
-    wide step holds no scan per candidate and fold. Each fit is recorded,
-    with its score, in ``audit`` if given, candidate by candidate.
+    and each fold draws its own. Each candidate's ``calibrate.StepFit``
+    gives its chosen point and that point's scan of the whole panel; the
+    scan is scored on the fold's held-out windows and not kept, so a step
+    holds the scans of one fold at a time. Each fit is recorded, with its
+    score, in ``audit`` if given, candidate by candidate.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
     fits: list[list[FoldFit]] = [[] for _ in candidates]
     for ctx in contexts:
-        traces: list[AlarmTrace] = []
-        points = calibrate.optimize_step(
+        step = calibrate.optimize_step(
             panel,
             ctx.train_events,
             ctx.train_windows,
@@ -206,11 +205,10 @@ def fit_folds(
             sims=sims,
             seed=(*calibrate._seed(seed), ctx.fold),
             table=ctx.table,
-            traces=traces,
         )
-        for cand, point, trace, cand_fits in zip(candidates, points, traces, fits):
-            held_out = evaluate.performance(trace, ctx.test_windows)
-            cand_fits.append(FoldFit(ctx, prefix + (cand,), point, held_out))
+        for cand, fit, cand_fits in zip(candidates, step, fits):
+            held_out = evaluate.performance(fit.trace, ctx.test_windows)
+            cand_fits.append(FoldFit(ctx, prefix + (cand,), fit.point, held_out))
     if audit is not None:
         for cand_fits in fits:
             for fit in cand_fits:
@@ -362,9 +360,7 @@ class ReplicateAggregate:
         return tuple(name for name, _, _ in self.ranking)
 
 
-def aggregate_replicates(
-    traces: Sequence[SelectionTrace], k_max: int | None = None
-) -> ReplicateAggregate:
+def aggregate_replicates(traces: Sequence[SelectionTrace], k_max: int) -> ReplicateAggregate:
     """Order predictors by the median of their selection ranks over replicates.
 
     A predictor's rank in a replicate is its (1-based) selection position, or
@@ -374,8 +370,6 @@ def aggregate_replicates(
     """
     if not traces:
         raise ValueError("need at least one selection trace")
-    if k_max is None:
-        k_max = max(len(t.steps) for t in traces)
     names = sorted({s.chosen for t in traces for s in t.steps})
     absent_rank = k_max + 1
     ranking = []
@@ -425,17 +419,16 @@ def audit_leakage(folds: FoldPlan, n_weeks: int, audit: AuditLog) -> list[str]:
 
 
 def write_traces_csv(traces: Sequence[SelectionTrace], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "step", "chosen", "score"])
-        for r, trace in enumerate(traces):
-            for i, step in enumerate(trace.steps, start=1):
-                writer.writerow([r, i, step.chosen, repr(step.score)])
+    """Write one row per replicate and greedy step: the chosen predictor and its score."""
+    write_csv(path, ["replicate", "step", "chosen", "score"], (
+        [r, i, step.chosen, repr(step.score)]
+        for r, trace in enumerate(traces)
+        for i, step in enumerate(trace.steps, start=1)
+    ))
 
 
 def write_aggregate_csv(aggregate: ReplicateAggregate, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["predictor", "median_rank", "frequency"])
-        for name, median_rank, freq in aggregate.ranking:
-            writer.writerow([name, repr(median_rank), freq])
+    """Write the median-rank ranking, one row per predictor."""
+    write_csv(path, ["predictor", "median_rank", "frequency"], (
+        [name, repr(median_rank), freq] for name, median_rank, freq in aggregate.ranking
+    ))

@@ -230,14 +230,14 @@ def test_optimize_step_traces_are_the_chosen_points_scans():
         panel, estimate_null(panel, events, panel.candidate_names()), grid
     )
     prefix, *candidates = panel.candidate_names()
-    traces = []
-    points = calibrate.optimize_step(panel, events, windows, [prefix], candidates, 20.0, grid,
-                                     sims=50, table=table, traces=traces)
-    assert len(traces) == len(candidates)
-    for cand, point, trace in zip(candidates, points, traces):
-        rescan = table.scan(point.lam, (prefix, cand), point.h)
-        assert np.array_equal(trace.E, rescan.E)
-        assert np.array_equal(trace.cluster_onsets, rescan.cluster_onsets)
+    fits = calibrate.optimize_step(panel, events, windows, [prefix], candidates, 20.0, grid,
+                                   sims=50, table=table)
+    assert len(fits) == len(candidates)
+    for cand, fit in zip(candidates, fits):
+        rescan = table.scan(fit.point.lam, (prefix, cand), fit.point.h)
+        assert np.array_equal(fit.trace.E, rescan.E)
+        assert np.array_equal(fit.trace.cluster_onsets, rescan.cluster_onsets)
+        assert fit.point in fit.curve
 
 
 def test_optimize_params_noiseless_lead_scores_above_half():
@@ -632,11 +632,9 @@ def test_optimize_step_draws_once_for_every_lambda_and_keeps_nothing(monkeypatch
     panel, events, windows, table, prefix, candidates = _step_setup(prefix_size)
     calibrate._solve_unit_null.cache_clear()
     draws = counted_draws(monkeypatch)
-    curves = [[] for _ in candidates]
-    calibrate.optimize_step(panel, events, windows, prefix, candidates, 20.0,
-                            DEFAULT_LAMBDA_GRID, sims=50, seed=(4, 2), table=table,
-                            curves=curves)
-    assert all(len(curve) == len(DEFAULT_LAMBDA_GRID) for curve in curves)
+    fits = calibrate.optimize_step(panel, events, windows, prefix, candidates, 20.0,
+                                   DEFAULT_LAMBDA_GRID, sims=50, seed=(4, 2), table=table)
+    assert all(len(fit.curve) == len(DEFAULT_LAMBDA_GRID) for fit in fits)
     assert [shape for shape, _ in draws] == [(50, 200, prefix_size + 1)]
     gc.collect()
     assert all(ref() is None for _, ref in draws)

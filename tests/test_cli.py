@@ -246,6 +246,72 @@ def test_too_few_events_exits_2_before_any_output(workspace, tmp_path, capsys, c
     assert not out.exists()
 
 
+def test_calibrated_detect_without_events_exits_2_before_any_output(workspace, tmp_path,
+                                                                    capsys):
+    cfg = derived_config(workspace, tmp_path / "none.cfg", epsilon=9)
+    out = tmp_path / "out"
+    assert run(["detect", "--config", cfg, "--subset", "pred1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "found 0 event(s) at epsilon 9.0" in err and "--lam and --h" in err
+    assert not out.exists()
+    # an explicit detector or a baseline needs no events
+    for name, argv in (("explicit", ["--subset", "pred1", "--lam", 0.3, "--h", 12]),
+                       ("baseline", ["--baseline", "week:34"])):
+        assert run(["detect", "--config", cfg, *argv, "--out", tmp_path / name]) == 0
+        assert not (tmp_path / name / "event_report.csv").exists()
+
+
+TABLE_HEADERS = {
+    "calibration.csv": "lambda,h,atfs_est,performance",
+    "events.csv": "event_index,start_week,end_week,window_start,window_end",
+    "event_report.csv": "event,onset_week,delta_t,lead_weeks,detected",
+    "summary.csv": "performance,precision,recall",
+    "selection_trace.csv": "replicate,step,chosen,score",
+    "selection_aggregate.csv": "predictor,median_rank,frequency",
+    "model_comparison.csv": "model,parameter,performance,precision,recall,"
+                            "mean_lead_weeks,events_detected,false_onsets",
+    "sweep.csv": ",".join(pipeline.SWEEP_FIELDS),
+}
+
+
+def test_every_output_table_has_crlf_lines_one_header_and_round_trip_floats(workspace,
+                                                                           tmp_path):
+    cfg = workspace / "exp.cfg"
+    runs = {
+        "select": ["select", "--workers", 1],
+        "evaluate": ["evaluate"],
+        "sweep": ["sweep", "--axis", "atfs", "--values", "10,20"],
+        "calibrated": ["detect", "--subset", "pred1,pred2"],
+        "explicit": ["detect", "--subset", "pred1", "--lam", 0.3, "--h", 12],
+        "baseline": ["detect", "--baseline", "week:34"],
+    }
+    tables = []
+    for name, argv in runs.items():
+        assert run([*argv, "--config", cfg, "--out", tmp_path / name]) == 0
+        tables += sorted((tmp_path / name).rglob("*.csv"))
+    assert len(tables) == 2 + 5 + 1 + 5 + 4 + 4
+    for path in tables:
+        data = path.read_bytes()
+        assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), path
+        if path.name.endswith("_trace.csv") and path.name != "selection_trace.csv":
+            header = "week,E,alarm,cluster_onset"
+        elif path.name.endswith("_events.csv"):
+            header = TABLE_HEADERS["event_report.csv"]
+        else:
+            header = TABLE_HEADERS[path.name]
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert ",".join(rows[0]) == header, path
+        assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}, path
+        for cell in (cell for row in rows[1:] for cell in row):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if any(mark in cell for mark in (".", "e", "inf", "nan")):
+                assert repr(value) == cell, (path, cell)
+
+
 @pytest.fixture(scope="module")
 def wide_config(tmp_path_factory):
     """A 200-candidate panel of 160 weeks: no selection fold trains on the

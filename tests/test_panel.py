@@ -105,6 +105,21 @@ def test_load_panel_rejects_duplicate_names(tmp_path):
         load_panel(tmp_path / "gold.csv", [a / "same.csv", b / "same.csv"])
 
 
+def test_load_panel_rejects_a_candidate_with_the_golds_name_and_other_values(tmp_path):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    _write_csv(a / "ili.csv", "2010-W01", [1.0, 3.0] * 5)
+    _write_csv(b / "ili.csv", "2010-W01", [1.0] * 10)
+    _write_csv(b / "pred1.csv", "2010-W01", [2.0] * 10)
+    with pytest.raises(ValueError, match="'ili' has the gold series' name"):
+        load_panel(a / "ili.csv", [b / "ili.csv", b / "pred1.csv"])
+    # the gold file itself may be a candidate
+    panel = load_panel(a / "ili.csv", [a / "ili.csv", b / "pred1.csv"])
+    assert panel.candidate_names() == ("ili", "pred1")
+
+
 def test_load_panel_gap_is_missing_data_error(tmp_path):
     # weeks 2010-W01..W29 then W31..: W30 missing
     start = week_to_index("2010-W01")
