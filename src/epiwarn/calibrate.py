@@ -433,7 +433,6 @@ def optimize_params(
     *,
     sims: int = DEFAULT_SIMS,
     seed=0,
-    table: SharedScanTable | None = None,
     curve: list | None = None,
 ) -> ConstraintCurvePoint:
     """Pick the (lambda, h) pair on the target-ATFS curve with the best in-sample score.
@@ -441,66 +440,56 @@ def optimize_params(
     For each lambda in the grid the threshold is solved at the target ATFS,
     the scan is run in-sample, and the mean-timeliness score over ``windows``
     is computed; the argmax is returned, ties broken by smaller lambda then
-    smaller h. ``table`` lets callers reuse precomputed shared states and
-    their training null model; ``curve`` (if given) is extended with every
-    solved grid point, not just the winner. This is ``optimize_step`` for
-    the one extension ``subset[:-1] + subset[-1:]``.
+    smaller h. The subset's null is estimated from ``events`` and its scan
+    states precomputed over the grid; ``curve`` (if given) is extended with
+    every solved grid point, not just the winner. This is ``optimize_step``
+    on that table for the one extension ``subset[:-1] + subset[-1:]``.
     """
     subset = tuple(subset)
     if not subset:
         raise ValueError("predictor subset must be nonempty")
-    [fit] = optimize_step(
-        panel, events, windows, subset[:-1], subset[-1:], phi, lambda_grid,
-        sims=sims, seed=seed, table=table,
-    )
+    if len(events) == 0:
+        raise ValueError("cannot optimize parameters without events")
+    table = precompute_shared_states(panel, estimate_null(panel, events, subset), lambda_grid)
+    [fit] = optimize_step(table, windows, subset[:-1], subset[-1:], phi, sims=sims, seed=seed)
     if curve is not None:
         curve.extend(fit.curve)
     return fit.point
 
 
 def optimize_step(
-    panel: AlignedPanel,
-    events: EventSet,
+    table: SharedScanTable,
     windows: DetectionWindowSet,
     prefix: Sequence[str],
     candidates: Sequence[str],
-    phi: float = DEFAULT_ATFS,
-    lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
+    phi: float,
     *,
-    sims: int = DEFAULT_SIMS,
-    seed=0,
-    table: SharedScanTable | None = None,
+    sims: int,
+    seed,
 ) -> list[StepFit]:
-    """``optimize_params`` for every subset prefix + (c,): one ``StepFit`` per candidate.
+    """``optimize_params`` for every subset prefix + (c,) on ``table``: one
+    ``StepFit`` per candidate.
 
-    Every lambda calibrates every candidate with ``seed`` (``_seed``), and
-    one call (``_step_solves``) solves them all from one draw of normals,
-    held only while it runs. With a nonempty prefix every candidate is
-    solved on its own paths (``step_statistic_paths``); with an empty
-    prefix they are 1-d nulls and share one solve per lambda against the
-    unit null. The null and every scan come from ``table``; a single
-    candidate (calibrated ``detect``) may leave it out, and a table is then
-    built from its subset's null, estimated from ``events``. Each fit holds
-    the candidate's chosen point, its scan there and its solved grid
-    points; no other scan is kept. Raises ``CalibrationError`` when a
-    candidate fails at every lambda.
+    The table is the whole calibration input: its ``null`` is every
+    subset's null, and its ``lambdas`` are the grid. Every lambda
+    calibrates every candidate with ``seed`` (``_seed``), and one call
+    (``_step_solves``) solves them all from one draw of normals, held only
+    while it runs. With a nonempty prefix every candidate is solved on its
+    own paths (``step_statistic_paths``); with an empty prefix they are 1-d
+    nulls and share one solve per lambda against the unit null. Every scan
+    comes from the table and is scored over ``windows``. Each fit holds the
+    candidate's chosen point, its scan there and its solved grid points; no
+    other scan is kept. Raises ``CalibrationError`` when a candidate fails
+    at every lambda.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
     if not candidates:
         raise ValueError("need at least one candidate")
-    if len(events) == 0:
-        raise ValueError("cannot optimize parameters without events")
-    if table is None:
-        if len(candidates) > 1:
-            # one null per subset would differ from one estimated over all of them
-            raise ValueError("several candidates need a shared table")
-        null = estimate_null(panel, events, prefix + candidates)
-        table = precompute_shared_states(panel, null, lambda_grid)
 
     best: list[tuple | None] = [None] * len(candidates)  # (rank key, point, trace)
     curves: list[list[ConstraintCurvePoint]] = [[] for _ in candidates]
     failures: list[list[str]] = [[] for _ in candidates]
-    lambdas, seed = [float(lam) for lam in lambda_grid], _seed(seed)
+    lambdas, seed = table.lambdas, _seed(seed)
     solves = _step_solves(table.null, prefix, candidates, lambdas, phi, sims, seed)
     for lam, lam_solves in zip(lambdas, solves):
         for i, (cand, solved) in enumerate(zip(candidates, lam_solves)):

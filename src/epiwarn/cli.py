@@ -161,6 +161,8 @@ def cmd_detect(args) -> int:
     events, windows = experiment.events, experiment.windows
     curve = None  # the calibration curve, when (lambda, h) is calibrated here
     if args.baseline_spec:
+        if args.lam is not None or args.h is not None:
+            raise UsageError("--lam and --h apply only to --subset")
         kind, param = _parse_baseline_spec(args.baseline_spec)
         try:
             trace = baselines.baseline_trace(panel, kind, param)
@@ -178,23 +180,24 @@ def cmd_detect(args) -> int:
                 raise UsageError(f"unknown candidate series {name!r}")
         if (args.lam is None) != (args.h is None):
             raise UsageError("pass --lam and --h together, or neither")
-        if args.lam is not None:
-            try:
-                detector = DetectorConfig(subset, args.lam, args.h)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-            trace = run_scan(scan_panel, estimate_null(scan_panel, events, subset), detector)
-        elif not len(events):
-            raise UsageError(
-                f"found 0 event(s) at epsilon {events.threshold} with min_duration "
-                f"{events.min_duration}; calibration needs events, or pass --lam and --h"
+        lam, h = args.lam, args.h
+        if lam is None:
+            if not len(events):
+                raise UsageError(
+                    f"found 0 event(s) at epsilon {events.threshold} with min_duration "
+                    f"{events.min_duration}; calibration needs events, or pass --lam and --h"
+                )
+            curve = []
+            point = calibrate.optimize_params(
+                scan_panel, events, windows, subset, config.atfs, config.lambda_grid,
+                sims=config.sims, seed=config.seed, curve=curve,
             )
-        else:
-            [fit] = calibrate.optimize_step(
-                scan_panel, events, windows, subset[:-1], subset[-1:], config.atfs,
-                config.lambda_grid, sims=config.sims, seed=config.seed,
-            )
-            trace, curve = fit.trace, fit.curve
+            lam, h = point.lam, point.h
+        try:
+            detector = DetectorConfig(subset, lam, h)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        trace = run_scan(scan_panel, estimate_null(scan_panel, events, subset), detector)
         label = "mewma"
 
     out = _prepare_out(config, "detect", args.out)

@@ -154,16 +154,17 @@ def evaluate_mewma_cv(
     name: str = "mewma",
     audit: AuditLog | None = None,
 ) -> ModelEvaluation:
-    """Calibrate a fixed subset per fold on training weeks, score held-out events."""
+    """Calibrate a fixed subset per fold on training weeks, score held-out events.
+
+    ``lambda_grid`` only builds the contexts when none are given; given
+    contexts carry their own grid."""
     subset = tuple(subset)
     if contexts is None:
         contexts = prepare_fold_contexts(
             panel, events, windows, folds, lambda_grid, candidates=subset
         )
-    fits = fit_folds(
-        panel, subset[:-1], subset[-1:], contexts, phi, lambda_grid,
-        sims=sims, seed=seed, audit=audit,
-    )[0]
+    fits = fit_folds(subset[:-1], subset[-1:], contexts, phi, sims=sims, seed=seed,
+                     audit=audit)[0]
     report, leads = pooled_cv_report(
         panel, events, windows, folds, [fit.scan() for fit in fits], reporting_threshold
     )
@@ -244,7 +245,6 @@ def _run_replicate(experiment: Experiment, seed) -> SelectionTrace:
         folds,
         seed=seed,
         sims=config.sims,
-        lambda_grid=config.lambda_grid,
         min_improvement=config.min_improvement,
         contexts=contexts,
     )

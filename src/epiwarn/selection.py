@@ -98,12 +98,12 @@ def make_folds(events: EventSet, held_out: int, n_weeks: int) -> FoldPlan:
 @dataclass(frozen=True, eq=False)
 class FoldContext:
     """Everything one fold needs to score subsets: its masks, its windows, and the
-    shared scan states of its training null (``table.null``)."""
+    shared scan states of its training null (``table.null``) over the lambda
+    grid (``table.lambdas``), which calibrate every subset the fold fits."""
 
     fold: int
     train_mask: np.ndarray
     test_mask: np.ndarray
-    train_events: EventSet
     train_windows: DetectionWindowSet
     test_windows: DetectionWindowSet
     table: SharedScanTable
@@ -134,7 +134,6 @@ def prepare_fold_contexts(
                 fold=f,
                 train_mask=train,
                 test_mask=test,
-                train_events=events.select(folds.folds[f].train_seasons),
                 train_windows=windows.select(folds.folds[f].train_seasons),
                 test_windows=windows.select(folds.folds[f].test_seasons),
                 table=table,
@@ -167,12 +166,10 @@ class FoldFit:
 
 
 def fit_folds(
-    panel: AlignedPanel,
     prefix: Sequence[str],
     candidates: Sequence[str],
     contexts: Sequence[FoldContext],
     phi: float,
-    lambda_grid: Sequence[float],
     *,
     sims: int,
     seed,
@@ -181,30 +178,24 @@ def fit_folds(
     """Calibrate every subset prefix + (c,) on each fold's training weeks.
 
     Returns each candidate's fold fits, in fold order. Fold f picks (lambda,
-    h) for every candidate on its training events under the ATFS target
-    ``phi``, seeding every lambda's calibration with ``(*seed, f)``, where an
-    integer seed counts as ``(seed,)``: one loop calibrates all candidates
-    at all lambdas from one draw of null normals (``calibrate.optimize_step``),
-    and each fold draws its own. Each candidate's ``calibrate.StepFit``
-    gives its chosen point and that point's scan of the whole panel; the
-    scan is scored on the fold's held-out windows and not kept, so a step
-    holds the scans of one fold at a time. Each fit is recorded, with its
-    score, in ``audit`` if given, candidate by candidate.
+    h) for every candidate on its table alone (``FoldContext.table``: the
+    training null and the lambda grid), scored over its training windows,
+    under the ATFS target ``phi``, seeding every lambda's calibration with
+    ``(*seed, f)``, where an integer seed counts as ``(seed,)``: one loop
+    calibrates all candidates at all lambdas from one draw of null normals
+    (``calibrate.optimize_step``), and each fold draws its own. Each
+    candidate's ``calibrate.StepFit`` gives its chosen point and that
+    point's scan of the whole panel; the scan is scored on the fold's
+    held-out windows and not kept, so a step holds the scans of one fold at
+    a time. Each fit is recorded, with its score, in ``audit`` if given,
+    candidate by candidate.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
     fits: list[list[FoldFit]] = [[] for _ in candidates]
     for ctx in contexts:
         step = calibrate.optimize_step(
-            panel,
-            ctx.train_events,
-            ctx.train_windows,
-            prefix,
-            candidates,
-            phi,
-            lambda_grid,
-            sims=sims,
-            seed=(*calibrate._seed(seed), ctx.fold),
-            table=ctx.table,
+            ctx.table, ctx.train_windows, prefix, candidates, phi,
+            sims=sims, seed=(*calibrate._seed(seed), ctx.fold),
         )
         for cand, fit, cand_fits in zip(candidates, step, fits):
             held_out = evaluate.performance(fit.trace, ctx.test_windows)
@@ -249,6 +240,9 @@ def score_subset(
     weeks only; the chosen detector's trace is then scored on the held-out
     events' windows, and the score joins the fold's audit entry
     (``fit_folds`` for the one extension ``subset[:-1] + subset[-1:]``).
+    ``epsilon``, ``window``, ``min_duration``, ``lead`` and ``lambda_grid``
+    only build the contexts when none are given; given contexts carry their
+    own grid.
     """
     subset = tuple(subset)
     if not subset:
@@ -257,10 +251,8 @@ def score_subset(
         events = detect_events(panel.gold, epsilon, min_duration)
         windows = build_windows(events, window, lead, panel.gold)
         contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid)
-    fits = fit_folds(
-        panel, subset[:-1], subset[-1:], contexts, phi, lambda_grid,
-        sims=sims, seed=seed, audit=audit,
-    )[0]
+    fits = fit_folds(subset[:-1], subset[-1:], contexts, phi, sims=sims, seed=seed,
+                     audit=audit)[0]
     return float(np.mean([fit.held_out for fit in fits]))
 
 
@@ -309,7 +301,9 @@ def forward_select(
     order. Each step fits all remaining candidates at once (``fit_folds``),
     so per fold the step's null normals are drawn once, for every lambda,
     and every candidate applies its own Cholesky factor to them. A candidate
-    scores the mean of its folds' held-out timeliness.
+    scores the mean of its folds' held-out timeliness. ``epsilon``,
+    ``window``, ``min_duration``, ``lead`` and ``lambda_grid`` only build the
+    contexts when none are given; given contexts carry their own grid.
     """
     candidates = list(candidates)
     if not candidates:
@@ -327,10 +321,7 @@ def forward_select(
     current_score: float | None = None
     stop_reason = "reached-k"
     while remaining and len(chosen) < k_max:
-        fits = fit_folds(
-            panel, chosen, remaining, contexts, phi, lambda_grid,
-            sims=sims, seed=seed, audit=audit,
-        )
+        fits = fit_folds(chosen, remaining, contexts, phi, sims=sims, seed=seed, audit=audit)
         scored = [
             (cand, float(np.mean([fit.held_out for fit in cand_fits])))
             for cand, cand_fits in zip(remaining, fits)

@@ -206,18 +206,6 @@ def test_optimize_params_singleton_grid():
     assert abs(point.atfs - 20.0) <= 0.5
 
 
-def test_optimize_step_needs_a_shared_null_for_several_candidates():
-    from epiwarn.panel import SyntheticPanelSpec, generate_synthetic
-
-    panel = generate_synthetic(SyntheticPanelSpec(seasons=4, predictor_count=3, rng_seed=3))
-    events = detect_events(panel.gold, 1.25, 3)
-    windows = build_windows(events, 16, 8, panel.gold)
-    prefix, *candidates = panel.candidate_names()
-    with pytest.raises(ValueError, match="shared table"):
-        calibrate.optimize_step(panel, events, windows, [prefix], candidates, 20.0, [0.4],
-                                sims=50)
-
-
 def test_optimize_step_traces_are_the_chosen_points_scans():
     from epiwarn.mewma import estimate_null, precompute_shared_states
     from epiwarn.panel import SyntheticPanelSpec, generate_synthetic
@@ -230,14 +218,14 @@ def test_optimize_step_traces_are_the_chosen_points_scans():
         panel, estimate_null(panel, events, panel.candidate_names()), grid
     )
     prefix, *candidates = panel.candidate_names()
-    fits = calibrate.optimize_step(panel, events, windows, [prefix], candidates, 20.0, grid,
-                                   sims=50, table=table)
+    fits = calibrate.optimize_step(table, windows, [prefix], candidates, 20.0, sims=50, seed=0)
     assert len(fits) == len(candidates)
     for cand, fit in zip(candidates, fits):
         rescan = table.scan(fit.point.lam, (prefix, cand), fit.point.h)
         assert np.array_equal(fit.trace.E, rescan.E)
         assert np.array_equal(fit.trace.cluster_onsets, rescan.cluster_onsets)
         assert fit.point in fit.curve
+        assert [p.lam for p in fit.curve] == list(table.lambdas)
 
 
 def test_optimize_params_noiseless_lead_scores_above_half():
@@ -632,8 +620,8 @@ def test_optimize_step_draws_once_for_every_lambda_and_keeps_nothing(monkeypatch
     panel, events, windows, table, prefix, candidates = _step_setup(prefix_size)
     calibrate._solve_unit_null.cache_clear()
     draws = counted_draws(monkeypatch)
-    fits = calibrate.optimize_step(panel, events, windows, prefix, candidates, 20.0,
-                                   DEFAULT_LAMBDA_GRID, sims=50, seed=(4, 2), table=table)
+    fits = calibrate.optimize_step(table, windows, prefix, candidates, 20.0, sims=50,
+                                   seed=(4, 2))
     assert all(len(fit.curve) == len(DEFAULT_LAMBDA_GRID) for fit in fits)
     assert [shape for shape, _ in draws] == [(50, 200, prefix_size + 1)]
     gc.collect()
@@ -658,8 +646,8 @@ def test_shared_draws_are_dropped_when_the_step_raises(monkeypatch):
 
     monkeypatch.setattr(calibrate, "_solve_paths", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        calibrate.optimize_step(panel, events, windows, prefix, candidates, 20.0,
-                                DEFAULT_LAMBDA_GRID, sims=50, seed=(4, 2), table=table)
+        calibrate.optimize_step(table, windows, prefix, candidates, 20.0, sims=50,
+                                seed=(4, 2))
     gc.collect()
     assert [ref() for _, ref in draws] == [None]
 

@@ -127,6 +127,8 @@ def test_detect_unknown_subset_on_a_wide_panel_writes_nothing(workspace, tmp_pat
     ["--subset", "pred1", "--lam", "0.3", "--h", "-1"],
     ["--subset", ","],
     ["--subset", "pred1,pred1"],
+    ["--baseline", "week:34", "--lam", "0.3", "--h", "5"],
+    ["--baseline", "week:34", "--lam", "7"],
 ])
 def test_detect_usage_errors_write_nothing(workspace, tmp_path, argv):
     out = tmp_path / "x"
@@ -155,6 +157,30 @@ def test_detect_deterministic(workspace, tmp_path):
         assert run(["detect", "--config", workspace / "exp.cfg",
                     "--subset", "pred1", "--out", out]) == 0
     assert tree_bytes(a) == tree_bytes(b)
+
+
+@pytest.mark.parametrize("subset", [("pred1",), ("pred1", "pred3"), ("pred2", "gold")])
+def test_calibrated_detect_writes_what_the_library_gives(workspace, tmp_path, subset):
+    from epiwarn.calibrate import optimize_params
+    from epiwarn.mewma import DetectorConfig, estimate_null, run_scan
+
+    out = tmp_path / "detect"
+    assert run(["detect", "--config", workspace / "exp.cfg", "--subset", ",".join(subset),
+                "--out", out]) == 0
+    config = load_config(workspace / "exp.cfg")
+    experiment = pipeline.Experiment(load_panel_from_manifest(config.manifest), config)
+    events, windows = experiment.events, experiment.windows
+    panel = experiment.panel.with_gold_candidate()
+    curve = []
+    point = optimize_params(panel, events, windows, subset, config.atfs, config.lambda_grid,
+                            sims=config.sims, seed=config.seed, curve=curve)
+    assert [list(row.values()) for row in csv_rows(out / "calibration.csv")] == [
+        [repr(p.lam), repr(p.h), repr(p.atfs), repr(p.performance)] for p in curve
+    ]
+    trace = run_scan(panel, estimate_null(panel, events, subset),
+                     DetectorConfig(subset, point.lam, point.h))
+    assert [row["E"] for row in csv_rows(out / "mewma_trace.csv")] == list(
+        map(repr, trace.E.tolist()))
 
 
 def test_detect_baseline_trigger(workspace, tmp_path):

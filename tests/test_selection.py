@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epiwarn.calibrate import optimize_params
+from epiwarn.calibrate import optimize_step
 from epiwarn.events import EventSet, build_windows, detect_events
 from epiwarn.evaluate import performance
 from epiwarn.mewma import AlarmTrace
@@ -149,10 +149,9 @@ def test_pure_noise_score_indistinguishable_from_shuffled_alarms():
     observed = []
     permuted = []
     for ctx in contexts:
-        point = optimize_params(
-            panel, events, ctx.train_windows, ("noise1",), PHI, GRID,
-            sims=SIMS, seed=(0, ctx.fold), table=ctx.table,
-        )
+        point = optimize_step(
+            ctx.table, ctx.train_windows, (), ("noise1",), PHI, sims=SIMS, seed=(0, ctx.fold)
+        )[0].point
         trace = ctx.table.scan(point.lam, ("noise1",), point.h)
         observed.append(performance(trace, ctx.test_windows))
         onset_count = len(trace.cluster_onsets)
