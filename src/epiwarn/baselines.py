@@ -18,6 +18,10 @@ from .panel import AlignedPanel
 from .selection import FoldPlan
 
 
+class AxisTooShortError(ValueError):
+    """The panel's week axis spans less than the one year a week trigger needs."""
+
+
 @dataclass(frozen=True)
 class WeekTriggerConfig:
     """Alarm in the same ISO week of every year."""
@@ -63,7 +67,7 @@ def week_trigger(panel: AlignedPanel, config: WeekTriggerConfig) -> AlarmTrace:
     """
     n = panel.n_weeks
     if n < 52:
-        raise ValueError("week trigger needs an axis spanning at least one year")
+        raise AxisTooShortError("week trigger needs an axis spanning at least one year")
     alarm = panel.axis.iso_weeks == config.trigger_week
     weeks = np.flatnonzero(alarm)
     return AlarmTrace(

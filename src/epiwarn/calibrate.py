@@ -304,12 +304,16 @@ def solve_threshold(
     return the boundary solution h = 0, where every week alarms. Raises
     ``CalibrationError`` when no h > 0 comes within ``ATFS_TOL`` of phi.
 
-    A one-predictor statistic s^2 / var(s) does not depend on the null's
-    variance, so every 1-d null is calibrated against the unit null, and that
-    solve is memoized on its other arguments: the singletons of a selection
-    step share one simulation per (lambda, seed).
+    This is the one-candidate greedy step of the null's last predictor at the
+    one lambda ``lam`` (``_step_solves``), so a 1-d null is solved against
+    the memoized unit null, as a first step's singletons are.
     """
-    return _solve(null, lam, phi, sims, _checked_length(phi, length), seed)[0]
+    names = null.predictor_names
+    [[solved]] = _step_solves(null, names[:-1], names[-1:], (lam,), phi, sims, length,
+                              _seed(seed))
+    if isinstance(solved, CalibrationError):
+        raise solved
+    return solved[0]
 
 
 def _checked_length(phi: float, length: int | None = None) -> int:
@@ -320,13 +324,6 @@ def _checked_length(phi: float, length: int | None = None) -> int:
 
 
 _UNIT_NULL = NullModel(("unit",), np.zeros(1), np.ones((1, 1)), 0)
-
-
-def _solve(null: NullModel, lam, phi, sims, length, seed) -> tuple[float, float]:
-    """``solve_threshold``'s h and achieved ATFS."""
-    if null.dim == 1:
-        return _solve_unit_null((lam,), phi, sims, length, _seed(seed))[0]
-    return _solve_paths(simulate_statistic_paths(null, lam, sims, length, seed), phi)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -490,7 +487,7 @@ def optimize_step(
     curves: list[list[ConstraintCurvePoint]] = [[] for _ in candidates]
     failures: list[list[str]] = [[] for _ in candidates]
     lambdas, seed = table.lambdas, _seed(seed)
-    solves = _step_solves(table.null, prefix, candidates, lambdas, phi, sims, seed)
+    solves = _step_solves(table.null, prefix, candidates, lambdas, phi, sims, None, seed)
     for lam, lam_solves in zip(lambdas, solves):
         for i, (cand, solved) in enumerate(zip(candidates, lam_solves)):
             if isinstance(solved, CalibrationError):
@@ -516,14 +513,16 @@ def optimize_step(
             for (_, point, trace), curve in zip(best, curves)]
 
 
-def _step_solves(null, prefix, candidates, lambdas, phi, sims, seed) -> list:
+def _step_solves(null, prefix, candidates, lambdas, phi, sims, length, seed) -> list:
     """Each lambda's list of each candidate's (h, achieved ATFS), or the
-    CalibrationError its solve raised, all from one draw; each candidate's E
-    is solved where ``step_statistic_paths`` formed it."""
+    CalibrationError its solve raised, all from one draw of (sims, length)
+    paths (``length`` None: ``_checked_length(phi)``). Each candidate's E is
+    solved where ``step_statistic_paths`` formed it; with an empty prefix
+    every candidate is a 1-d null, whose statistic does not depend on its
+    variance, so all share the memoized unit-null solve."""
     try:
-        length = _checked_length(phi)
+        length = _checked_length(phi, length)
         if not prefix:
-            # every 1-d null shares the memoized unit-null solve
             unit = _solve_unit_null(tuple(lambdas), phi, sims, length, seed)
             return [[solved] * len(candidates) for solved in unit]
     except CalibrationError as exc:

@@ -7,8 +7,8 @@ Every experiment rule (events, windows, fold plans, models) lives in
 ``pipeline``; a command parses and validates its input, sets up the
 experiment, and only then writes its output directory. Exit codes: 0
 success, 1 runtime failure, 2 usage/validation problem (too few events, too
-few baseline weeks for the candidates and overlapping detection windows
-included).
+few baseline weeks for the candidates, overlapping detection windows and a
+week trigger on less than a year of weeks included).
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (UsageError, TooFewEventsError, TooFewBaselineWeeksError, WindowOverlapError) as exc:
+    except (UsageError, TooFewEventsError, TooFewBaselineWeeksError, WindowOverlapError,
+            baselines.AxisTooShortError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

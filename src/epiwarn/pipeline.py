@@ -150,19 +150,16 @@ def evaluate_mewma_cv(
     lambda_grid: Sequence[float] = calibrate.DEFAULT_LAMBDA_GRID,
     seed=0,
     reporting_threshold: float | None = None,
-    contexts=None,
     name: str = "mewma",
     audit: AuditLog | None = None,
 ) -> ModelEvaluation:
     """Calibrate a fixed subset per fold on training weeks, score held-out events.
 
-    ``lambda_grid`` only builds the contexts when none are given; given
-    contexts carry their own grid."""
+    Each fold's null is the subset's own, from the fold's training weeks,
+    over ``lambda_grid``; the fold fits (``fit_folds``) join ``audit`` if given."""
     subset = tuple(subset)
-    if contexts is None:
-        contexts = prepare_fold_contexts(
-            panel, events, windows, folds, lambda_grid, candidates=subset
-        )
+    contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid,
+                                     candidates=subset)
     fits = fit_folds(subset[:-1], subset[-1:], contexts, phi, sims=sims, seed=seed,
                      audit=audit)[0]
     report, leads = pooled_cv_report(
@@ -209,12 +206,14 @@ def _single_threaded_blas():
             os.environ.pop(name, None)
 
 
-def _read_checkpoint(path: Path, fingerprint: str) -> SelectionTrace | None:
-    """A replicate's checkpointed trace, or None when it must be re-run: the
-    file is missing, unreadable or truncated, or another config wrote it."""
+def _read_checkpoint(path: Path, fingerprint: str, replicate: int) -> SelectionTrace | None:
+    """Replicate ``replicate``'s checkpointed trace, or None when it must be
+    re-run: the file is missing, unreadable or truncated, another config
+    wrote it, or it holds another replicate's trace."""
     try:
         payload = json.loads(path.read_text())
-        if not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint:
+        if (not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint
+                or payload.get("replicate") != replicate):
             return None
         steps = tuple(
             SelectionStep(
@@ -264,8 +263,8 @@ def run_selection(
     run in up to ``workers`` spawned processes, each given the experiment
     and limited to one BLAS thread unless the user set a count. With a
     ``checkpoints`` directory, a replicate checkpointed there under the same
-    config fingerprint is read instead of run, and every replicate that
-    finishes is checkpointed at once, atomically.
+    config fingerprint and replicate number is read instead of run, and
+    every replicate that finishes is checkpointed at once, atomically.
 
     Failures: a run without checkpoints keeps nothing, so it re-raises its
     first failure unchanged. A checkpointing run finishes and checkpoints the
@@ -278,7 +277,7 @@ def run_selection(
         checkpoints.mkdir(exist_ok=True)
         fingerprint = config.fingerprint()
         for r in range(config.replicates):
-            trace = _read_checkpoint(checkpoints / f"replicate_{r:03d}.json", fingerprint)
+            trace = _read_checkpoint(checkpoints / f"replicate_{r:03d}.json", fingerprint, r)
             if trace is not None:
                 traces[r] = trace
     seeds = {r: config.seed + r for r in range(config.replicates) if r not in traces}

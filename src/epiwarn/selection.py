@@ -143,13 +143,6 @@ def prepare_fold_contexts(
     return contexts
 
 
-@dataclass
-class AuditLog:
-    """Record of which weeks and parameters each fold's fit actually used."""
-
-    entries: list[dict] = field(default_factory=list)
-
-
 @dataclass(frozen=True, eq=False)
 class FoldFit:
     """One fold's calibrated detector: the subset, its chosen (lambda, h), and
@@ -163,6 +156,14 @@ class FoldFit:
     def scan(self) -> AlarmTrace:
         """The detector's scan over the whole panel."""
         return self.context.table.scan(self.point.lam, self.subset, self.point.h)
+
+
+@dataclass
+class AuditLog:
+    """The fold fits a run made, in order (``FoldFit``): each one's context
+    holds the masks and baseline weeks its fold used."""
+
+    entries: list[FoldFit] = field(default_factory=list)
 
 
 def fit_folds(
@@ -187,8 +188,8 @@ def fit_folds(
     candidate's ``calibrate.StepFit`` gives its chosen point and that
     point's scan of the whole panel; the scan is scored on the fold's
     held-out windows and not kept, so a step holds the scans of one fold at
-    a time. Each fit is recorded, with its score, in ``audit`` if given,
-    candidate by candidate.
+    a time. The fits themselves are appended to ``audit``'s entries if
+    given, candidate by candidate.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
     fits: list[list[FoldFit]] = [[] for _ in candidates]
@@ -201,20 +202,7 @@ def fit_folds(
             held_out = evaluate.performance(fit.trace, ctx.test_windows)
             cand_fits.append(FoldFit(ctx, prefix + (cand,), fit.point, held_out))
     if audit is not None:
-        for cand_fits in fits:
-            for fit in cand_fits:
-                audit.entries.append(
-                    {
-                        "fold": fit.context.fold,
-                        "subset": fit.subset,
-                        "baseline_weeks": fit.context.baseline_weeks.copy(),
-                        "train_mask": fit.context.train_mask.copy(),
-                        "test_mask": fit.context.test_mask.copy(),
-                        "lam": fit.point.lam,
-                        "h": fit.point.h,
-                        "fold_score": fit.held_out,
-                    }
-                )
+        audit.entries.extend(fit for cand_fits in fits for fit in cand_fits)
     return fits
 
 
@@ -226,8 +214,6 @@ def score_subset(
     epsilon: float,
     window: int,
     *,
-    min_duration: int = 3,
-    lead: int | None = None,
     sims: int = calibrate.DEFAULT_SIMS,
     seed=0,
     lambda_grid: Sequence[float] = calibrate.DEFAULT_LAMBDA_GRID,
@@ -238,18 +224,18 @@ def score_subset(
 
     Per fold: the null model and the (lambda, h) pair come from training
     weeks only; the chosen detector's trace is then scored on the held-out
-    events' windows, and the score joins the fold's audit entry
-    (``fit_folds`` for the one extension ``subset[:-1] + subset[-1:]``).
-    ``epsilon``, ``window``, ``min_duration``, ``lead`` and ``lambda_grid``
-    only build the contexts when none are given; given contexts carry their
-    own grid.
+    events' windows, and the fold's fit joins ``audit`` (``fit_folds`` for
+    the one extension ``subset[:-1] + subset[-1:]``). ``epsilon``, ``window``
+    and ``lambda_grid`` only build the contexts when none are given, with
+    ``detect_events``' and ``build_windows``' defaults for the rest; given
+    contexts carry their own grid.
     """
     subset = tuple(subset)
     if not subset:
         raise ValueError("predictor subset must be nonempty")
     if contexts is None:
-        events = detect_events(panel.gold, epsilon, min_duration)
-        windows = build_windows(events, window, lead, panel.gold)
+        events = detect_events(panel.gold, epsilon)
+        windows = build_windows(events, window, None, panel.gold)
         contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid)
     fits = fit_folds(subset[:-1], subset[-1:], contexts, phi, sims=sims, seed=seed,
                      audit=audit)[0]
@@ -284,13 +270,10 @@ def forward_select(
     *,
     epsilon: float = 1.25,
     window: int = 16,
-    min_duration: int = 3,
-    lead: int | None = None,
     sims: int = calibrate.DEFAULT_SIMS,
     lambda_grid: Sequence[float] = calibrate.DEFAULT_LAMBDA_GRID,
     min_improvement: float = 0.0,
     contexts: Sequence[FoldContext] | None = None,
-    audit: AuditLog | None = None,
 ) -> SelectionTrace:
     """Greedy forward selection: repeatedly add the candidate that most
     improves the cross-validated score.
@@ -302,8 +285,8 @@ def forward_select(
     so per fold the step's null normals are drawn once, for every lambda,
     and every candidate applies its own Cholesky factor to them. A candidate
     scores the mean of its folds' held-out timeliness. ``epsilon``,
-    ``window``, ``min_duration``, ``lead`` and ``lambda_grid`` only build the
-    contexts when none are given; given contexts carry their own grid.
+    ``window`` and ``lambda_grid`` only build the contexts when none are
+    given, as in ``score_subset``; given contexts carry their own grid.
     """
     candidates = list(candidates)
     if not candidates:
@@ -311,8 +294,8 @@ def forward_select(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if contexts is None:
-        events = detect_events(panel.gold, epsilon, min_duration)
-        windows = build_windows(events, window, lead, panel.gold)
+        events = detect_events(panel.gold, epsilon)
+        windows = build_windows(events, window, None, panel.gold)
         contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid)
 
     chosen: list[str] = []
@@ -321,7 +304,7 @@ def forward_select(
     current_score: float | None = None
     stop_reason = "reached-k"
     while remaining and len(chosen) < k_max:
-        fits = fit_folds(chosen, remaining, contexts, phi, sims=sims, seed=seed, audit=audit)
+        fits = fit_folds(chosen, remaining, contexts, phi, sims=sims, seed=seed)
         scored = [
             (cand, float(np.mean([fit.held_out for fit in cand_fits])))
             for cand, cand_fits in zip(remaining, fits)
@@ -343,7 +326,6 @@ def forward_select(
 class ReplicateAggregate:
     """Median-rank ordering of predictors across replicate selection runs."""
 
-    replicate_count: int
     traces: tuple[SelectionTrace, ...]
     ranking: tuple[tuple[str, float, int], ...]  # (name, median rank, times selected)
 
@@ -376,35 +358,34 @@ def aggregate_replicates(traces: Sequence[SelectionTrace], k_max: int) -> Replic
                 ranks.append(absent_rank)
         ranking.append((name, float(statistics.median(ranks)), freq))
     ranking.sort(key=lambda r: (r[1], -r[2], r[0]))
-    return ReplicateAggregate(
-        replicate_count=len(traces), traces=tuple(traces), ranking=tuple(ranking)
-    )
+    return ReplicateAggregate(traces=tuple(traces), ranking=tuple(ranking))
 
 
 def audit_leakage(folds: FoldPlan, n_weeks: int, audit: AuditLog) -> list[str]:
     """Check the recorded fits for held-out-week leakage.
 
-    Returns a list of violation descriptions (empty means clean): a fold's
-    null estimation must not have touched held-out weeks, its training mask
-    must exclude every held-out-season week, and the two masks must agree
-    with the fold plan recomputed from scratch.
+    Returns a list of violation descriptions (empty means clean). Each fit's
+    fold context is read: the null estimation's baseline weeks must not
+    touch held-out weeks, the training mask must exclude every
+    held-out-season week, and the two masks must agree with the fold plan
+    recomputed from scratch.
     """
     problems = []
-    for entry in audit.entries:
-        f = entry["fold"]
+    for ctx in (fit.context for fit in audit.entries):
+        f = ctx.fold
         expected_test = folds.test_mask(f, n_weeks)
         expected_train = folds.train_mask(f, n_weeks)
-        if not np.array_equal(entry["test_mask"], expected_test):
+        if not np.array_equal(ctx.test_mask, expected_test):
             problems.append(f"fold {f}: recorded test mask differs from fold plan")
-        if not np.array_equal(entry["train_mask"], expected_train):
+        if not np.array_equal(ctx.train_mask, expected_train):
             problems.append(f"fold {f}: recorded train mask differs from fold plan")
         held_out = np.flatnonzero(expected_test)
-        overlap = np.intersect1d(entry["baseline_weeks"], held_out)
+        overlap = np.intersect1d(ctx.baseline_weeks, held_out)
         if overlap.size:
             problems.append(
                 f"fold {f}: null estimation used held-out weeks {overlap[:5].tolist()}"
             )
-        if np.any(entry["train_mask"] & expected_test):
+        if np.any(ctx.train_mask & expected_test):
             problems.append(f"fold {f}: training mask includes held-out weeks")
     return problems
 

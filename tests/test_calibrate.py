@@ -114,7 +114,8 @@ def test_default_resimulation_length_matches_the_solve():
     h = solve_threshold(null, 0.3, 3.0, sims=100, seed=4)
     est = simulate_atfs(null, 0.3, h, sims=100, seed=4, target=3.0)
     assert est.sequence_length == 50
-    assert est.atfs == calibrate._solve(null, 0.3, 3.0, 100, 50, 4)[1]
+    [[(_, atfs)]] = calibrate._step_solves(null, ("x0",), ("x1",), (0.3,), 3.0, 100, 50, (4,))
+    assert est.atfs == atfs
     assert abs(est.atfs - 3.0) <= calibrate.ATFS_TOL
 
 
@@ -335,10 +336,14 @@ def test_one_dimensional_threshold_ignores_variance(variance, lam, seed):
        seed=st.integers(0, 1000))
 def test_cached_solve_equals_cold_solve(lam, phi, seed):
     length = calibrate._checked_length(phi)
-    calibrate._solve(unit_null(), lam, phi, 30, length, [seed, 1])
-    cached = calibrate._solve(unit_null(), lam, phi, 30, length, (seed, 1))
+
+    def solve(seed):
+        return calibrate._step_solves(unit_null(), (), ("x",), (lam,), phi, 30, length, seed)
+
+    solve(calibrate._seed([seed, 1]))
+    cached = solve((seed, 1))
     calibrate._solve_unit_null.cache_clear()
-    cold = calibrate._solve(unit_null(), lam, phi, 30, length, (seed, 1))
+    cold = solve((seed, 1))
     assert cached == cold
 
 
@@ -380,13 +385,13 @@ def test_atfs_monotone_in_threshold(lam, h1, h2, d):
 
 def test_one_dimensional_nulls_share_one_simulation(monkeypatch):
     calls = []
-    simulate = calibrate.simulate_statistic_paths
+    step_paths = calibrate.step_statistic_paths
 
-    def counted(null, lam, sims, length, seed):
+    def counted(null, *args):
         calls.append(null.dim)
-        return simulate(null, lam, sims, length, seed)
+        return step_paths(null, *args)
 
-    monkeypatch.setattr(calibrate, "simulate_statistic_paths", counted)
+    monkeypatch.setattr(calibrate, "step_statistic_paths", counted)
     calibrate._solve_unit_null.cache_clear()
     for variance in (0.01, 1.0, 37.0):
         solve_threshold(scaled_null(variance), 0.3, 20.0, sims=50, seed=(0, 1, 2))
@@ -497,7 +502,8 @@ def test_step_thresholds_match_per_subset_solve(prefix_size, n_candidates, lambd
     prefix, candidates = null.predictor_names[:prefix_size], null.predictor_names[prefix_size:]
     step_seed = (seed, 1, 0)
     calibrate._solve_unit_null.cache_clear()
-    solves = calibrate._step_solves(null, prefix, candidates, lambdas, phi, 40, step_seed)
+    solves = calibrate._step_solves(null, prefix, candidates, lambdas, phi, 40, None,
+                                    step_seed)
     assert [len(row) for row in solves] == [n_candidates] * len(lambdas)
     length = calibrate._checked_length(phi)
     for lam, row in zip(lambdas, solves):
@@ -527,7 +533,7 @@ def step_peak(n_candidates, sims, lambdas=(0.4,)):
     prefix, candidates = null.predictor_names[:1], null.predictor_names[1:]
     tracemalloc.start()
     try:
-        calibrate._step_solves(null, prefix, candidates, lambdas, 10.0, sims, (1, 2))
+        calibrate._step_solves(null, prefix, candidates, lambdas, 10.0, sims, None, (1, 2))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -652,7 +658,7 @@ def test_shared_draws_are_dropped_when_the_step_raises(monkeypatch):
     assert [ref() for _, ref in draws] == [None]
 
 
-@pytest.mark.parametrize("subset", [("pred1",), ("pred1", "pred3")])
+@pytest.mark.parametrize("subset", [("pred1",), ("pred1", "pred3"), ("pred1", "pred2", "pred3")])
 def test_every_curve_point_is_solved_with_the_steps_own_seed(subset):
     from epiwarn.mewma import estimate_null
 

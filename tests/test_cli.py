@@ -431,6 +431,23 @@ def test_evaluate_triggers_need_no_selection_plan(tmp_path):
     assert [r["model"] for r in rows] == ["week-trigger", "rise-trigger"]
 
 
+@pytest.mark.parametrize("command", [["detect", "--baseline", "week:34"],
+                                     ["evaluate", "--models", "week-trigger"]])
+def test_week_trigger_on_less_than_a_year_exits_2(tmp_path, capsys, command):
+    # 2 seasons of 24 weeks: 48 weeks cannot place a week trigger
+    assert run(["synth", "--out", tmp_path / "panel", "--seasons", 2,
+                "--weeks-per-season", 24, "--predictors", 2]) == 0
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(f"manifest = {tmp_path / 'panel' / 'panel.manifest'}\n"
+                   "window = 8\nlead = 4\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([*command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: week trigger needs an axis spanning at least one year"]
+    assert not out.exists()
+
+
 @pytest.fixture
 def two_season_compare_config(tmp_path):
     """A two-season panel's config whose fold preset holds out two seasons."""
@@ -690,6 +707,26 @@ def test_select_truncated_checkpoint_is_rerun(workspace, tmp_path):
 
 
 _run_replicate = pipeline._run_replicate
+
+
+def test_select_reruns_a_checkpoint_of_another_replicate(workspace, tmp_path, monkeypatch):
+    out = tmp_path / "sel"
+    assert run(["select", "--config", workspace / "exp.cfg", "--out", out,
+                "--workers", 1]) == 0
+    clean = tree_bytes(out)
+    ckpts = out / "checkpoints"
+    shutil.copy(ckpts / "replicate_000.json", ckpts / "replicate_001.json")
+    ran = []
+
+    def counted(experiment, seed):
+        ran.append(seed - experiment.config.seed)
+        return _run_replicate(experiment, seed)
+
+    monkeypatch.setattr(pipeline, "_run_replicate", counted)
+    assert run(["select", "--config", workspace / "exp.cfg", "--out", out,
+                "--workers", 1]) == 0
+    assert ran == [1]
+    assert tree_bytes(out) == clean
 
 
 def _second_replicate_fails(experiment, seed):

@@ -340,11 +340,11 @@ def test_score_subset_and_evaluate_mewma_cv_fit_folds_alike():
     )
     model = evaluate_mewma_cv(
         panel, subset, events, windows, folds, 20.0,
-        sims=60, lambda_grid=grid, seed=4, contexts=contexts, audit=evaluated,
+        sims=60, lambda_grid=grid, seed=4, audit=evaluated,
     )
 
     def fold_fits(audit):
-        return [(e["fold"], e["lam"], e["h"]) for e in audit.entries]
+        return [(fit.context.fold, fit.point.lam, fit.point.h) for fit in audit.entries]
 
     assert len(model.fold_params) == folds.n_folds
     assert fold_fits(scored) == fold_fits(evaluated) == list(model.fold_params)

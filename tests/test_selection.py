@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,7 +122,7 @@ def test_score_subset_lead_predictor_beats_half_on_every_fold():
         sims=SIMS, seed=0, lambda_grid=GRID, audit=audit,
     )
     assert mean_score > 0.5
-    fold_scores = [e["fold_score"] for e in audit.entries]
+    fold_scores = [fit.held_out for fit in audit.entries]
     assert len(fold_scores) == folds.n_folds
     assert all(s > 0.5 for s in fold_scores)
 
@@ -319,12 +321,30 @@ def test_leakage_audit_flags_contaminated_entry():
         panel, ("lead3",), folds, PHI, 1.25, 16,
         sims=SIMS, seed=0, lambda_grid=GRID, audit=audit,
     )
-    held_out = np.flatnonzero(folds.test_mask(audit.entries[0]["fold"], panel.n_weeks))
-    audit.entries[0]["baseline_weeks"] = np.append(
-        audit.entries[0]["baseline_weeks"], held_out[0]
-    )
+    fit = audit.entries[0]
+    held_out = np.flatnonzero(folds.test_mask(fit.context.fold, panel.n_weeks))
+    leaked = np.append(fit.context.baseline_weeks, held_out[0])
+    audit.entries[0] = replace(fit, context=replace(fit.context, baseline_weeks=leaked))
     problems = audit_leakage(folds, panel.n_weeks, audit)
     assert any("held-out weeks" in p for p in problems)
+
+
+def test_audit_records_the_fold_fits_themselves():
+    panel = mixed_panel(noise_scale=0.05)
+    events = detect_events(panel.gold, 1.25, 3)
+    windows = build_windows(events, 16, 8, panel.gold)
+    folds = make_folds(events, 1, panel.n_weeks)
+    contexts = prepare_fold_contexts(panel, events, windows, folds, GRID)
+    audit = AuditLog()
+    score = score_subset(
+        panel, ("lead3", "noise1"), folds, PHI, 1.25, 16,
+        sims=SIMS, seed=0, contexts=contexts, audit=audit,
+    )
+    assert len(audit.entries) == len(contexts)
+    for fit, ctx in zip(audit.entries, contexts):
+        assert fit.context is ctx
+        assert fit.subset == ("lead3", "noise1")
+    assert float(np.mean([fit.held_out for fit in audit.entries])) == score
 
 
 def test_step_scores_equal_per_subset_scores(synth_panel):
