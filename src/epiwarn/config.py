@@ -54,8 +54,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0 <= self.lead <= self.window:
             raise ValueError(f"lead must be in [0, window={self.window}], got {self.lead}")
-        if not 1.0 <= self.atfs < math.inf:
-            raise ValueError(f"atfs must be finite and >= 1 week, got {self.atfs}")
+        if not 1.0 < self.atfs < math.inf:  # ATFS 1 needs h = 0, where every week alarms
+            raise ValueError(f"atfs must be finite and > 1 week, got {self.atfs}")
         object.__setattr__(self, "manifest", Path(self.manifest))
         object.__setattr__(self, "lambda_grid", tuple(float(l) for l in self.lambda_grid))
         if not self.lambda_grid or not all(0.0 < l < 1.0 for l in self.lambda_grid):

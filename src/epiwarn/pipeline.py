@@ -231,22 +231,15 @@ def _read_checkpoint(path: Path, fingerprint: str, replicate: int) -> SelectionT
 def _run_replicate(experiment: Experiment, seed) -> SelectionTrace:
     """One replicate: a forward selection over every panel candidate, on fold
     contexts built here from the experiment's events, windows and selection
-    plan. It is also the worker entry point, so it takes picklable arguments."""
-    panel, config, folds = experiment.panel, experiment.config, experiment.select_folds
+    plan; the contexts are all that ``forward_select`` reads. It is also the
+    worker entry point, so it takes picklable arguments."""
+    config = experiment.config
     contexts = prepare_fold_contexts(
-        panel, experiment.events, experiment.windows, folds, config.lambda_grid
+        experiment.panel, experiment.events, experiment.windows, experiment.select_folds,
+        config.lambda_grid,
     )
-    return forward_select(
-        panel,
-        panel.candidate_names(),
-        config.k_max,
-        config.atfs,
-        folds,
-        seed=seed,
-        sims=config.sims,
-        min_improvement=config.min_improvement,
-        contexts=contexts,
-    )
+    return forward_select(contexts, config.k_max, config.atfs, sims=config.sims, seed=seed,
+                          min_improvement=config.min_improvement)
 
 
 def run_selection(
@@ -359,7 +352,9 @@ class Experiment:
     The selection plan is checked as it is made: every fold must train on
     at least D + 1 baseline weeks to estimate the null of all D candidates.
     Every replicate (``run_selection``) runs on it, pickled whole to spawned
-    workers, so it holds no fold contexts: they would dwarf the panel.
+    workers, so it holds no fold contexts: they would dwarf the panel. Each
+    replicate builds them from the events, windows and selection plan here,
+    and they are all its selection reads.
     """
 
     def __init__(self, panel: AlignedPanel, config: ExperimentConfig,

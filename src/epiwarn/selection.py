@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import calibrate, evaluate
-from .events import DetectionWindowSet, EventSet, build_windows, detect_events
+from .events import DetectionWindowSet, EventSet
 from .mewma import AlarmTrace, SharedScanTable, estimate_null, precompute_shared_states
 from .panel import AlignedPanel, write_csv
 
@@ -207,36 +207,26 @@ def fit_folds(
 
 
 def score_subset(
-    panel: AlignedPanel,
     subset: Sequence[str],
-    folds: FoldPlan,
+    contexts: Sequence[FoldContext],
     phi: float,
-    epsilon: float,
-    window: int,
     *,
-    sims: int = calibrate.DEFAULT_SIMS,
-    seed=0,
-    lambda_grid: Sequence[float] = calibrate.DEFAULT_LAMBDA_GRID,
-    contexts: Sequence[FoldContext] | None = None,
+    sims: int,
+    seed,
     audit: AuditLog | None = None,
 ) -> float:
-    """Mean out-of-sample timeliness of a predictor subset across folds.
+    """Mean out-of-sample timeliness of a predictor subset across the folds of
+    ``contexts``.
 
     Per fold: the null model and the (lambda, h) pair come from training
-    weeks only; the chosen detector's trace is then scored on the held-out
-    events' windows, and the fold's fit joins ``audit`` (``fit_folds`` for
-    the one extension ``subset[:-1] + subset[-1:]``). ``epsilon``, ``window``
-    and ``lambda_grid`` only build the contexts when none are given, with
-    ``detect_events``' and ``build_windows``' defaults for the rest; given
-    contexts carry their own grid.
+    weeks only, on the fold's table and lambda grid; the chosen detector's
+    trace is then scored on the held-out events' windows, and the fold's fit
+    joins ``audit`` (``fit_folds`` for the one extension ``subset[:-1] +
+    subset[-1:]``).
     """
     subset = tuple(subset)
     if not subset:
         raise ValueError("predictor subset must be nonempty")
-    if contexts is None:
-        events = detect_events(panel.gold, epsilon)
-        windows = build_windows(events, window, None, panel.gold)
-        contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid)
     fits = fit_folds(subset[:-1], subset[-1:], contexts, phi, sims=sims, seed=seed,
                      audit=audit)[0]
     return float(np.mean([fit.held_out for fit in fits]))
@@ -261,46 +251,33 @@ class SelectionTrace:
 
 
 def forward_select(
-    panel: AlignedPanel,
-    candidates: Sequence[str],
+    contexts: Sequence[FoldContext],
     k_max: int,
     phi: float,
-    folds: FoldPlan,
-    seed=0,
     *,
-    epsilon: float = 1.25,
-    window: int = 16,
-    sims: int = calibrate.DEFAULT_SIMS,
-    lambda_grid: Sequence[float] = calibrate.DEFAULT_LAMBDA_GRID,
+    sims: int,
+    seed,
     min_improvement: float = 0.0,
-    contexts: Sequence[FoldContext] | None = None,
 ) -> SelectionTrace:
     """Greedy forward selection: repeatedly add the candidate that most
-    improves the cross-validated score.
+    improves the cross-validated score over the folds of ``contexts``.
 
-    The first step always picks the best singleton; afterwards selection
-    stops at ``k_max`` predictors or when the best marginal improvement is
-    <= ``min_improvement``. Ties go to the earlier candidate in the given
-    order. Each step fits all remaining candidates at once (``fit_folds``),
-    so per fold the step's null normals are drawn once, for every lambda,
-    and every candidate applies its own Cholesky factor to them. A candidate
-    scores the mean of its folds' held-out timeliness. ``epsilon``,
-    ``window`` and ``lambda_grid`` only build the contexts when none are
-    given, as in ``score_subset``; given contexts carry their own grid.
+    The candidate pool is the predictors of the contexts' training nulls
+    (``table.null.predictor_names``), in that order; a caller narrows it by
+    building the contexts over fewer candidates. The first step always
+    picks the best singleton; afterwards selection stops at ``k_max``
+    predictors or when the best marginal improvement is <=
+    ``min_improvement``. Ties go to the earlier candidate. Each step fits
+    all remaining candidates at once (``fit_folds``), so per fold the step's
+    null normals are drawn once, for every lambda, and every candidate
+    applies its own Cholesky factor to them. A candidate scores the mean of
+    its folds' held-out timeliness.
     """
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("candidate pool must be nonempty")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if contexts is None:
-        events = detect_events(panel.gold, epsilon)
-        windows = build_windows(events, window, None, panel.gold)
-        contexts = prepare_fold_contexts(panel, events, windows, folds, lambda_grid)
-
     chosen: list[str] = []
     steps: list[SelectionStep] = []
-    remaining = list(candidates)
+    remaining = list(contexts[0].table.null.predictor_names)
     current_score: float | None = None
     stop_reason = "reached-k"
     while remaining and len(chosen) < k_max:

@@ -198,20 +198,16 @@ def test_criterion_4_greedy_vs_exhaustive():
         windows = build_windows(events, t_w, 8, panel.gold)
         contexts = prepare_fold_contexts(panel, events, windows, folds, grid)
         names = panel.candidate_names()
-        kwargs = dict(sims=sims, seed=trial, lambda_grid=grid, contexts=contexts)
+        kwargs = dict(sims=sims, seed=trial)
 
-        singles = {n: score_subset(panel, (n,), folds, phi, 1.25, t_w, **kwargs) for n in names}
+        singles = {n: score_subset((n,), contexts, phi, **kwargs) for n in names}
         pairs = {
-            frozenset(p): score_subset(panel, p, folds, phi, 1.25, t_w, **kwargs)
+            frozenset(p): score_subset(p, contexts, phi, **kwargs)
             for p in combinations(names, 2)
         }
         # min_improvement=-inf forces the full 2-subset even when the second
         # predictor does not help, since the criterion compares greedy pairs
-        trace = forward_select(
-            panel, names, 2, phi, folds, seed=trial,
-            epsilon=1.25, window=t_w, sims=sims, lambda_grid=grid, contexts=contexts,
-            min_improvement=-np.inf,
-        )
+        trace = forward_select(contexts, 2, phi, min_improvement=-np.inf, **kwargs)
         best_single = max(names, key=lambda n: singles[n])
         if trace.steps[0].chosen == best_single:
             first_pick_hits += 1
@@ -246,10 +242,10 @@ def test_criterion_5_leakage_guard(synth_panel):
     checked = 0
     for held_out in (1, 2):  # select-6fold and compare-3fold presets
         folds = make_folds(events, held_out, synth_panel.n_weeks)
+        contexts = prepare_fold_contexts(synth_panel, events, windows, folds, (0.3, 0.6))
         audit = AuditLog()
         score_subset(
-            synth_panel, synth_panel.candidate_names()[:2], folds, 20.0, 1.25, 16,
-            sims=60, seed=0, lambda_grid=(0.3, 0.6), audit=audit,
+            synth_panel.candidate_names()[:2], contexts, 20.0, sims=60, seed=0, audit=audit,
         )
         evaluate_mewma_cv(
             synth_panel, synth_panel.candidate_names()[:1], events, windows, folds,
@@ -289,14 +285,9 @@ def test_criterion_6_synthetic_end_to_end():
     windows = build_windows(events, 16, 8, panel.gold)
     folds = make_folds(events, 1, panel.n_weeks)
     grid = (0.2, 0.5, 0.8)
+    contexts = prepare_fold_contexts(panel, events, windows, folds, grid)
 
-    traces = [
-        forward_select(
-            panel, panel.candidate_names(), 3, 20.0, folds, seed=r,
-            epsilon=1.25, window=16, sims=200, lambda_grid=grid,
-        )
-        for r in range(5)
-    ]
+    traces = [forward_select(contexts, 3, 20.0, sims=200, seed=r) for r in range(5)]
     subset = aggregate_replicates(traces, 3).selected()[:3]
     assert subset, "selection chose nothing"
 

@@ -415,19 +415,19 @@ def test_failed_solve_is_not_memoized():
 
 def test_generator_seed_is_rejected():
     # a calibration seed is an integer or a sequence of integers at every entry point
-    from epiwarn.selection import forward_select, make_folds
+    from epiwarn.selection import forward_select, make_folds, prepare_fold_contexts
 
     rng = np.random.default_rng(5)
     panel, events, windows, *_ = _step_setup(0)
     folds = make_folds(events, 1, panel.n_weeks)
+    contexts = prepare_fold_contexts(panel, events, windows, folds, [0.4])
     calls = [
         lambda: solve_threshold(unit_null(), 0.4, 20.0, sims=50, seed=rng),
         lambda: simulate_atfs(unit_null(2), 0.4, 5.0, sims=50, seed=rng),
         lambda: simulate_statistic_paths(unit_null(), 0.4, 50, 20, rng),
         lambda: optimize_params(panel, events, windows, ("pred1",), 20.0, [0.4], sims=50,
                                 seed=rng),
-        lambda: forward_select(panel, panel.candidate_names(), 1, 20.0, folds, rng, sims=50,
-                               lambda_grid=[0.4]),
+        lambda: forward_select(contexts, 1, 20.0, sims=50, seed=rng),
     ]
     for call in calls:
         with pytest.raises(TypeError, match="interpreted as an integer"):

@@ -574,11 +574,11 @@ def test_sweep_atfs_axis_row_shape(workspace, tmp_path):
 
 
 def test_sweep_failing_point_records_its_own_error(workspace, tmp_path):
-    # no threshold reaches ATFS 1: that point's first replicate fails, and the
-    # row records that failure as raised, not a summary of every replicate
+    # no threshold reaches ATFS 1.01: that point's first replicate fails, and
+    # the row records that failure as raised, not a summary of every replicate
     out = tmp_path / "sweep"
     assert run(["sweep", "--config", workspace / "exp.cfg", "--axis", "atfs",
-                "--values", "1,20", "--out", out]) == 0
+                "--values", "1.01,20", "--out", out]) == 0
     failed, passed = csv_rows(out / "sweep.csv")
     assert failed["error"].startswith("CalibrationError: ")
     assert "replicate" not in failed["error"]
@@ -665,6 +665,7 @@ def test_select_single_replicate_two_candidates(tmp_path):
     ("lead", 20),
     ("lead", -1),
     ("atfs", 0.5),
+    ("atfs", 1),
     ("atfs", "inf"),
     ("min_improvement", "nan"),
     ("reporting_threshold", "nan"),

@@ -301,16 +301,19 @@ def test_spawned_replicates_take_the_given_panel_and_folds():
 
 
 def test_replicates_derive_no_events_or_windows_of_their_own(monkeypatch):
-    import epiwarn.selection
+    import epiwarn.events
+    import epiwarn.pipeline
 
     def derived(*args, **kwargs):
         raise AssertionError("a replicate derived its own events or windows")
 
-    # the experiment derives them through the events module, not selection's names
-    monkeypatch.setattr(epiwarn.selection, "detect_events", derived)
-    monkeypatch.setattr(epiwarn.selection, "build_windows", derived)
+    # the experiment derives them once, before any replicate runs
     config = small_config()
-    assert len(run_selection(Experiment(two_predictor_panel(), config))) == config.replicates
+    experiment = Experiment(two_predictor_panel(), config)
+    for module in (epiwarn.events, epiwarn.pipeline):
+        monkeypatch.setattr(module, "detect_events", derived)
+        monkeypatch.setattr(module, "build_windows", derived)
+    assert len(run_selection(experiment)) == config.replicates
 
 
 def test_sweep_singleton_row_equals_direct_pipeline_run():
@@ -334,10 +337,7 @@ def test_score_subset_and_evaluate_mewma_cv_fit_folds_alike():
     contexts = prepare_fold_contexts(panel, events, windows, folds, grid)
     subset = ("lead3", "noise1")
     scored, evaluated = AuditLog(), AuditLog()
-    score_subset(
-        panel, subset, folds, 20.0, 1.25, 16,
-        sims=60, seed=4, lambda_grid=grid, contexts=contexts, audit=scored,
-    )
+    score_subset(subset, contexts, 20.0, sims=60, seed=4, audit=scored)
     model = evaluate_mewma_cv(
         panel, subset, events, windows, folds, 20.0,
         sims=60, lambda_grid=grid, seed=4, audit=evaluated,

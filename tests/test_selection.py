@@ -44,6 +44,15 @@ def mixed_panel(n_noise=2, seasons=6, seed=5, noise_scale=0.0, lead=3):
     return AlignedPanel(base.axis, base.gold, (lead_series,) + noise)
 
 
+def fold_contexts(panel, held_out=1, **kwargs):
+    """Fold contexts over the lambda grid ``GRID`` from the default events
+    (epsilon 1.25, 3 weeks) and 16-week windows led by 8 weeks."""
+    events = detect_events(panel.gold, 1.25, 3)
+    windows = build_windows(events, 16, 8, panel.gold)
+    folds = make_folds(events, held_out, panel.n_weeks)
+    return prepare_fold_contexts(panel, events, windows, folds, GRID, **kwargs)
+
+
 def test_make_folds_six_events_one_held_out():
     events = EventSet(1.0, 3, tuple((40 * k + 10, 40 * k + 20) for k in range(6)))
     plan = make_folds(events, 1, 240)
@@ -118,8 +127,7 @@ def test_score_subset_lead_predictor_beats_half_on_every_fold():
     folds = make_folds(events, 1, panel.n_weeks)
     audit = AuditLog()
     mean_score = score_subset(
-        panel, ("lead3",), folds, PHI, 1.25, 16,
-        sims=SIMS, seed=0, lambda_grid=GRID, audit=audit,
+        ("lead3",), fold_contexts(panel), PHI, sims=SIMS, seed=0, audit=audit,
     )
     assert mean_score > 0.5
     fold_scores = [fit.held_out for fit in audit.entries]
@@ -132,11 +140,7 @@ def test_score_subset_never_alarming_candidate_scores_zero():
     panel = mixed_panel()
     flat = Series(name="flat", values=np.full(panel.n_weeks, 5.0))
     panel = AlignedPanel(panel.axis, panel.gold, panel.candidates + (flat,))
-    events = detect_events(panel.gold, 1.25, 3)
-    folds = make_folds(events, 1, panel.n_weeks)
-    score = score_subset(
-        panel, ("flat",), folds, PHI, 1.25, 16, sims=SIMS, seed=0, lambda_grid=GRID
-    )
+    score = score_subset(("flat",), fold_contexts(panel), PHI, sims=SIMS, seed=0)
     assert score == 0.0
 
 
@@ -169,42 +173,23 @@ def test_pure_noise_score_indistinguishable_from_shuffled_alarms():
 
 def test_forward_select_single_candidate_forced_choice():
     panel = mixed_panel(n_noise=0)
-    events = detect_events(panel.gold, 1.25, 3)
-    folds = make_folds(events, 1, panel.n_weeks)
-    trace = forward_select(
-        panel, ("lead3",), 3, PHI, folds, seed=0,
-        epsilon=1.25, window=16, sims=SIMS, lambda_grid=GRID,
-    )
+    trace = forward_select(fold_contexts(panel), 3, PHI, sims=SIMS, seed=0)
     assert len(trace.steps) == 1
     assert trace.steps[0].chosen == "lead3"
 
 
 def test_forward_select_prefers_leading_predictor_over_noise():
     panel = mixed_panel(n_noise=2)
-    events = detect_events(panel.gold, 1.25, 3)
-    folds = make_folds(events, 1, panel.n_weeks)
-    trace = forward_select(
-        panel, panel.candidate_names(), 2, PHI, folds, seed=0,
-        epsilon=1.25, window=16, sims=SIMS, lambda_grid=GRID,
-    )
+    trace = forward_select(fold_contexts(panel), 2, PHI, sims=SIMS, seed=0)
     assert trace.steps[0].chosen == "lead3"
 
 
 def test_greedy_first_pick_equals_exhaustive_best_singleton():
     panel = mixed_panel(n_noise=3, seed=17, noise_scale=0.05)
-    events = detect_events(panel.gold, 1.25, 3)
-    windows = build_windows(events, 16, 8, panel.gold)
-    folds = make_folds(events, 1, panel.n_weeks)
-    contexts = prepare_fold_contexts(panel, events, windows, folds, GRID)
-    trace = forward_select(
-        panel, panel.candidate_names(), 2, PHI, folds, seed=3,
-        epsilon=1.25, window=16, sims=SIMS, lambda_grid=GRID, contexts=contexts,
-    )
+    contexts = fold_contexts(panel)
+    trace = forward_select(contexts, 2, PHI, sims=SIMS, seed=3)
     singles = {
-        name: score_subset(
-            panel, (name,), folds, PHI, 1.25, 16,
-            sims=SIMS, seed=3, lambda_grid=GRID, contexts=contexts,
-        )
+        name: score_subset((name,), contexts, PHI, sims=SIMS, seed=3)
         for name in panel.candidate_names()
     }
     best = max(panel.candidate_names(), key=lambda n: singles[n])
@@ -214,22 +199,14 @@ def test_greedy_first_pick_equals_exhaustive_best_singleton():
 
 def test_forward_select_deterministic_per_seed():
     panel = mixed_panel(noise_scale=0.05)
-    events = detect_events(panel.gold, 1.25, 3)
-    folds = make_folds(events, 1, panel.n_weeks)
-    kwargs = dict(epsilon=1.25, window=16, sims=SIMS, lambda_grid=GRID)
-    a = forward_select(panel, panel.candidate_names(), 3, PHI, folds, seed=4, **kwargs)
-    b = forward_select(panel, panel.candidate_names(), 3, PHI, folds, seed=4, **kwargs)
+    a = forward_select(fold_contexts(panel), 3, PHI, sims=SIMS, seed=4)
+    b = forward_select(fold_contexts(panel), 3, PHI, sims=SIMS, seed=4)
     assert a == b
 
 
 def test_trace_scores_nondecreasing_and_stop_reason():
     panel = mixed_panel(n_noise=2, noise_scale=0.05)
-    events = detect_events(panel.gold, 1.25, 3)
-    folds = make_folds(events, 1, panel.n_weeks)
-    trace = forward_select(
-        panel, panel.candidate_names(), 3, PHI, folds, seed=0,
-        epsilon=1.25, window=16, sims=SIMS, lambda_grid=GRID,
-    )
+    trace = forward_select(fold_contexts(panel), 3, PHI, sims=SIMS, seed=0)
     scores = [s.score for s in trace.steps]
     assert all(a < b for a, b in zip(scores, scores[1:]))
     assert trace.stop_reason in ("reached-k", "performance-leveled-off")
@@ -304,8 +281,8 @@ def test_leakage_audit_clean_across_presets():
         folds = make_folds(events, held_out, panel.n_weeks)
         audit = AuditLog()
         score_subset(
-            panel, ("lead3", "noise1"), folds, PHI, 1.25, 16,
-            sims=SIMS, seed=0, lambda_grid=GRID, audit=audit,
+            ("lead3", "noise1"), fold_contexts(panel, held_out), PHI,
+            sims=SIMS, seed=0, audit=audit,
         )
         assert audit.entries
         problems = audit_leakage(folds, panel.n_weeks, audit)
@@ -317,10 +294,7 @@ def test_leakage_audit_flags_contaminated_entry():
     events = detect_events(panel.gold, 1.25, 3)
     folds = make_folds(events, 1, panel.n_weeks)
     audit = AuditLog()
-    score_subset(
-        panel, ("lead3",), folds, PHI, 1.25, 16,
-        sims=SIMS, seed=0, lambda_grid=GRID, audit=audit,
-    )
+    score_subset(("lead3",), fold_contexts(panel), PHI, sims=SIMS, seed=0, audit=audit)
     fit = audit.entries[0]
     held_out = np.flatnonzero(folds.test_mask(fit.context.fold, panel.n_weeks))
     leaked = np.append(fit.context.baseline_weeks, held_out[0])
@@ -331,15 +305,9 @@ def test_leakage_audit_flags_contaminated_entry():
 
 def test_audit_records_the_fold_fits_themselves():
     panel = mixed_panel(noise_scale=0.05)
-    events = detect_events(panel.gold, 1.25, 3)
-    windows = build_windows(events, 16, 8, panel.gold)
-    folds = make_folds(events, 1, panel.n_weeks)
-    contexts = prepare_fold_contexts(panel, events, windows, folds, GRID)
+    contexts = fold_contexts(panel)
     audit = AuditLog()
-    score = score_subset(
-        panel, ("lead3", "noise1"), folds, PHI, 1.25, 16,
-        sims=SIMS, seed=0, contexts=contexts, audit=audit,
-    )
+    score = score_subset(("lead3", "noise1"), contexts, PHI, sims=SIMS, seed=0, audit=audit)
     assert len(audit.entries) == len(contexts)
     for fit, ctx in zip(audit.entries, contexts):
         assert fit.context is ctx
@@ -348,21 +316,29 @@ def test_audit_records_the_fold_fits_themselves():
 
 
 def test_step_scores_equal_per_subset_scores(synth_panel):
-    events = detect_events(synth_panel.gold, 1.25, 3)
-    windows = build_windows(events, 16, 8, synth_panel.gold)
-    folds = make_folds(events, 1, synth_panel.n_weeks)
-    contexts = prepare_fold_contexts(synth_panel, events, windows, folds, GRID)
-    kwargs = dict(sims=SIMS, seed=2, lambda_grid=GRID, contexts=contexts)
-    trace = forward_select(
-        synth_panel, synth_panel.candidate_names(), 2, PHI, folds,
-        epsilon=1.25, window=16, min_improvement=-np.inf, **kwargs,
-    )
+    contexts = fold_contexts(synth_panel)
+    kwargs = dict(sims=SIMS, seed=2)
+    trace = forward_select(contexts, 2, PHI, min_improvement=-np.inf, **kwargs)
     assert len(trace.steps) == 2
     chosen: list[str] = []
     for step in trace.steps:
         assert len(step.candidate_scores) == len(synth_panel.candidate_names()) - len(chosen)
         for cand, score in step.candidate_scores:
-            assert score == score_subset(
-                synth_panel, chosen + [cand], folds, PHI, 1.25, 16, **kwargs
-            )
+            assert score == score_subset(chosen + [cand], contexts, PHI, **kwargs)
         chosen.append(step.chosen)
+
+
+def test_selection_reads_its_pool_from_the_contexts():
+    # contexts over a reordered strict subset of the panel's candidates
+    panel = mixed_panel(n_noise=2)
+    pool = ("noise2", "lead3")
+    contexts = fold_contexts(panel, candidates=pool)
+    trace = forward_select(contexts, 2, PHI, sims=SIMS, seed=1, min_improvement=-np.inf)
+    assert len(trace.steps) == 2
+    remaining = list(pool)
+    for step in trace.steps:
+        assert [cand for cand, _ in step.candidate_scores] == remaining
+        remaining.remove(step.chosen)
+    assert trace.steps[0].candidate_scores == tuple(
+        (cand, score_subset((cand,), contexts, PHI, sims=SIMS, seed=1)) for cand in pool
+    )
