@@ -17,12 +17,13 @@ compares thresholds solved on the same paths. The recursion is
 elementwise and the quadratic form sums its terms in coordinate order, so
 the loop takes the lambdas a chunk at a time and, within a chunk, forms
 the prefix's terms and partial sums once per run of candidates whose
-factors share their leading rows, recurses each candidate's new column at
-all the chunk's lambdas at once, and forms each statistic as the partial
-sum plus its own squared term. One subset's paths
-(``simulate_statistic_paths``) are the one-candidate step of its last
-predictor. The paths equal those of the scan's own recursion and
-quadratic form bit for bit.
+factors share their leading rows, recurses a bank of candidates' new
+columns at all the chunk's lambdas in one pass over contiguous week rows,
+and forms each statistic as the partial sum plus its own squared term.
+One budget, ``STEP_BLOCK_VALUES``, bounds a chunk and its bank. One
+subset's paths (``simulate_statistic_paths``) are the one-candidate step
+of its last predictor. The paths equal those of the scan's own recursion
+and quadratic form bit for bit.
 
 A calibration seed is an integer s, drawn as (s,), or a sequence of them.
 A one-predictor statistic does not depend on the null's variance, so all
@@ -114,8 +115,10 @@ def simulate_statistic_paths(
     return paths if np.ndim(lam) else next(paths)
 
 
-# most float64 values of one lambda chunk's prefix terms, partial sums and new columns
-STEP_CHUNK_VALUES = 2**18
+# most float64 values of one lambda chunk's prefix terms, partial sums and
+# bank of candidates' new columns; a chunk holds at least one lambda, a bank
+# at least one candidate
+STEP_BLOCK_VALUES = 2**19
 
 
 def step_statistic_paths(
@@ -133,24 +136,28 @@ def step_statistic_paths(
     Every extension of one prefix draws the same standard normals for every
     lambda, so they are drawn once (``_normals``), and each candidate applies
     its own Cholesky factor (the prefix's factor plus one row) to them. The
-    lambdas are cut into chunks whose prefix terms, partial sums and new
-    columns fit ``STEP_CHUNK_VALUES`` values (at least one lambda a chunk),
-    and each chunk's candidates into runs whose factors of sigma and of the
-    chunk's smoothed covariances share their leading rows bit for bit
-    (``_runs``). A run's prefix terms and partial sums are formed once per
-    chunk, from its first candidate's product; each candidate forms its
-    product once per chunk (a lone candidate once per step), in one buffer,
-    and recurses its new column at all the chunk's lambdas at once, in a
-    week-major (lambdas, length, sims) stack, in place (a one-lambda stack
-    takes its lambda as a float). Each E is formed in that stack as the
-    prefix's partial sum plus the candidate's own squared term
-    (``mewma._extend``; with no prefix, the squared term alone) and yielded
-    transposed. The draws go after the step's last product, and a
-    candidate's stack before the next one's is made. A lone 1-d candidate,
-    the unit null of every first step, copies its week-major column once
-    per step, and its draws and product go before any stack is made. A
-    subset whose covariance is not positive definite raises ``LinAlgError``
-    before any paths are yielded.
+    lambdas are cut into chunks, each chunk's candidates into runs whose
+    factors of sigma and of the chunk's smoothed covariances share their
+    leading rows bit for bit (``_runs``), and each run into banks. A chunk
+    holds the most lambdas whose prefix terms, partial sums and one new
+    column fit ``STEP_BLOCK_VALUES`` values, and a bank the most candidates
+    whose new columns at those lambdas fit beside them. A run's prefix terms
+    and partial sums are formed once per chunk, from its first candidate's
+    product; each candidate forms its product once per chunk (a lone
+    candidate once per step), in one buffer, and writes its new column
+    times each lambda into one week-major stack that every bank of the step
+    reuses. Its week rows hold each lambda's columns side by side, so one
+    ``mewma._smooth`` call recurses a whole bank over contiguous rows. Each
+    E is formed from its candidate's slice of the stack into a fresh
+    contiguous (length, sims) array as the prefix's partial sum plus the
+    candidate's own squared term (``mewma._extend``; with no prefix, the
+    squared term alone) and yielded transposed, so no yielded array shares
+    memory with a buffer the step reuses. The draws go after the step's
+    last product. A lone 1-d candidate, the unit null of every first step,
+    copies its week-major column once per step; its draws and product go
+    before the stack is made, and the column once its last chunk is
+    written. A subset whose covariance is not positive definite raises
+    ``LinAlgError`` before any paths are yielded.
     """
     prefix, lambdas = tuple(prefix), [float(lam) for lam in lambdas]
     for lam in lambdas:
@@ -160,8 +167,9 @@ def step_statistic_paths(
                                          for lam in lambdas])
         for sub in (null.subset(prefix + (cand,)) for cand in candidates)
     ]
-    k = len(prefix) + 1
-    size = max(1, STEP_CHUNK_VALUES // ((k + 1) * sims * length))
+    k, n = len(prefix) + 1, sims * length
+    size = max(1, min(len(lambdas), STEP_BLOCK_VALUES // ((k + 1) * n)))
+    width = max(1, min(len(candidates), STEP_BLOCK_VALUES // (size * n) - k))
     z = _normals(seed, (sims, length, k))
     product = np.empty_like(z)  # every candidate's deviations: fresh buffers page-fault
     formed = None  # the candidate whose deviations the buffer holds
@@ -171,32 +179,43 @@ def step_statistic_paths(
         np.matmul(z, factors[0][0].T, out=product)
         z = None
         column, product = product[..., 0].T.copy(), None
+    stack = np.empty((length, size * width * sims))
     for a in range(0, len(lambdas), size):
         chunk_lambdas = lambdas[a : a + size]
-        m = len(chunk_lambdas)
-        lams = chunk_lambdas[0] if m == 1 else np.array(chunk_lambdas)[:, None]
+        m, last = len(chunk_lambdas), a + size >= len(lambdas)
         chunk = [(L, *smoothed[a : a + size]) for L, smoothed in factors]
         for run in _runs(chunk):
             terms = e = None  # the last run's go before this run's are made
-            for c in run:
-                L, *smoothed = chunk[c]
-                if product is not None and formed != c:
-                    np.matmul(z, L.T, out=product)
-                    formed = c
-                if len(chunk) == 1 or a + size >= len(lambdas) and c == len(chunk) - 1:
-                    z = None  # no product is formed after this one
-                if terms is None:
-                    terms, e = _prefix_terms(product, smoothed, lams)
-                stack = np.empty((m, length, sims))
-                # gathered sims-major first: copied straight from a wide
-                # product, week-major order reads a cache line per value
-                stack[...] = column if product is None else (
-                    np.ascontiguousarray(product[..., -1]).T)
-                mewma._ewma_states(stack, lams)
-                for i, (states, S) in enumerate(zip(stack, smoothed)):
-                    E = mewma._extend(states.reshape(-1), S[-1], terms[i], e[i])
-                    yield a + i, c, E.reshape(length, sims).T
-                stack = states = E = None  # before the next candidate's stack is made
+            for start in range(0, len(run), width):
+                members = run[start : start + width]
+                rows = stack[:, : m * len(members) * sims]
+                paths = rows.reshape(length, m, len(members), sims)
+                for b, c in enumerate(members):
+                    L, *smoothed = chunk[c]
+                    if product is not None and formed != c:
+                        np.matmul(z, L.T, out=product)
+                        formed = c
+                    if len(chunk) == 1 or last and c == len(chunk) - 1:
+                        z = None  # no product is formed after this one
+                    if terms is None:
+                        terms, e = _prefix_terms(product, smoothed, chunk_lambdas)
+                    # gathered sims-major first: copied straight from a wide
+                    # product, week-major order reads a cache line per value
+                    new = column if product is None else (
+                        np.ascontiguousarray(product[..., -1]).T)
+                    for i, lam in enumerate(chunk_lambdas):
+                        np.multiply(new, lam, out=paths[:, i, b])  # scaled as it is copied
+                    new = None  # before the E are made
+                if last and product is None:
+                    column = None  # written into its last chunk
+                mewma._smooth(rows, np.repeat(np.subtract(1.0, chunk_lambdas),
+                                              len(members) * sims))
+                for i in range(m):
+                    for b, c in enumerate(members):
+                        E = mewma._extend(paths[:, i, b], chunk[c][1 + i][-1], terms[i], e[i],
+                                          out=np.empty((length, sims)))
+                        yield a + i, c, E.T
+                        E = None  # before the next E is made
 
 
 def _runs(factors) -> list[list[int]]:
@@ -209,24 +228,22 @@ def _runs(factors) -> list[list[int]]:
     return [list(run) for _, run in itertools.groupby(range(len(keys)), keys.__getitem__)]
 
 
-def _prefix_terms(deviations: np.ndarray | None, smoothed, lams):
-    """The substituted terms (m, k - 1, length * sims) of the prefix columns
+def _prefix_terms(deviations: np.ndarray | None, smoothed, lambdas):
+    """The substituted terms (m, k - 1, length, sims) of the prefix columns
     of a candidate's deviations (sims, length, k), week-major, at each of the
-    m lambdas ``lams`` ((m, 1), or a float for one), whose smoothed
-    covariances have the factors ``smoothed``, and their partial sums
-    (m, length * sims). An empty prefix has no terms and no partial sums
-    (``None``), so its deviations are not read."""
+    m ``lambdas``, whose smoothed covariances have the factors ``smoothed``,
+    and their partial sums (m, length, sims). An empty prefix has no terms
+    and no partial sums (``None``), so its deviations are not read."""
     m, k = len(smoothed), len(smoothed[0])
     if k == 1:
         return [()] * m, [None] * m
     terms = np.empty((m, k - 1) + deviations.shape[1::-1])
     for j in range(k - 1):
         terms[:, j] = np.ascontiguousarray(deviations[..., j]).T  # as in step_statistic_paths
-    mewma._ewma_states(terms, lams if m == 1 else lams[..., None])
-    terms = terms.reshape(m, k - 1, -1)
-    e = np.zeros((m, terms.shape[-1]))
+    mewma._ewma_states(terms, np.array(lambdas)[:, None, None])
+    e = np.zeros((m,) + terms.shape[2:])
     for t, S, partial in zip(terms, smoothed, e):
-        mewma._substitute(t, S[:-1, :-1], partial)
+        mewma._substitute(t.reshape(k - 1, -1), S[:-1, :-1], partial.reshape(-1))
     return terms, e
 
 

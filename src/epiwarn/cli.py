@@ -154,35 +154,41 @@ def _parse_baseline_spec(text: str):
 
 def cmd_detect(args) -> int:
     config = _load_config(args.config)
-    panel = load_panel_from_manifest(config.manifest)
     if bool(args.subset) == bool(args.baseline_spec):
         raise UsageError("pass exactly one of --subset or --baseline")
+    if args.baseline_spec:
+        if args.lam is not None or args.h is not None:
+            raise UsageError("--lam and --h apply only to --subset")
+        kind, param = _parse_baseline_spec(args.baseline_spec)
+    else:
+        subset = tuple(s.strip() for s in args.subset.split(",") if s.strip())
+        if not subset or len(set(subset)) < len(subset):
+            raise UsageError("--subset needs one or more distinct candidate names")
+        if (args.lam is None) != (args.h is None):
+            raise UsageError("pass --lam and --h together, or neither")
+        if args.lam is not None:
+            try:
+                detector = DetectorConfig(subset, args.lam, args.h)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
+    panel = load_panel_from_manifest(config.manifest)
 
     experiment = pipeline.Experiment(panel, config)
     events, windows = experiment.events, experiment.windows
     curve = None  # the calibration curve, when (lambda, h) is calibrated here
     if args.baseline_spec:
-        if args.lam is not None or args.h is not None:
-            raise UsageError("--lam and --h apply only to --subset")
-        kind, param = _parse_baseline_spec(args.baseline_spec)
         try:
             trace = baselines.baseline_trace(panel, kind, param)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         label = f"{kind}-trigger"
     else:
-        subset = tuple(s.strip() for s in args.subset.split(",") if s.strip())
         scan_panel = panel.with_gold_candidate()
         known = scan_panel.candidate_names()
-        if not subset or len(set(subset)) < len(subset):
-            raise UsageError("--subset needs one or more distinct candidate names")
         for name in subset:
             if name not in known:
                 raise UsageError(f"unknown candidate series {name!r}")
-        if (args.lam is None) != (args.h is None):
-            raise UsageError("pass --lam and --h together, or neither")
-        lam, h = args.lam, args.h
-        if lam is None:
+        if args.lam is None:
             if not len(events):
                 raise UsageError(
                     f"found 0 event(s) at epsilon {events.threshold} with min_duration "
@@ -193,11 +199,8 @@ def cmd_detect(args) -> int:
                 scan_panel, events, windows, subset, config.atfs, config.lambda_grid,
                 sims=config.sims, seed=config.seed, curve=curve,
             )
-            lam, h = point.lam, point.h
-        try:
-            detector = DetectorConfig(subset, lam, h)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+            # the config's grid is in (0, 1), and a calibrated h is > 0
+            detector = DetectorConfig(subset, point.lam, point.h)
         trace = run_scan(scan_panel, estimate_null(scan_panel, events, subset), detector)
         label = "mewma"
 
@@ -239,13 +242,13 @@ def cmd_select(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
-    panel = load_panel_from_manifest(config.manifest)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     for m in models:
         if m not in pipeline.MODELS:
             raise UsageError(f"unknown model {m!r}; choose from {sorted(pipeline.MODELS)}")
     if not models or len(set(models)) < len(models):
         raise UsageError(f"--models must name one or more models, each once: {args.models!r}")
+    panel = load_panel_from_manifest(config.manifest)
     results = pipeline.evaluate_models(panel, config, models)
     out = _prepare_out(config, "evaluate", args.out)
     pipeline.write_model_comparison_csv(results, out / "model_comparison.csv")
@@ -275,8 +278,8 @@ def _parse_sweep_values(axis: str, text: str) -> tuple:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    panel = load_panel_from_manifest(config.manifest)
     values = _parse_sweep_values(args.axis, args.values)
+    panel = load_panel_from_manifest(config.manifest)
     rows = pipeline.sweep(panel, config, args.axis, values)
     out = _prepare_out(config, "sweep", args.out)
     pipeline.write_sweep_csv(rows, out / "sweep.csv")

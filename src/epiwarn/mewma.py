@@ -205,19 +205,27 @@ def _ewma_states(D: np.ndarray, lam) -> np.ndarray:
     as one lambda per leading row, shaped (n_lambda, 1).
 
     The recursion runs in place: one pass scales every deviation by lambda,
-    then each week adds ``(1 - lam)`` times the last week's state and clips
-    at zero into preallocated buffers. Each state takes the same IEEE
+    then ``_smooth`` runs the weeks. Each state takes the same IEEE
     operations as max(0, lam * x + (1 - lam) * s), so the same bits."""
-    keep = 1.0 - lam
     D *= np.expand_dims(lam, -2) if np.ndim(lam) else lam
-    weeks = np.moveaxis(D, -2, 0)
+    _smooth(np.moveaxis(D, -2, 0), np.subtract(1.0, lam))
+    return D
+
+
+def _smooth(weeks: np.ndarray, keep) -> None:
+    """Overwrite week-major lambda-scaled deviations (n, ...) with their
+    one-sided EWMA states, starting from zero: week t adds ``keep``, that is
+    1 - lambda, times week t - 1's state and clips at zero, in place, with
+    preallocated buffers. ``keep`` is a float or an array that broadcasts
+    against one week's row. Each week is three ufunc calls, whose scalars go
+    in as 0-d arrays: a Python float takes numpy's slower scalar path."""
+    keep, zero = np.asarray(keep, dtype=float), np.zeros(())
     carry = state = np.zeros(weeks.shape[1:])  # the state before week 0
     for row in weeks:
         np.multiply(keep, state, out=carry)
         row += carry
-        np.maximum(0.0, row, out=row)
+        np.maximum(zero, row, out=row)
         state = row
-    return D
 
 
 def _quad_form(S: np.ndarray, smoothed_cov: np.ndarray) -> np.ndarray:
@@ -246,21 +254,26 @@ def _substitute(Z: np.ndarray, L: np.ndarray, e: np.ndarray) -> None:
         e += np.square(Z[j])
 
 
-def _extend(z: np.ndarray, row: np.ndarray, terms, e: np.ndarray | None) -> np.ndarray:
+def _extend(z: np.ndarray, row: np.ndarray, terms, e: np.ndarray | None,
+            out: np.ndarray) -> np.ndarray:
     """E of states extended by one coordinate: ``e`` plus the squared last term,
-    written over ``z`` and returned.
+    written into ``out``, which must not overlap ``z``, and returned.
 
-    ``terms`` (k - 1, m) and ``e`` are ``_substitute``'s terms and
+    ``terms`` (k - 1, ...) and ``e`` are ``_substitute``'s terms and
     partial sum for the first k - 1 coordinates (for k = 1 no terms and
     ``None``: the squared term alone, as adding 0.0 changes no bits), ``z``
-    (m,) the new coordinate's states and ``row`` the last row of the k x k
+    (...) the new coordinate's states and ``row`` the last row of the k x k
     factor. Bit for bit what ``_substitute`` does to its last row, so the
-    result equals ``_quad_form`` of the k states."""
-    for j, terms_j in enumerate(terms):
-        z -= row[j] * terms_j
-    z /= row[-1]
-    np.square(z, out=z)
-    return z if e is None else np.add(e, z, out=z)
+    result equals ``_quad_form`` of the k states. The first term's product
+    is formed in ``out``, so a two-coordinate E makes no temporary."""
+    if len(terms):
+        np.subtract(z, np.multiply(row[0], terms[0], out=out), out=out)
+        for j in range(1, len(terms)):
+            out -= row[j] * terms[j]
+        z = out
+    np.divide(z, row[-1], out=out)
+    np.square(out, out=out)
+    return out if e is None else np.add(e, out, out=out)
 
 
 def run_scan(
@@ -316,15 +329,20 @@ def precompute_shared_states(
 ) -> SharedScanTable:
     """Scan the full candidate set for every lambda and store the states.
 
-    One recursion runs over an (n_lambda, n_weeks, D) stack of ``X - mu``,
-    one lambda per leading row; each lambda's states are a view into it and
-    equal its own ``_ewma_states`` run bit for bit, as the operations are
-    elementwise."""
+    One recursion runs over a week-major (n_weeks, n_lambda * D) stack, each
+    lambda's D columns written as lambda times ``X - mu`` in one pass; each
+    lambda's states are an (n_weeks, D) view into it and equal its own
+    ``_ewma_states`` run bit for bit, as the operations are elementwise."""
     lambdas = tuple(float(lam) for lam in lambda_grid)
     X = panel.candidate_matrix(full_null.predictor_names)
-    stack = np.subtract(X, full_null.mu, out=np.empty((len(lambdas),) + X.shape))
-    _ewma_states(stack, np.array(lambdas)[:, None])
-    return SharedScanTable(null=full_null, lambdas=lambdas, states=dict(zip(lambdas, stack)))
+    X -= full_null.mu
+    n, d = X.shape
+    stack = np.empty((n, len(lambdas), d))
+    for lam, block in zip(lambdas, np.moveaxis(stack, 1, 0)):
+        np.multiply(X, lam, out=block)
+    _smooth(stack.reshape(n, -1), np.repeat(np.subtract(1.0, lambdas), d))
+    return SharedScanTable(null=full_null, lambdas=lambdas,
+                           states=dict(zip(lambdas, np.moveaxis(stack, 1, 0))))
 
 
 def write_trace_csv(trace: AlarmTrace, axis: WeekAxis, path) -> None:

@@ -542,19 +542,37 @@ def step_peak(n_candidates, sims, lambdas=(0.4,)):
 def test_step_peak_memory_is_one_block_plus_the_draws():
     sims, k = 100, 2
     n = sims * calibrate._checked_length(10.0)
-    peaks = {c: step_peak(c, sims) for c in (30, 60)}
-    # a one-lambda chunk: the draws, the prefix's terms and partial sum, one
-    # candidate's stack of new columns and its deviations (k columns), one
-    # temporary column, and small objects
-    assert peaks[30] <= 8 * (n * k + (k - 1) * n + n + n + n * k + n) + 128 * 1024
-    # a stack left live beside the next would add n values; twice the
-    # candidates add only their factors and solves
+    # a one-lambda chunk whose bank holds 10 candidates' new columns
+    with mock.patch.object(calibrate, "STEP_BLOCK_VALUES", (k + 10) * n):
+        peaks = {c: step_peak(c, sims) for c in (4, 8, 30, 60)}
+    # the draws and the deviations (k columns each), the prefix's terms and
+    # partial sum, the bank, one E, one gathered column, and small objects
+    assert peaks[30] <= 8 * (n * k + n * k + (k - 1) * n + n + 10 * n + n + n) + 128 * 1024
+    # until the bank is full, each candidate adds its new column
+    assert abs(peaks[8] - peaks[4] - 8 * 4 * n) <= 30 * 1024
+    # a full bank is reused: an E or bank left live beside the next would
+    # add n values; twice the candidates add only their factors and solves
     assert abs(peaks[60] - peaks[30]) <= 30 * 1024
-    # three lambdas in a chunk hold three lambdas' terms, partial sums and new columns
+    # three lambdas in a chunk hold three lambdas' terms, partial sums and
+    # new columns, here one candidate's each
     lambdas = (0.2, 0.4, 0.6)
-    with mock.patch.object(calibrate, "STEP_CHUNK_VALUES", 3 * (k + 1) * n):
+    with mock.patch.object(calibrate, "STEP_BLOCK_VALUES", 3 * (k + 1) * n):
         peak = step_peak(30, sims, lambdas)
-    assert peak <= 8 * (n * k + 3 * (k + 1) * n + n * k + n) + 128 * 1024
+    assert peak <= 8 * (n * k + n * k + 3 * (k + 1) * n + n + n) + 128 * 1024
+
+
+def test_step_peak_memory_pins_the_budget():
+    sims, k = 400, 2
+    n = sims * calibrate._checked_length(10.0)
+    peaks = {c: step_peak(c, sims) for c in (30, 60)}
+    # 30 candidates fill a bank: the chunk's terms, partial sum and bank are
+    # within one column of the budget, beside the draws and deviations (k
+    # columns each), one E and one gathered column
+    assert calibrate.STEP_BLOCK_VALUES // n - k < 30
+    block = peaks[30] - 8 * (n * k + n * k)
+    assert 8 * (calibrate.STEP_BLOCK_VALUES - n) <= block
+    assert block <= 8 * (calibrate.STEP_BLOCK_VALUES + n + n) + 128 * 1024
+    assert abs(peaks[60] - peaks[30]) <= 30 * 1024
 
 
 def test_one_subset_peak_memory_is_the_draws_and_one_product():
@@ -645,6 +663,9 @@ def test_normals_are_one_stream_per_seed():
 def test_shared_draws_are_dropped_when_the_step_raises(monkeypatch):
     panel, events, windows, table, prefix, candidates = _step_setup(1)
     draws = counted_draws(monkeypatch)
+    # banks of one candidate at one lambda, so that the draws outlive the
+    # first solve (one bank of the whole step would drop them before it)
+    monkeypatch.setattr(calibrate, "STEP_BLOCK_VALUES", 50 * 200)
 
     def interrupted(E, phi):
         assert [ref() is not None for _, ref in draws] == [True]
@@ -678,30 +699,40 @@ def test_step_chunks_cut_the_grid_and_runs_hold_matching_candidates():
     prefix, candidates = ("x0",), null.predictor_names[1:]
     lambdas, sims, length, k = [0.1, 0.2, 0.3, 0.4, 0.5], 5, 10, 2
     n = sims * length
-    recurse, recursions = mewma._ewma_states, []
+    smooth, recursions = mewma._smooth, []
 
-    def recorded(D, lam):
-        # a run's prefix terms are (lambdas, k - 1, length, sims), a
-        # candidate's new columns (lambdas, length, sims)
-        recursions.append(D.shape[:2] if D.ndim == 4 else D.shape[:1])
-        return recurse(D, lam)
+    def recorded(weeks, keep):
+        recursions.append(weeks.shape)
+        return smooth(weeks, keep)
 
-    # chunk values -> lambdas per chunk: one lambda's terms, partial sums and
-    # new columns take (k + 1) * n values, and a chunk holds at least one lambda
-    cases = {3 * (k + 1) * n - 1: (2, 2, 1), (k + 1) * n - 1: (1,) * 5, 5 * (k + 1) * n: (5,)}
-    for values, sizes in cases.items():
+    # budget -> (lambdas per chunk, candidates per bank). A chunk holds the
+    # most lambdas whose terms, partial sums and one new column, (k + 1) * n
+    # values a lambda, fit; a bank the most candidates whose new columns at
+    # the chunk's lambdas fit beside them. Each holds at least one.
+    cases = {
+        (k + 1) * n - 1: (1, 1),
+        (k + 3) * n: (1, 3),  # banks of 3, 3 and a ragged 1
+        3 * (k + 1) * n - 1: (2, 2),  # chunks of 2, 2 and 1 lambdas
+        5 * (k + 1) * n: (5, 1),
+        5 * (k + 7) * n: (5, 7),  # one bank of the whole step
+    }
+    for values, (size, width) in cases.items():
         recursions.clear()
-        with mock.patch.object(calibrate, "STEP_CHUNK_VALUES", values), \
-                mock.patch.object(mewma, "_ewma_states", recorded):
+        with mock.patch.object(calibrate, "STEP_BLOCK_VALUES", values), \
+                mock.patch.object(mewma, "_smooth", recorded):
             order = [(i, c) for i, c, _ in calibrate.step_statistic_paths(
                 null, prefix, candidates, lambdas, sims, length, 0)]
-        starts = np.cumsum((0,) + sizes)
-        # chunk by chunk; in a chunk, candidate by candidate at all its lambdas
-        assert order == [(a + i, c) for a, m in zip(starts, sizes)
-                         for c in range(len(candidates)) for i in range(m)]
+        chunks = [range(a, min(a + size, 5)) for a in range(0, 5, size)]
+        banks = [range(b, min(b + width, 7)) for b in range(0, 7, width)]
+        # chunk by chunk and bank by bank; in a bank, lambda by lambda
+        assert order == [(i, c) for chunk in chunks for bank in banks
+                         for i in chunk for c in bank]
         # the candidates share their leading factor rows: one run, and one
-        # set of prefix terms, per chunk
-        assert recursions == [r for m in sizes for r in [(m, k - 1)] + [(m,)] * 7]
+        # set of prefix terms (length, lambdas, k - 1, sims), per chunk; each
+        # bank is one recursion over week rows of every lambda's columns
+        assert recursions == [r for chunk in chunks for r in
+                              [(length, len(chunk), k - 1, sims)] +
+                              [(length, len(chunk) * len(bank) * sims) for bank in banks]]
 
     subs = [null.subset(("x0", c)) for c in candidates]
     factors = [(np.linalg.cholesky(s.sigma), np.linalg.cholesky(s.smoothed_cov(0.3)),
@@ -745,18 +776,25 @@ def collinear_null(d, seed):
     lambdas=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
     kind=st.sampled_from(["full-rank", "ridged", "collinear"]),
     per_chunk=st.sampled_from([1, 2, None]),
+    per_bank=st.sampled_from([1, 2, None]),
     unmatched=st.sets(st.integers(0, 8), max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
-# one-predictor subsets, runs that split and rejoin, and one-sim draws
+# one-predictor subsets, runs that split and rejoin, one-sim draws, banks of
+# one and of two candidates, and a ragged last bank
 @example(prefix_size=0, n_candidates=3, sims=2, length=5, lambdas=[0.3], kind="collinear",
-         per_chunk=1, unmatched={1}, seed=0)
+         per_chunk=1, per_bank=1, unmatched={1}, seed=0)
 @example(prefix_size=2, n_candidates=7, sims=3, length=4, lambdas=[0.6, 0.2, 0.9],
-         kind="full-rank", per_chunk=2, unmatched={1, 2, 4}, seed=1)
+         kind="full-rank", per_chunk=2, per_bank=2, unmatched={1, 2, 4}, seed=1)
 @example(prefix_size=3, n_candidates=2, sims=1, length=6, lambdas=[0.4, 0.7],
-         kind="ridged", per_chunk=None, unmatched=set(), seed=2)
+         kind="ridged", per_chunk=None, per_bank=None, unmatched=set(), seed=2)
+@example(prefix_size=1, n_candidates=5, sims=4, length=7, lambdas=[0.5, 0.1],
+         kind="full-rank", per_chunk=1, per_bank=2, unmatched=set(), seed=3)
+@example(prefix_size=1, n_candidates=9, sims=2, length=3, lambdas=[0.8, 0.3, 0.5],
+         kind="collinear", per_chunk=None, per_bank=2, unmatched={3, 4}, seed=4)
 def test_step_paths_equal_per_subset_simulation_bit_for_bit(
-        prefix_size, n_candidates, sims, length, lambdas, kind, per_chunk, unmatched, seed):
+        prefix_size, n_candidates, sims, length, lambdas, kind, per_chunk, per_bank,
+        unmatched, seed):
     d = prefix_size + n_candidates
     if kind == "collinear":
         null = collinear_null(d, seed)
@@ -764,10 +802,15 @@ def test_step_paths_equal_per_subset_simulation_bit_for_bit(
     else:
         null = step_null(d, seed, kind == "ridged")
     prefix, candidates = null.predictor_names[:prefix_size], null.predictor_names[prefix_size:]
-    # per_chunk lambdas' terms, partial sums and new columns fit in a chunk
-    # (None: the whole grid), so that chunks split the grid and a last chunk
-    # may hold only one lambda
+    # the budget of chunks of per_chunk lambdas and banks of per_bank
+    # candidates (None: all of them), so that chunks split the grid, a last
+    # chunk may hold only one lambda, and a last bank fewer candidates than
+    # the others; where a chunk of that budget fits more lambdas, its banks
+    # are narrower
+    k = prefix_size + 1
     per_chunk = len(lambdas) if per_chunk is None else per_chunk
+    per_bank = n_candidates if per_bank is None else per_bank
+    values = per_chunk * (k + per_bank) * sims * length
     runs = calibrate._runs
 
     def unmatched_runs(factors):
@@ -776,19 +819,22 @@ def test_step_paths_equal_per_subset_simulation_bit_for_bit(
         return runs([(-L, *smoothed) if i in unmatched else (L, *smoothed)
                      for i, (L, *smoothed) in enumerate(factors)])
 
-    values = per_chunk * (prefix_size + 2) * sims * length
-    with mock.patch.object(calibrate, "STEP_CHUNK_VALUES", values), \
+    with mock.patch.object(calibrate, "STEP_BLOCK_VALUES", values), \
             mock.patch.object(calibrate, "_runs", unmatched_runs):
-        paths = step_paths(null, prefix, candidates, lambdas, sims, length, seed)
+        # every path is held before any is compared, so that one whose memory
+        # a later bank reused would differ
+        yielded = list(calibrate.step_statistic_paths(
+            null, prefix, candidates, lambdas, sims, length, seed))
         for cand in candidates:
             sub = null.subset(prefix + (cand,))
             grid = list(simulate_statistic_paths(sub, lambdas, sims, length, seed))
             for lam, E in zip(lambdas, grid, strict=True):
                 assert np.array_equal(E, per_subset_paths(sub, lam, sims, length, seed))
-    for lam, row in zip(lambdas, paths):
-        for cand, E in zip(candidates, row):
-            sub = null.subset(prefix + (cand,))
-            reference = per_subset_paths(sub, lam, sims, length, seed)
-            assert np.array_equal(E, reference)
-            assert np.array_equal(simulate_statistic_paths(sub, lam, sims, length, seed),
-                                  reference)
+    assert sorted((i, c) for i, c, _ in yielded) == [
+        (i, c) for i in range(len(lambdas)) for c in range(n_candidates)]
+    for i, c, E in yielded:
+        sub = null.subset(prefix + (candidates[c],))
+        reference = per_subset_paths(sub, lambdas[i], sims, length, seed)
+        assert np.array_equal(E, reference)
+        assert np.array_equal(simulate_statistic_paths(sub, lambdas[i], sims, length, seed),
+                              reference)

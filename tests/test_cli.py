@@ -599,6 +599,21 @@ def test_sweep_bad_values_item_exits_2(workspace, tmp_path, capsys, axis, values
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, argv, message", [
+    ("evaluate", ["--models", "nope"], "unknown model 'nope'"),
+    ("detect", [], "exactly one of --subset or --baseline"),
+    ("sweep", ["--axis", "window", "--values", "x"], "bad --values item 'x'"),
+])
+def test_usage_errors_exit_2_before_the_panel_is_loaded(tmp_path, capsys, command, argv,
+                                                        message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("manifest = missing/panel.manifest\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, *argv, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exits_1(tmp_path):
     assert run(["detect", "--config", tmp_path / "nope.cfg", "--subset", "a"]) == 1
 
