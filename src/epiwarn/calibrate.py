@@ -22,8 +22,12 @@ columns at all the chunk's lambdas in one pass over contiguous week rows,
 and forms each statistic as the partial sum plus its own squared term.
 One budget, ``STEP_BLOCK_VALUES``, bounds a chunk and its bank. One
 subset's paths (``simulate_statistic_paths``) are the one-candidate step
-of its last predictor. The paths equal those of the scan's own recursion
-and quadratic form bit for bit.
+of its last predictor. The null paths run in float32, from the float64
+normals and Cholesky factors rounded once; each candidate's new column is
+the one product ``z @ L[-1]`` and a run's prefix columns ``z @ L[:-1].T``.
+The paths are then those of the scan's own recursion and quadratic form
+run in float32 on those deviations, bit for bit, and a float64 threshold is
+counted against them exactly (``_above``). The panel's scan stays float64.
 
 A calibration seed is an integer s, drawn as (s,), or a sequence of them.
 A one-predictor statistic does not depend on the null's variance, so all
@@ -115,9 +119,9 @@ def simulate_statistic_paths(
     return paths if np.ndim(lam) else next(paths)
 
 
-# most float64 values of one lambda chunk's prefix terms, partial sums and
-# bank of candidates' new columns; a chunk holds at least one lambda, a bank
-# at least one candidate
+# most float32 values (2 MiB) of one lambda chunk's prefix terms, partial
+# sums and bank of candidates' new columns; a chunk holds at least one
+# lambda, a bank at least one candidate
 STEP_BLOCK_VALUES = 2**19
 
 
@@ -131,91 +135,81 @@ def step_statistic_paths(
     seed,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (lambda index, candidate index, paths) for the (sims, length)
-    null statistic paths of every subset prefix + (c,) at every lambda.
+    float32 null statistic paths of every subset prefix + (c,) at every
+    lambda.
 
     Every extension of one prefix draws the same standard normals for every
-    lambda, so they are drawn once (``_normals``), and each candidate applies
-    its own Cholesky factor (the prefix's factor plus one row) to them. The
-    lambdas are cut into chunks, each chunk's candidates into runs whose
-    factors of sigma and of the chunk's smoothed covariances share their
-    leading rows bit for bit (``_runs``), and each run into banks. A chunk
-    holds the most lambdas whose prefix terms, partial sums and one new
-    column fit ``STEP_BLOCK_VALUES`` values, and a bank the most candidates
-    whose new columns at those lambdas fit beside them. A run's prefix terms
-    and partial sums are formed once per chunk, from its first candidate's
-    product; each candidate forms its product once per chunk (a lone
-    candidate once per step), in one buffer, and writes its new column
-    times each lambda into one week-major stack that every bank of the step
-    reuses. Its week rows hold each lambda's columns side by side, so one
-    ``mewma._smooth`` call recurses a whole bank over contiguous rows. Each
-    E is formed from its candidate's slice of the stack into a fresh
-    contiguous (length, sims) array as the prefix's partial sum plus the
-    candidate's own squared term (``mewma._extend``; with no prefix, the
-    squared term alone) and yielded transposed, so no yielded array shares
-    memory with a buffer the step reuses. The draws go after the step's
-    last product. A lone 1-d candidate, the unit null of every first step,
-    copies its week-major column once per step; its draws and product go
-    before the stack is made, and the column once its last chunk is
-    written. A subset whose covariance is not positive definite raises
-    ``LinAlgError`` before any paths are yielded.
+    lambda, so they are drawn once (``_normals``, rounded to float32), and
+    each candidate applies its own Cholesky factor (the prefix's factor plus
+    one row, rounded to float32) to them. The lambdas are cut into chunks,
+    each chunk's candidates into runs whose factors of sigma and of the
+    chunk's smoothed covariances share their leading rows bit for bit
+    (``_runs``), and each run into banks. A chunk holds the most lambdas
+    whose prefix terms, partial sums and one new column fit
+    ``STEP_BLOCK_VALUES`` values, and a bank the most candidates whose new
+    columns at those lambdas fit beside them. A run's prefix terms and
+    partial sums are formed once per chunk, from the prefix columns
+    ``z @ L[:-1].T`` of its first candidate's factor; each candidate forms
+    its new column ``z @ L[-1]`` once per chunk (a lone candidate once per
+    step), in one buffer, and writes it times each lambda into one
+    week-major stack that every bank of the step reuses. Its week rows hold
+    each lambda's columns side by side, so one ``mewma._smooth`` call
+    recurses a whole bank over contiguous rows. Each E is formed from its
+    candidate's slice of the stack into a fresh contiguous (length, sims)
+    array as the prefix's partial sum plus the candidate's own squared term
+    (``mewma._extend``; with no prefix, the squared term alone) and yielded
+    transposed, so no yielded array shares memory with a buffer the step
+    reuses. The draws go after the step's last column, a lone 1-d
+    candidate's (the unit null of every first step) at once. A subset whose
+    covariance is not positive definite raises ``LinAlgError`` before any
+    paths are yielded.
     """
     prefix, lambdas = tuple(prefix), [float(lam) for lam in lambdas]
     for lam in lambdas:
         _check_path_shape(lam, sims, length)
     factors = [
-        (np.linalg.cholesky(sub.sigma), [np.linalg.cholesky(sub.smoothed_cov(lam))
-                                         for lam in lambdas])
+        (_factor(sub.sigma), [_factor(sub.smoothed_cov(lam)) for lam in lambdas])
         for sub in (null.subset(prefix + (cand,)) for cand in candidates)
     ]
     k, n = len(prefix) + 1, sims * length
     size = max(1, min(len(lambdas), STEP_BLOCK_VALUES // ((k + 1) * n)))
     width = max(1, min(len(candidates), STEP_BLOCK_VALUES // (size * n) - k))
     z = _normals(seed, (sims, length, k))
-    product = np.empty_like(z)  # every candidate's deviations: fresh buffers page-fault
-    formed = None  # the candidate whose deviations the buffer holds
-    if k == 1 and len(candidates) == 1:
-        # a lone 1-d candidate, the unit null of every first step, needs only
-        # its week-major column: copied once, and the draws and product go
-        np.matmul(z, factors[0][0].T, out=product)
-        z = None
-        column, product = product[..., 0].T.copy(), None
-    stack = np.empty((length, size * width * sims))
+    column = np.empty((sims, length), np.float32)  # fresh buffers page-fault
+    formed = None  # the candidate whose new column the buffer holds
+    stack = np.empty((length, size * width * sims), np.float32)
     for a in range(0, len(lambdas), size):
         chunk_lambdas = lambdas[a : a + size]
         m, last = len(chunk_lambdas), a + size >= len(lambdas)
         chunk = [(L, *smoothed[a : a + size]) for L, smoothed in factors]
         for run in _runs(chunk):
             terms = e = None  # the last run's go before this run's are made
+            terms, e = _prefix_terms(z, chunk[run[0]], chunk_lambdas)
             for start in range(0, len(run), width):
                 members = run[start : start + width]
                 rows = stack[:, : m * len(members) * sims]
                 paths = rows.reshape(length, m, len(members), sims)
                 for b, c in enumerate(members):
-                    L, *smoothed = chunk[c]
-                    if product is not None and formed != c:
-                        np.matmul(z, L.T, out=product)
+                    if formed != c:
+                        np.matmul(z, chunk[c][0][-1], out=column)
                         formed = c
-                    if len(chunk) == 1 or last and c == len(chunk) - 1:
-                        z = None  # no product is formed after this one
-                    if terms is None:
-                        terms, e = _prefix_terms(product, smoothed, chunk_lambdas)
-                    # gathered sims-major first: copied straight from a wide
-                    # product, week-major order reads a cache line per value
-                    new = column if product is None else (
-                        np.ascontiguousarray(product[..., -1]).T)
+                    if len(chunk) == 1 and k == 1 or last and c == len(chunk) - 1:
+                        z = None  # no column or prefix term is formed after this one
                     for i, lam in enumerate(chunk_lambdas):
-                        np.multiply(new, lam, out=paths[:, i, b])  # scaled as it is copied
-                    new = None  # before the E are made
-                if last and product is None:
-                    column = None  # written into its last chunk
+                        np.multiply(column.T, lam, out=paths[:, i, b])  # scaled as it is copied
                 mewma._smooth(rows, np.repeat(np.subtract(1.0, chunk_lambdas),
                                               len(members) * sims))
                 for i in range(m):
                     for b, c in enumerate(members):
                         E = mewma._extend(paths[:, i, b], chunk[c][1 + i][-1], terms[i], e[i],
-                                          out=np.empty((length, sims)))
+                                          out=np.empty((length, sims), np.float32))
                         yield a + i, c, E.T
                         E = None  # before the next E is made
+
+
+def _factor(cov: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of ``cov``, rounded to float32 as the null paths are."""
+    return np.linalg.cholesky(cov).astype(np.float32)
 
 
 def _runs(factors) -> list[list[int]]:
@@ -228,28 +222,33 @@ def _runs(factors) -> list[list[int]]:
     return [list(run) for _, run in itertools.groupby(range(len(keys)), keys.__getitem__)]
 
 
-def _prefix_terms(deviations: np.ndarray | None, smoothed, lambdas):
+def _prefix_terms(z: np.ndarray | None, factors, lambdas):
     """The substituted terms (m, k - 1, length, sims) of the prefix columns
-    of a candidate's deviations (sims, length, k), week-major, at each of the
-    m ``lambdas``, whose smoothed covariances have the factors ``smoothed``,
-    and their partial sums (m, length, sims). An empty prefix has no terms
-    and no partial sums (``None``), so its deviations are not read."""
-    m, k = len(smoothed), len(smoothed[0])
+    ``z @ L[:-1].T`` of the draws z (sims, length, k), week-major, at each
+    of the m ``lambdas``, and their partial sums (m, length, sims);
+    ``factors`` are L, sigma's factor, and the smoothed covariances' factors
+    at those lambdas. An empty prefix has no terms and no partial sums
+    (``None``), so the draws are not read."""
+    L, *smoothed = factors
+    m, k = len(smoothed), len(L)
     if k == 1:
         return [()] * m, [None] * m
-    terms = np.empty((m, k - 1) + deviations.shape[1::-1])
+    deviations = z @ L[:-1].T
+    terms = np.empty((m, k - 1) + z.shape[1::-1], z.dtype)
     for j in range(k - 1):
-        terms[:, j] = np.ascontiguousarray(deviations[..., j]).T  # as in step_statistic_paths
+        terms[:, j] = np.ascontiguousarray(deviations[..., j]).T  # gathered sims-major first
+    deviations = None
     mewma._ewma_states(terms, np.array(lambdas)[:, None, None])
-    e = np.zeros((m,) + terms.shape[2:])
+    e = np.zeros((m,) + terms.shape[2:], terms.dtype)
     for t, S, partial in zip(terms, smoothed, e):
         mewma._substitute(t.reshape(k - 1, -1), S[:-1, :-1], partial.reshape(-1))
     return terms, e
 
 
 def _normals(seed, shape: tuple) -> np.ndarray:
-    """Standard normals of ``shape`` from ``seed``."""
-    return np.random.default_rng(_seed(seed)).standard_normal(shape)
+    """Standard normals of ``shape`` from ``seed``, drawn in float64 and
+    rounded once to float32."""
+    return np.random.default_rng(_seed(seed)).standard_normal(shape).astype(np.float32)
 
 
 def _check_path_shape(lam: float, sims: int, length: int) -> None:
@@ -270,10 +269,23 @@ def atfs_from_paths(E: np.ndarray, h: float) -> float:
     """
     if h <= 0.0:
         return 1.0
-    count = int(np.count_nonzero(E > h))
+    count = int(np.count_nonzero(_above(E, h)))
     if count == 0:
         return math.inf
     return E.size / count
+
+
+def _above(values: np.ndarray, t: float) -> np.ndarray:
+    """The mask values > t, exact as a float64 comparison. A float32 array
+    compared with a Python float compares in float32 under numpy 2, with t
+    rounded to nearest, and misses a value less than an ulp above t; so t
+    is rounded down instead, to the largest value of the values' dtype at
+    most t, and no value of that dtype lies between the two. Nothing is cast
+    or buffered."""
+    bound = values.dtype.type(t)
+    if float(bound) > t:
+        bound = np.nextafter(bound, values.dtype.type(-math.inf))
+    return np.greater(values, bound)
 
 
 def simulate_atfs(
@@ -404,22 +416,23 @@ def _solve_paths(E: np.ndarray, phi: float) -> tuple[float, float]:
     below, above = n - math.floor(n / phi) - 1, n - math.ceil(n / phi)
     values.partition(above)
     rest, top_slice = values[:above], values[above:]
-    top = top_slice[0]
-    low = rest.max() if above else -math.inf
+    top = float(top_slice[0])
+    low = float(rest.max()) if above else -math.inf
 
     def alarms(t: float) -> tuple[int, np.ndarray]:
         """#{values > t} and the top slice's mask of them; where t < low,
         low ties top, and the values before the slice above t equal top"""
-        mask = top_slice > t
+        mask = _above(top_slice, t)
         count = int(np.count_nonzero(mask))
         if t < low:
-            count += int(np.count_nonzero(rest > t))
+            count += int(np.count_nonzero(_above(rest, t)))
         return count, mask
 
-    floors = {max(float(low if below < above else top), 0.0)}
+    floors = {max(low if below < above else top, 0.0)}
     if top > 0.0:
-        # alarm at every value >= top: t is the largest value below it, or 0
-        floors.add(max(float(low), 0.0) if low < top else
+        # alarm at every value >= top: t is the largest value below it, or 0;
+        # top is one of the values, so comparing in their dtype is exact
+        floors.add(max(low, 0.0) if low < top else
                    float(np.max(rest, where=rest < top, initial=0.0)))
     options = []
     for t in floors:
