@@ -22,12 +22,10 @@ columns at all the chunk's lambdas in one pass over contiguous week rows,
 and forms each statistic as the partial sum plus its own squared term.
 One budget, ``STEP_BLOCK_VALUES``, bounds a chunk and its bank. One
 subset's paths (``simulate_statistic_paths``) are the one-candidate step
-of its last predictor. The null paths run in float32, from the float64
-normals and Cholesky factors rounded once; each candidate's new column is
-the one product ``z @ L[-1]`` and a run's prefix columns ``z @ L[:-1].T``.
-The paths are then those of the scan's own recursion and quadratic form
-run in float32 on those deviations, bit for bit, and a float64 threshold is
-counted against them exactly (``_above``). The panel's scan stays float64.
+of its last predictor. The draws are held week-major, one (length, sims)
+block per coordinate, and each candidate forms only its new column,
+``L[-1] @ z``, elementwise (``_combine``). The paths are those of the
+scan's own recursion and quadratic form on those deviations, bit for bit.
 
 A calibration seed is an integer s, drawn as (s,), or a sequence of them.
 A one-predictor statistic does not depend on the null's variance, so all
@@ -119,7 +117,7 @@ def simulate_statistic_paths(
     return paths if np.ndim(lam) else next(paths)
 
 
-# most float32 values (2 MiB) of one lambda chunk's prefix terms, partial
+# most float64 values (4 MiB) of one lambda chunk's prefix terms, partial
 # sums and bank of candidates' new columns; a chunk holds at least one
 # lambda, a bank at least one candidate
 STEP_BLOCK_VALUES = 2**19
@@ -135,81 +133,90 @@ def step_statistic_paths(
     seed,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (lambda index, candidate index, paths) for the (sims, length)
-    float32 null statistic paths of every subset prefix + (c,) at every
-    lambda.
+    null statistic paths of every subset prefix + (c,) at every lambda.
 
     Every extension of one prefix draws the same standard normals for every
-    lambda, so they are drawn once (``_normals``, rounded to float32), and
-    each candidate applies its own Cholesky factor (the prefix's factor plus
-    one row, rounded to float32) to them. The lambdas are cut into chunks,
-    each chunk's candidates into runs whose factors of sigma and of the
-    chunk's smoothed covariances share their leading rows bit for bit
-    (``_runs``), and each run into banks. A chunk holds the most lambdas
-    whose prefix terms, partial sums and one new column fit
-    ``STEP_BLOCK_VALUES`` values, and a bank the most candidates whose new
-    columns at those lambdas fit beside them. A run's prefix terms and
-    partial sums are formed once per chunk, from the prefix columns
-    ``z @ L[:-1].T`` of its first candidate's factor; each candidate forms
-    its new column ``z @ L[-1]`` once per chunk (a lone candidate once per
-    step), in one buffer, and writes it times each lambda into one
-    week-major stack that every bank of the step reuses. Its week rows hold
-    each lambda's columns side by side, so one ``mewma._smooth`` call
-    recurses a whole bank over contiguous rows. Each E is formed from its
-    candidate's slice of the stack into a fresh contiguous (length, sims)
-    array as the prefix's partial sum plus the candidate's own squared term
+    lambda, so they are drawn once (``_normals``), and each candidate applies
+    its own Cholesky factor (the prefix's factor plus one row) to them. The
+    lambdas are cut into chunks, each chunk's candidates into runs whose
+    factors of sigma and of the chunk's smoothed covariances share their
+    leading rows bit for bit (``_runs``), and each run into banks. A chunk
+    holds the most lambdas whose prefix terms, partial sums and one new
+    column fit ``STEP_BLOCK_VALUES`` values, and a bank the most candidates
+    whose new columns at those lambdas fit beside them. A run's prefix terms
+    and partial sums are formed once per chunk, from the prefix columns
+    ``L[:-1] @ z`` of its first candidate's factor, with the draws z held
+    week-major as (k, length, sims); each candidate forms its new column
+    ``L[-1] @ z`` once per chunk, in one buffer, and writes it times each
+    lambda into one week-major stack that every bank of the step reuses;
+    every column is summed by ``_combine``. The stack's week rows hold each
+    lambda's columns side by side, so one ``mewma._smooth`` call recurses a
+    whole bank over contiguous rows. Each E is formed from its candidate's
+    slice of the stack into a fresh contiguous (length, sims) array as the
+    prefix's partial sum plus the candidate's own squared term
     (``mewma._extend``; with no prefix, the squared term alone) and yielded
     transposed, so no yielded array shares memory with a buffer the step
-    reuses. The draws go after the step's last column, a lone 1-d
-    candidate's (the unit null of every first step) at once. A subset whose
-    covariance is not positive definite raises ``LinAlgError`` before any
-    paths are yielded.
+    reuses. The draws and the column buffer go once the step's last column
+    is written. A lone candidate, such as the unit null of every first
+    step, forms all its columns once, and its draws go before the stack is
+    made. A subset whose covariance is not positive definite raises
+    ``LinAlgError`` before any paths are yielded.
     """
     prefix, lambdas = tuple(prefix), [float(lam) for lam in lambdas]
     for lam in lambdas:
         _check_path_shape(lam, sims, length)
     factors = [
-        (_factor(sub.sigma), [_factor(sub.smoothed_cov(lam)) for lam in lambdas])
+        (np.linalg.cholesky(sub.sigma), [np.linalg.cholesky(sub.smoothed_cov(lam))
+                                         for lam in lambdas])
         for sub in (null.subset(prefix + (cand,)) for cand in candidates)
     ]
     k, n = len(prefix) + 1, sims * length
     size = max(1, min(len(lambdas), STEP_BLOCK_VALUES // ((k + 1) * n)))
     width = max(1, min(len(candidates), STEP_BLOCK_VALUES // (size * n) - k))
     z = _normals(seed, (sims, length, k))
-    column = np.empty((sims, length), np.float32)  # fresh buffers page-fault
-    formed = None  # the candidate whose new column the buffer holds
-    stack = np.empty((length, size * width * sims), np.float32)
+    spare = np.empty((length, sims)) if k > 1 else None  # each product before it is added
+    lone = len(candidates) == 1
+    if lone:
+        # such as the unit null of every first step: every column once, and
+        # the draws go before the stack is made
+        deviations = _deviations(factors[0][0], z, spare, out=np.empty_like(z))
+        z = spare = None
+        column = deviations[-1]
+    else:
+        column = np.empty((length, sims))
+    stack = np.empty((length, size * width * sims))
     for a in range(0, len(lambdas), size):
         chunk_lambdas = lambdas[a : a + size]
         m, last = len(chunk_lambdas), a + size >= len(lambdas)
         chunk = [(L, *smoothed[a : a + size]) for L, smoothed in factors]
         for run in _runs(chunk):
             terms = e = None  # the last run's go before this run's are made
-            terms, e = _prefix_terms(z, chunk[run[0]], chunk_lambdas)
+            terms = np.empty((m, k - 1, length, sims))
+            if lone:
+                terms[:] = deviations[:-1]
+            else:  # in place, so no other (k - 1)-column array is live beside them
+                _deviations(chunk[run[0]][0][:-1], z, spare, out=terms[0])
+                terms[1:] = terms[0]
+            terms, e = _prefix_terms(terms, chunk[run[0]][1:], chunk_lambdas)
             for start in range(0, len(run), width):
                 members = run[start : start + width]
                 rows = stack[:, : m * len(members) * sims]
                 paths = rows.reshape(length, m, len(members), sims)
                 for b, c in enumerate(members):
-                    if formed != c:
-                        np.matmul(z, chunk[c][0][-1], out=column)
-                        formed = c
-                    if len(chunk) == 1 and k == 1 or last and c == len(chunk) - 1:
-                        z = None  # no column or prefix term is formed after this one
+                    if not lone:
+                        _combine(chunk[c][0][-1], z, column, spare)
                     for i, lam in enumerate(chunk_lambdas):
-                        np.multiply(column.T, lam, out=paths[:, i, b])  # scaled as it is copied
+                        np.multiply(column, lam, out=paths[:, i, b])  # scaled as it is copied
+                    if last and c == len(chunk) - 1:
+                        z = column = spare = deviations = None  # every column is written
                 mewma._smooth(rows, np.repeat(np.subtract(1.0, chunk_lambdas),
                                               len(members) * sims))
                 for i in range(m):
                     for b, c in enumerate(members):
                         E = mewma._extend(paths[:, i, b], chunk[c][1 + i][-1], terms[i], e[i],
-                                          out=np.empty((length, sims), np.float32))
+                                          out=np.empty((length, sims)))
                         yield a + i, c, E.T
                         E = None  # before the next E is made
-
-
-def _factor(cov: np.ndarray) -> np.ndarray:
-    """The Cholesky factor of ``cov``, rounded to float32 as the null paths are."""
-    return np.linalg.cholesky(cov).astype(np.float32)
 
 
 def _runs(factors) -> list[list[int]]:
@@ -222,33 +229,57 @@ def _runs(factors) -> list[list[int]]:
     return [list(run) for _, run in itertools.groupby(range(len(keys)), keys.__getitem__)]
 
 
-def _prefix_terms(z: np.ndarray | None, factors, lambdas):
-    """The substituted terms (m, k - 1, length, sims) of the prefix columns
-    ``z @ L[:-1].T`` of the draws z (sims, length, k), week-major, at each
-    of the m ``lambdas``, and their partial sums (m, length, sims);
-    ``factors`` are L, sigma's factor, and the smoothed covariances' factors
-    at those lambdas. An empty prefix has no terms and no partial sums
-    (``None``), so the draws are not read."""
-    L, *smoothed = factors
-    m, k = len(smoothed), len(L)
+def _combine(row: np.ndarray, z: np.ndarray, out: np.ndarray, spare) -> None:
+    """out = row[0] z[0] + row[1] z[1] + ..., each product and sum rounded in
+    that order, ``spare`` holding each product before it is added.
+    Elementwise, so the bits do not depend on where the arrays sit in memory,
+    as a BLAS matrix-vector product's do."""
+    np.multiply(z[0], row[0], out=out)
+    for j in range(1, len(row)):
+        out += np.multiply(z[j], row[j], out=spare)
+
+
+def _deviations(L: np.ndarray, z: np.ndarray, spare, out: np.ndarray) -> np.ndarray:
+    """The columns L @ z of the week-major draws z, written into ``out``
+    (len(L), length, sims) and returned, for leading rows L of a lower
+    triangular factor: each row's leading entries summed by ``_combine``."""
+    for j, row in enumerate(L):
+        _combine(row[: j + 1], z, out[j], spare)
+    return out
+
+
+def _prefix_terms(terms: np.ndarray, smoothed, lambdas):
+    """The prefix columns (m, k - 1, length, sims), one copy for each of the
+    m ``lambdas``, whose smoothed covariances have the factors ``smoothed``,
+    substituted in place into their terms, and the terms' partial sums
+    (m, length, sims). An empty prefix has no terms and no partial sums
+    (``None``)."""
+    m, k = len(smoothed), terms.shape[1] + 1
     if k == 1:
         return [()] * m, [None] * m
-    deviations = z @ L[:-1].T
-    terms = np.empty((m, k - 1) + z.shape[1::-1], z.dtype)
-    for j in range(k - 1):
-        terms[:, j] = np.ascontiguousarray(deviations[..., j]).T  # gathered sims-major first
-    deviations = None
     mewma._ewma_states(terms, np.array(lambdas)[:, None, None])
-    e = np.zeros((m,) + terms.shape[2:], terms.dtype)
+    e = np.zeros((m,) + terms.shape[2:])
     for t, S, partial in zip(terms, smoothed, e):
         mewma._substitute(t.reshape(k - 1, -1), S[:-1, :-1], partial.reshape(-1))
     return terms, e
 
 
+# most values of one block of draws that ``_normals`` copies week-major
+NORMALS_BLOCK_VALUES = 2**15
+
+
 def _normals(seed, shape: tuple) -> np.ndarray:
-    """Standard normals of ``shape`` from ``seed``, drawn in float64 and
-    rounded once to float32."""
-    return np.random.default_rng(_seed(seed)).standard_normal(shape).astype(np.float32)
+    """Standard normals of ``shape`` (sims, length, k) from ``seed``, held
+    week-major: returned as (k, length, sims). They are drawn a block of
+    paths at a time, which continues one stream exactly as a single draw
+    would, so no second copy of the whole draw is made."""
+    sims, length, k = shape
+    rng = np.random.default_rng(_seed(seed))
+    z = np.empty((k, length, sims))
+    step = max(1, NORMALS_BLOCK_VALUES // (length * k))
+    for s in range(0, sims, step):
+        z[..., s : s + step] = rng.standard_normal((min(step, sims - s), length, k)).T
+    return z
 
 
 def _check_path_shape(lam: float, sims: int, length: int) -> None:

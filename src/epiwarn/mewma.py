@@ -204,12 +204,10 @@ def _ewma_states(D: np.ndarray, lam) -> np.ndarray:
     float or an array that broadcasts against one week's (..., d) slice, such
     as one lambda per leading row, shaped (n_lambda, 1).
 
-    The recursion runs in place, in D's dtype: one pass scales every
-    deviation by lambda rounded to that dtype, then ``_smooth`` runs the
-    weeks with 1 - lambda rounded to it. Each state takes the same IEEE
+    The recursion runs in place: one pass scales every deviation by lambda,
+    then ``_smooth`` runs the weeks. Each state takes the same IEEE
     operations as max(0, lam * x + (1 - lam) * s), so the same bits."""
-    scale = np.asarray(lam, dtype=D.dtype)
-    D *= np.expand_dims(scale, -2) if scale.ndim else scale
+    D *= np.expand_dims(lam, -2) if np.ndim(lam) else lam
     _smooth(np.moveaxis(D, -2, 0), np.subtract(1.0, lam))
     return D
 
@@ -220,11 +218,9 @@ def _smooth(weeks: np.ndarray, keep) -> None:
     1 - lambda, times week t - 1's state and clips at zero, in place, with
     preallocated buffers. ``keep`` is a float or an array that broadcasts
     against one week's row. Each week is three ufunc calls, whose scalars go
-    in as 0-d arrays: a Python float takes numpy's slower scalar path.
-    ``keep``, the scalars and the buffers are in the weeks' dtype, so no
-    operation upcasts."""
-    keep, zero = np.asarray(keep, dtype=weeks.dtype), np.zeros((), weeks.dtype)
-    carry = state = np.zeros(weeks.shape[1:], weeks.dtype)  # the state before week 0
+    in as 0-d arrays: a Python float takes numpy's slower scalar path."""
+    keep, zero = np.asarray(keep, dtype=float), np.zeros(())
+    carry = state = np.zeros(weeks.shape[1:])  # the state before week 0
     for row in weeks:
         np.multiply(keep, state, out=carry)
         row += carry
@@ -234,12 +230,12 @@ def _smooth(weeks: np.ndarray, keep) -> None:
 
 def _quad_form(S: np.ndarray, smoothed_cov: np.ndarray) -> np.ndarray:
     """E = S' inv(smoothed_cov) S per (..., d) state, S unchanged: forward
-    substitution (``_substitute``) on one column-major copy of the states,
-    in S's dtype. Elementwise operations only, so E does not depend on where
-    S sits, and each state's E is the same whichever other states it is
-    formed with; its first k terms are the leading k x k block's."""
+    substitution (``_substitute``) on one column-major copy of the states.
+    Elementwise operations only, so E does not depend on where S sits, and
+    each state's E is the same whichever other states it is formed with; its
+    first k terms are the leading k x k block's."""
     L = np.linalg.cholesky(smoothed_cov)
-    E = np.zeros(S.shape[:-1], S.dtype)
+    E = np.zeros(S.shape[:-1])
     _substitute(S.reshape(-1, len(L)).T.copy(), L, E.reshape(-1))
     return E
 
@@ -251,9 +247,7 @@ def _substitute(Z: np.ndarray, L: np.ndarray, e: np.ndarray) -> None:
 
     Term j is (Z_j - L_j0 t_0 - L_j1 t_1 - ...) / L_jj, subtracted in order,
     so the first k terms and their partial sum depend only on L's first k
-    rows; ``_extend`` adds one more term in the same order. L is rounded to
-    Z's dtype, and e must be in it, so no operation upcasts."""
-    L = L.astype(Z.dtype, copy=False)
+    rows; ``_extend`` adds one more term in the same order."""
     for j in range(len(L)):
         Z[j] /= L[j, j]
         Z[j + 1 :] -= L[j + 1 :, j, None] * Z[j]
@@ -271,10 +265,7 @@ def _extend(z: np.ndarray, row: np.ndarray, terms, e: np.ndarray | None,
     (...) the new coordinate's states and ``row`` the last row of the k x k
     factor. Bit for bit what ``_substitute`` does to its last row, so the
     result equals ``_quad_form`` of the k states. The first term's product
-    is formed in ``out``, so a two-coordinate E makes no temporary. ``row``
-    is rounded to z's dtype, and the terms, ``e`` and ``out`` must be in it,
-    so no operation upcasts."""
-    row = row.astype(z.dtype, copy=False)
+    is formed in ``out``, so a two-coordinate E makes no temporary."""
     if len(terms):
         np.subtract(z, np.multiply(row[0], terms[0], out=out), out=out)
         for j in range(1, len(terms)):

@@ -308,10 +308,7 @@ def test_paths_match_per_step_reference(d, sims, length, lam, seed):
     E = simulate_statistic_paths(null, lam, sims, length, seed)
     reference = per_step_paths(null, lam, sims, length, seed)
     assert E.shape == (sims, length)
-    assert E.dtype == np.float32
-    # float32 paths against a float64 reference: float32 rounding, on the
-    # statistic's own scale for near-zero values
-    np.testing.assert_allclose(E, reference, rtol=1e-4, atol=1e-5 * reference.max())
+    np.testing.assert_allclose(E, reference, rtol=1e-12, atol=0.0)
 
 
 def scaled_null(variance):
@@ -331,8 +328,7 @@ def test_one_dimensional_threshold_ignores_variance(variance, lam, seed):
     # the shared solve stands in for a solve on the null's own paths
     own, _ = calibrate._solve_paths(
         simulate_statistic_paths(scaled_null(variance), lam, 40, 100, (seed, 2)), 10.0)
-    # (the scaled null's float32 paths round apart from the unit null's)
-    assert h == pytest.approx(own, rel=1e-5)
+    assert h == pytest.approx(own, rel=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
@@ -484,12 +480,12 @@ def test_step_paths_match_per_subset_simulation(prefix_size, n_candidates, sims,
     assert len(paths) == n_candidates
     for cand, E in zip(candidates, paths):
         reference = per_subset_paths(null.subset(prefix + (cand,)), lam, sims, length, seed)
-        # a scaled 1-d null's float32 paths round apart from the unit null's,
-        # so those compare at float32 level, on the statistic's own scale
+        # a scaled 1-d null rounds its near-zero values differently from the
+        # unit null, so those compare on the statistic's own scale
         if prefix:
             assert np.array_equal(E, reference)
         else:
-            np.testing.assert_allclose(E, reference, rtol=1e-5, atol=1e-5 * reference.max())
+            np.testing.assert_allclose(E, reference, rtol=1e-12, atol=1e-12 * reference.max())
 
 
 @settings(max_examples=30, deadline=None)
@@ -520,9 +516,7 @@ def test_step_thresholds_match_per_subset_solve(prefix_size, n_candidates, lambd
             except CalibrationError as exc:
                 assert type(solved) is type(exc)
                 continue
-            # with a prefix the step's paths are the subset's own bit for bit;
-            # the unit null's float32 paths round apart from a scaled null's
-            assert solved[0] == pytest.approx(h, rel=1e-12 if prefix else 1e-5, abs=0.0)
+            assert solved[0] == pytest.approx(h, rel=1e-12, abs=0.0)
             assert solved[1] == atfs
 
 
@@ -553,12 +547,11 @@ def test_step_peak_memory_is_one_block_plus_the_draws():
     # a one-lambda chunk whose bank holds 10 candidates' new columns
     with mock.patch.object(calibrate, "STEP_BLOCK_VALUES", (k + 10) * n):
         peaks = {c: step_peak(c, sims) for c in (4, 8, 30, 60)}
-    # in float32: the draws (k columns), the new column's buffer, the prefix
-    # columns, their terms and partial sum, the bank, one E, one gathered
-    # column, and small objects
-    assert peaks[30] <= 4 * (n * k + n + 2 * (k - 1) * n + n + 10 * n + n + n) + 128 * 1024
+    # the draws (k columns), the new column's buffer and its spare, the
+    # prefix's terms and partial sum, the bank, one E, and small objects
+    assert peaks[30] <= 8 * (n * k + n + n + (k - 1) * n + n + 10 * n + n) + 128 * 1024
     # until the bank is full, each candidate adds its new column
-    assert abs(peaks[8] - peaks[4] - 4 * 4 * n) <= 30 * 1024
+    assert abs(peaks[8] - peaks[4] - 8 * 4 * n) <= 30 * 1024
     # a full bank is reused: an E or bank left live beside the next would
     # add n values; twice the candidates add only their factors and solves
     assert abs(peaks[60] - peaks[30]) <= 30 * 1024
@@ -567,7 +560,7 @@ def test_step_peak_memory_is_one_block_plus_the_draws():
     lambdas = (0.2, 0.4, 0.6)
     with mock.patch.object(calibrate, "STEP_BLOCK_VALUES", 3 * (k + 1) * n):
         peak = step_peak(30, sims, lambdas)
-    assert peak <= 4 * (n * k + n + (k - 1) * n + 3 * (k + 1) * n + n + n) + 128 * 1024
+    assert peak <= 8 * (n * k + n + n + 3 * (k + 1) * n + n) + 128 * 1024
 
 
 def test_step_peak_memory_pins_the_budget():
@@ -575,12 +568,12 @@ def test_step_peak_memory_pins_the_budget():
     n = sims * calibrate._checked_length(10.0)
     peaks = {c: step_peak(c, sims) for c in (30, 60)}
     # 30 candidates fill a bank: the chunk's terms, partial sum and bank are
-    # within one column of the budget, beside the draws (k columns) and the
-    # new column's buffer, one E and one gathered column, all float32
+    # within one column of the budget, beside the draws (k columns), the new
+    # column's buffer and its spare, and one E
     assert calibrate.STEP_BLOCK_VALUES // n - k < 30
-    block = peaks[30] - 4 * (n * k + n)
-    assert 4 * (calibrate.STEP_BLOCK_VALUES - n) <= block
-    assert block <= 4 * (calibrate.STEP_BLOCK_VALUES + n + n) + 128 * 1024
+    block = peaks[30] - 8 * (n * k + n)
+    assert 8 * (calibrate.STEP_BLOCK_VALUES - n) <= block
+    assert block <= 8 * (calibrate.STEP_BLOCK_VALUES + n + n) + 128 * 1024
     assert abs(peaks[60] - peaks[30]) <= 30 * 1024
 
 
@@ -667,11 +660,15 @@ def test_normals_are_one_stream_per_seed():
     assert np.array_equal(calibrate._normals([3, 1], shape), z)
     assert not np.array_equal(calibrate._normals((3, 2), shape), z)
     assert np.array_equal(calibrate._normals(3, shape), calibrate._normals((3,), shape))
+    # drawn a block of paths at a time, the week-major copy of one draw
+    for shape in ((4, 5, 2), (300, 500, 2), (1, 40000, 1)):
+        one_draw = np.random.default_rng((3, 1)).standard_normal(shape)
+        assert np.array_equal(calibrate._normals((3, 1), shape), one_draw.transpose(2, 1, 0))
 
 
 def test_shared_draws_are_dropped_when_the_step_raises(monkeypatch):
     panel, events, windows, table, prefix, candidates = _step_setup(1)
-    draws = []  # a weak reference to the float32 draws the step holds
+    draws = []  # a weak reference to the week-major draws the step holds
     normals = calibrate._normals
 
     def recorded(seed, shape):
@@ -765,13 +762,16 @@ def test_step_chunks_cut_the_grid_and_runs_hold_matching_candidates():
 
 
 def per_subset_paths(null, lam, sims, length, seed):
-    """One subset's paths written out on their own: draw in float64 and round
-    to float32, apply the float32 Cholesky factor (the prefix's rows as one
-    product, the last row as another), then the scan's own recursion and
-    quadratic form, in float32."""
-    L = np.linalg.cholesky(null.sigma).astype(np.float32)
-    z = np.random.default_rng(seed).standard_normal((sims, length, null.dim)).astype(np.float32)
-    deviations = np.concatenate([z @ L[:-1].T, (z @ L[-1])[..., None]], axis=-1)
+    """One subset's paths written out on their own: draw, apply the Cholesky
+    factor one row at a time, each product and sum in order, then the scan's
+    own recursion and quadratic form."""
+    L = np.linalg.cholesky(null.sigma)
+    z = np.random.default_rng(seed).standard_normal((sims, length, null.dim))
+    deviations = np.empty_like(z)
+    for j in range(null.dim):
+        deviations[..., j] = z[..., 0] * L[j, 0]
+        for i in range(1, j + 1):
+            deviations[..., j] += z[..., i] * L[j, i]
     return mewma._quad_form(mewma._ewma_states(deviations, lam), null.smoothed_cov(lam))
 
 
@@ -862,8 +862,9 @@ def test_step_paths_equal_per_subset_simulation_bit_for_bit(
 
 
 def test_thresholds_count_exactly_across_a_one_ulp_gap():
-    # two adjacent float32 values: their float64 midpoint rounds to the upper
-    # one in float32, where a float32 comparison counts no value above it
+    # paths of any float dtype count as a float64 comparison would: two
+    # adjacent float32 values, whose float64 midpoint rounds to the upper one
+    # in float32, where a float32 comparison counts no value above it
     a = np.nextafter(np.float32(1.0), np.float32(2.0))
     b = np.nextafter(a, np.float32(2.0))
     h = 0.5 * (float(a) + float(b))
@@ -876,30 +877,42 @@ def test_thresholds_count_exactly_across_a_one_ulp_gap():
     assert np.array_equal(calibrate._above(E, float(b)), [[False, False]])
 
 
-def float64_paths(null, lam, sims, length, seed):
-    """Reference in float64: the same normals unrounded, the whole product
-    with the float64 Cholesky factor, then the scan's own recursion and
-    quadratic form."""
+def whole_product_paths(null, lam, sims, length, seed):
+    """Reference: the same normals times the whole Cholesky factor in one
+    product, as before each new column was its own product, then the scan's
+    own recursion and quadratic form."""
     L = np.linalg.cholesky(null.sigma)
     deviations = np.random.default_rng(seed).standard_normal((sims, length, null.dim)) @ L.T
     return mewma._quad_form(mewma._ewma_states(deviations, lam), null.smoothed_cov(lam))
 
 
+def near_singular_null(d, seed):
+    """A d-predictor null whose predictors are each the last plus a small
+    independent part: every leading block is badly conditioned (up to about
+    2e11) but within ``MAX_CONDITION``, so conditioning adds no ridge."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(3 * d, d))
+    for j in range(1, d):
+        X[:, j] = X[:, j - 1] + 3e-5 * X[:, j]
+    sigma, ridge_applied, delta = condition_covariance(np.cov(X, rowvar=False))
+    names = tuple(f"x{i}" for i in range(d))
+    return NullModel(names, X.mean(axis=0), sigma, 100, ridge_applied, delta)
+
+
 @pytest.mark.parametrize("phi", [10.0, 20.0, 50.0])
-def test_float32_thresholds_are_equivalent_to_float64(phi):
-    # every step k = 1..8 of three fixed 8-predictor nulls, a full-rank, a
-    # ridged and a collinear one, against thresholds solved on float64 paths.
-    # On the full-rank null each h is within 1e-5 at the same achieved ATFS.
-    # A ridged block's near-singular directions are a small difference of
-    # large float32 states, so there h moves up to 4e-4 (measured) and a
-    # solve may count one alarm more or fewer: far below the Monte-Carlo
-    # error of h, but not the same rounding
+def test_step_thresholds_are_equivalent_to_the_whole_product(phi):
+    # every step k = 1..8 of four fixed 8-predictor nulls (full-rank, ridged,
+    # collinear, and unridged near MAX_CONDITION) against thresholds solved
+    # on paths formed with the whole product: each h within 1e-5 relative,
+    # at the same achieved ATFS
+    near_singular = near_singular_null(8, 4)
+    assert not near_singular.ridge_applied
+    assert 1e11 < np.linalg.cond(near_singular.sigma) <= mewma.MAX_CONDITION
     sims, lambdas, seed = 60, (0.1, 0.5, 0.9), (11, 3)
     length = calibrate._checked_length(phi)
-    n = sims * length
     calibrate._solve_unit_null.cache_clear()
-    for null in (unit_null(8, seed=5), step_null(8, 3, True), collinear_null(8, 7)):
-        rel, alarms = (1e-3, 1) if null.ridge_applied else (1e-5, 0)
+    for null in (unit_null(8, seed=5), step_null(8, 3, True), collinear_null(8, 7),
+                 near_singular):
         names = null.predictor_names
         for k in range(1, 9):
             prefix, candidates = names[: k - 1], names[k - 1 :]
@@ -907,18 +920,19 @@ def test_float32_thresholds_are_equivalent_to_float64(phi):
                                             seed)
             for lam, row in zip(lambdas, solves):
                 for cand, (h, atfs) in zip(candidates, row):
-                    E = float64_paths(null.subset(prefix + (cand,)), lam, sims, length, seed)
-                    h64, atfs64 = calibrate._solve_paths(E, phi)
-                    assert h == pytest.approx(h64, rel=rel, abs=0.0)
-                    assert abs(round(n / atfs) - round(n / atfs64)) <= alarms
+                    E = whole_product_paths(null.subset(prefix + (cand,)), lam, sims, length,
+                                            seed)
+                    h_whole, atfs_whole = calibrate._solve_paths(E, phi)
+                    assert h == pytest.approx(h_whole, rel=1e-5, abs=0.0)
+                    assert atfs == atfs_whole
 
 
-def test_null_paths_are_float32_and_the_panel_scan_float64():
+def test_null_paths_and_the_panel_scan_are_float64():
     null = unit_null(3, seed=2)
     for E in simulate_statistic_paths(null, (0.3, 0.6), 5, 7, 1):
-        assert E.dtype == np.float32
+        assert E.dtype == np.float64
     [(_, _, E)] = calibrate.step_statistic_paths(null, ("x0",), ("x1",), [0.4], 5, 7, 1)
-    assert E.dtype == np.float32
+    assert E.dtype == np.float64
     *_, table, prefix, candidates = _step_setup(1)
     trace = table.scan(0.4, prefix + candidates[:1], 5.0)
     assert trace.E.dtype == np.float64
