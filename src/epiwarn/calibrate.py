@@ -10,22 +10,22 @@ ATFS is solved exactly from an order statistic of the pooled values.
 Every null path set comes from one loop, ``step_statistic_paths``. A
 greedy selection step scores every extension prefix + (c,) of the chosen
 prefix at every lambda of the grid with one seed, so the standard normals
-are drawn once per step and each candidate applies its own Cholesky
-factor, the prefix's factor plus one row, to them: common random numbers.
-Each lambda's threshold keeps its distribution, and the argmax over lambda
-compares thresholds solved on the same paths. The recursion is
+are drawn once per step: common random numbers. Each lambda's threshold
+keeps its distribution, and the argmax over lambda compares thresholds
+solved on the same paths. Each subset's Cholesky factor L is its prefix's
+plus one row (``NullModel.factor``), and each lambda's is
+sqrt(lam / (2 - lam)) L (``mewma.smoothed_factor``). The recursion is
 elementwise and the quadratic form sums its terms in coordinate order, so
-the loop takes the lambdas a chunk at a time and, within a chunk, forms
-the prefix's terms and partial sums once per run of candidates whose
-factors share their leading rows, recurses a bank of candidates' new
-columns at all the chunk's lambdas in one pass over contiguous week rows,
-and forms each statistic as the partial sum plus its own squared term.
-One budget, ``STEP_BLOCK_VALUES``, bounds a chunk and its bank. One
-subset's paths (``simulate_statistic_paths``) are the one-candidate step
-of its last predictor. The draws are held week-major, one (length, sims)
-block per coordinate, and each candidate forms only its new column,
-``L[-1] @ z``, elementwise (``_combine``). The paths are those of the
-scan's own recursion and quadratic form on those deviations, bit for bit.
+the loop forms the prefix's terms and partial sums once per chunk of
+lambdas, recurses a bank of candidates' new columns at all the chunk's
+lambdas in one pass over contiguous week rows, and forms each statistic as
+the partial sum plus its own squared term. One budget,
+``STEP_BLOCK_VALUES``, bounds a chunk and its bank. The draws are held
+week-major, one (length, sims) block per coordinate, and each candidate
+forms only its new column, ``L[-1] @ z``, elementwise (``_combine``). The
+paths are those of the scan's own recursion and quadratic form on those
+deviations, bit for bit; one subset's (``simulate_statistic_paths``) are
+the one-candidate step of its last predictor.
 
 A calibration seed is an integer s, drawn as (s,), or a sequence of them.
 A one-predictor statistic does not depend on the null's variance, so all
@@ -36,7 +36,6 @@ grid, target, simulation size, seed).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -135,51 +134,42 @@ def step_statistic_paths(
     """Yield (lambda index, candidate index, paths) for the (sims, length)
     null statistic paths of every subset prefix + (c,) at every lambda.
 
-    Every extension of one prefix draws the same standard normals for every
-    lambda, so they are drawn once (``_normals``), and each candidate applies
-    its own Cholesky factor (the prefix's factor plus one row) to them. The
-    lambdas are cut into chunks, each chunk's candidates into runs whose
-    factors of sigma and of the chunk's smoothed covariances share their
-    leading rows bit for bit (``_runs``), and each run into banks. A chunk
-    holds the most lambdas whose prefix terms, partial sums and one new
-    column fit ``STEP_BLOCK_VALUES`` values, and a bank the most candidates
-    whose new columns at those lambdas fit beside them. A run's prefix terms
-    and partial sums are formed once per chunk, from the prefix columns
-    ``L[:-1] @ z`` of its first candidate's factor, with the draws z held
-    week-major as (k, length, sims); each candidate forms its new column
-    ``L[-1] @ z`` once per chunk, in one buffer, and writes it times each
-    lambda into one week-major stack that every bank of the step reuses;
-    every column is summed by ``_combine``. The stack's week rows hold each
-    lambda's columns side by side, so one ``mewma._smooth`` call recurses a
-    whole bank over contiguous rows. Each E is formed from its candidate's
-    slice of the stack into a fresh contiguous (length, sims) array as the
-    prefix's partial sum plus the candidate's own squared term
-    (``mewma._extend``; with no prefix, the squared term alone) and yielded
-    transposed, so no yielded array shares memory with a buffer the step
-    reuses. The draws and the column buffer go once the step's last column
-    is written. A lone candidate, such as the unit null of every first
-    step, forms all its columns once, and its draws go before the stack is
-    made. A subset whose covariance is not positive definite raises
-    ``LinAlgError`` before any paths are yielded.
+    The standard normals are drawn once for every extension and lambda
+    (``_normals``), held week-major as (k, length, sims), and each candidate
+    applies its own factor L, ``null.factor(prefix + (c,))``, whose leading
+    rows are the prefix's; each lambda's quadratic form uses
+    sqrt(lam / (2 - lam)) L (``mewma.smoothed_factor``). The lambdas are
+    cut into chunks of the most whose prefix terms, partial sums and one new
+    column fit ``STEP_BLOCK_VALUES`` values, and the candidates into banks
+    of the most whose new columns at a chunk's lambdas fit beside them. The
+    prefix terms and partial sums are formed once per chunk from the prefix
+    columns ``L[:-1] @ z``; each candidate forms its new column
+    ``L[-1] @ z`` (``_combine``) once per chunk and writes it times each
+    lambda into one week-major stack, whose week rows hold each lambda's
+    columns side by side, so one ``mewma._smooth`` call recurses a bank
+    over contiguous rows. Each E is the prefix's partial sum plus the
+    candidate's own squared term (``mewma._extend``), formed into a fresh
+    contiguous (length, sims) array and yielded transposed, so no yielded
+    array shares memory with a buffer the step reuses. The draws and the
+    column buffer go once the last column is written; a lone candidate,
+    such as the unit null of every first step, forms all its columns once
+    and lets its draws go before the stack is made. A subset whose
+    covariance is not positive definite raises ``LinAlgError`` before any
+    paths are yielded.
     """
     prefix, lambdas = tuple(prefix), [float(lam) for lam in lambdas]
     for lam in lambdas:
         _check_path_shape(lam, sims, length)
-    factors = [
-        (np.linalg.cholesky(sub.sigma), [np.linalg.cholesky(sub.smoothed_cov(lam))
-                                         for lam in lambdas])
-        for sub in (null.subset(prefix + (cand,)) for cand in candidates)
-    ]
+    factors = [null.factor(prefix + (cand,)) for cand in candidates]
+    head = factors[0][:-1, :-1]  # the prefix's factor, every candidate's leading rows
     k, n = len(prefix) + 1, sims * length
     size = max(1, min(len(lambdas), STEP_BLOCK_VALUES // ((k + 1) * n)))
     width = max(1, min(len(candidates), STEP_BLOCK_VALUES // (size * n) - k))
     z = _normals(seed, (sims, length, k))
     spare = np.empty((length, sims)) if k > 1 else None  # each product before it is added
     lone = len(candidates) == 1
-    if lone:
-        # such as the unit null of every first step: every column once, and
-        # the draws go before the stack is made
-        deviations = _deviations(factors[0][0], z, spare, out=np.empty_like(z))
+    if lone:  # every column once, and the draws go before the stack is made
+        deviations = _deviations(factors[0], z, spare, out=np.empty_like(z))
         z = spare = None
         column = deviations[-1]
     else:
@@ -188,45 +178,32 @@ def step_statistic_paths(
     for a in range(0, len(lambdas), size):
         chunk_lambdas = lambdas[a : a + size]
         m, last = len(chunk_lambdas), a + size >= len(lambdas)
-        chunk = [(L, *smoothed[a : a + size]) for L, smoothed in factors]
-        for run in _runs(chunk):
-            terms = e = None  # the last run's go before this run's are made
-            terms = np.empty((m, k - 1, length, sims))
-            if lone:
-                terms[:] = deviations[:-1]
-            else:  # in place, so no other (k - 1)-column array is live beside them
-                _deviations(chunk[run[0]][0][:-1], z, spare, out=terms[0])
-                terms[1:] = terms[0]
-            terms, e = _prefix_terms(terms, chunk[run[0]][1:], chunk_lambdas)
-            for start in range(0, len(run), width):
-                members = run[start : start + width]
-                rows = stack[:, : m * len(members) * sims]
-                paths = rows.reshape(length, m, len(members), sims)
+        terms = e = None  # the last chunk's go before this chunk's are made
+        terms = np.empty((m, k - 1, length, sims))
+        if lone:
+            terms[:] = deviations[:-1]
+        else:  # in place, so no other (k - 1)-column array is live beside them
+            _deviations(head, z, spare, out=terms[0])
+            terms[1:] = terms[0]
+        terms, e = _prefix_terms(terms, head, chunk_lambdas)
+        for start in range(0, len(candidates), width):
+            members = range(start, min(start + width, len(candidates)))
+            rows = stack[:, : m * len(members) * sims]
+            paths = rows.reshape(length, m, len(members), sims)
+            for b, c in enumerate(members):
+                if not lone:
+                    _combine(factors[c][-1], z, column, spare)
+                for i, lam in enumerate(chunk_lambdas):
+                    np.multiply(column, lam, out=paths[:, i, b])  # scaled as it is copied
+                if last and c == len(candidates) - 1:
+                    z = column = spare = deviations = None  # every column is written
+            mewma._smooth(rows, np.repeat(np.subtract(1.0, chunk_lambdas), len(members) * sims))
+            for i, lam in enumerate(chunk_lambdas):
                 for b, c in enumerate(members):
-                    if not lone:
-                        _combine(chunk[c][0][-1], z, column, spare)
-                    for i, lam in enumerate(chunk_lambdas):
-                        np.multiply(column, lam, out=paths[:, i, b])  # scaled as it is copied
-                    if last and c == len(chunk) - 1:
-                        z = column = spare = deviations = None  # every column is written
-                mewma._smooth(rows, np.repeat(np.subtract(1.0, chunk_lambdas),
-                                              len(members) * sims))
-                for i in range(m):
-                    for b, c in enumerate(members):
-                        E = mewma._extend(paths[:, i, b], chunk[c][1 + i][-1], terms[i], e[i],
-                                          out=np.empty((length, sims)))
-                        yield a + i, c, E.T
-                        E = None  # before the next E is made
-
-
-def _runs(factors) -> list[list[int]]:
-    """The candidates' indices in order, cut into runs whose factors' leading
-    rows are the same bytes. The factors share their leading blocks and
-    their size, so they match wherever the Cholesky routine's operation
-    order depends on the size alone; the check keeps the paths exact where
-    it does not."""
-    keys = [tuple(f[:-1].tobytes() for f in fs) for fs in factors]
-    return [list(run) for _, run in itertools.groupby(range(len(keys)), keys.__getitem__)]
+                    E = mewma._extend(paths[:, i, b], mewma.smoothed_factor(factors[c][-1], lam),
+                                      terms[i], e[i], out=np.empty((length, sims)))
+                    yield a + i, c, E.T
+                    E = None  # before the next E is made
 
 
 def _combine(row: np.ndarray, z: np.ndarray, out: np.ndarray, spare) -> None:
@@ -248,19 +225,19 @@ def _deviations(L: np.ndarray, z: np.ndarray, spare, out: np.ndarray) -> np.ndar
     return out
 
 
-def _prefix_terms(terms: np.ndarray, smoothed, lambdas):
+def _prefix_terms(terms: np.ndarray, head: np.ndarray, lambdas):
     """The prefix columns (m, k - 1, length, sims), one copy for each of the
-    m ``lambdas``, whose smoothed covariances have the factors ``smoothed``,
-    substituted in place into their terms, and the terms' partial sums
-    (m, length, sims). An empty prefix has no terms and no partial sums
-    (``None``)."""
-    m, k = len(smoothed), terms.shape[1] + 1
+    m ``lambdas``, substituted in place into their terms with each lambda's
+    smoothed factor of the prefix's factor ``head``, and their partial sums
+    (m, length, sims); an empty prefix has none (``None``)."""
+    m, k = len(lambdas), terms.shape[1] + 1
     if k == 1:
         return [()] * m, [None] * m
     mewma._ewma_states(terms, np.array(lambdas)[:, None, None])
     e = np.zeros((m,) + terms.shape[2:])
-    for t, S, partial in zip(terms, smoothed, e):
-        mewma._substitute(t.reshape(k - 1, -1), S[:-1, :-1], partial.reshape(-1))
+    for t, lam, partial in zip(terms, lambdas, e):
+        mewma._substitute(t.reshape(k - 1, -1), mewma.smoothed_factor(head, lam),
+                          partial.reshape(-1))
     return terms, e
 
 

@@ -10,7 +10,8 @@ full-dimension state, which lets one stored full scan serve every subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,8 +43,8 @@ class NullModel:
     """Baseline mean vector and covariance matrix of the predictor subset.
 
     ``sigma`` is stored post-conditioning: symmetric positive definite, with
-    ``ridge_applied``/``ridge_delta`` recording whether (and how much) ridge
-    inflation was needed to get there.
+    ``ridge_applied``/``ridge_delta`` recording whether ridge inflation was
+    needed to get there and by what fraction of each predictor's variance.
     """
 
     predictor_names: tuple[str, ...]
@@ -52,6 +53,7 @@ class NullModel:
     baseline_week_count: int
     ridge_applied: bool = False
     ridge_delta: float = 0.0
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "predictor_names", tuple(self.predictor_names))
@@ -69,25 +71,46 @@ class NullModel:
     def dim(self) -> int:
         return len(self.predictor_names)
 
-    def smoothed_cov(self, lam: float) -> np.ndarray:
-        """Asymptotic covariance of the smoothed state: lam/(2-lam) * sigma."""
-        return (lam / (2.0 - lam)) * self.sigma
+    def factor(self, names: Sequence[str]) -> np.ndarray:
+        """The read-only Cholesky factor of the covariance block of ``names``,
+        memoized per tuple: the factor of ``names[:-1]`` plus one row
+        (``extend_factor``), so its leading rows are the prefix's, bit for bit."""
+        names = tuple(names)
+        if names not in self._factors:
+            head = self.factor(names[:-1]) if len(names) > 1 else np.zeros((0, 0))
+            idx = [self.predictor_names.index(n) for n in names]
+            self._factors[names] = extend_factor(head, self.sigma[idx[-1], idx])
+        return self._factors[names]
 
     def subset(self, names: Sequence[str]) -> "NullModel":
-        """Project onto a predictor subset (principal submatrix stays SPD).
-
-        A principal submatrix of a checked symmetric matrix is symmetric, so
-        the projection is built without ``__post_init__``'s checks.
-        """
+        """Project onto a predictor subset (principal submatrix stays SPD)."""
         idx = [self.predictor_names.index(n) for n in names]
-        sub = object.__new__(NullModel)
-        vars(sub).update(
-            vars(self),
-            predictor_names=tuple(names),
-            mu=self.mu[idx],
-            sigma=self.sigma[np.ix_(idx, idx)],
-        )
-        return sub
+        return NullModel(names, self.mu[idx], self.sigma[np.ix_(idx, idx)],
+                         self.baseline_week_count, self.ridge_applied, self.ridge_delta)
+
+
+def extend_factor(head: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The read-only Cholesky factor of an SPD block whose leading block has
+    the factor ``head`` and whose last row is ``row``: head plus the row
+    l = inv(head) row[:-1], by forward substitution (``_substitute``), and
+    sqrt(row[-1] - l.l). A pivot that is not positive raises ``LinAlgError``."""
+    k = len(head)
+    L = np.zeros((k + 1, k + 1))
+    L[:k, :k] = head
+    terms, square = row[:k, None].copy(), np.zeros(1)
+    _substitute(terms, head, square)
+    pivot = row[k] - square[0]
+    if not pivot > 0.0:
+        raise np.linalg.LinAlgError(f"covariance is not positive definite at row {k}")
+    L[k, :k], L[k, k] = terms[:, 0], math.sqrt(pivot)
+    L.flags.writeable = False
+    return L
+
+
+def smoothed_factor(L: np.ndarray, lam: float) -> np.ndarray:
+    """The factor of the smoothed state's covariance lam / (2 - lam) sigma
+    (or rows of it), for sigma's factor L: sqrt(lam / (2 - lam)) L."""
+    return math.sqrt(lam / (2.0 - lam)) * L
 
 
 @dataclass(frozen=True)
@@ -128,19 +151,23 @@ def cluster_onsets(alarm_weeks) -> np.ndarray:
     return aw[keep]
 
 
-MAX_CONDITION = 1e12  # largest condition number a conditioned covariance may have
-RIDGE_START = 1e-8  # first ridge, as a fraction of the mean variance
+MAX_CONDITION = 1e12  # largest condition number of a usable correlation matrix
+RIDGE_START = 1e-8  # first ridge, as a fraction of each predictor's variance
 
 
 def condition_covariance(sigma: np.ndarray) -> tuple[np.ndarray, bool, float]:
-    """Make a sample covariance usable in an SPD solve.
-
-    Singular or badly conditioned matrices get ridge inflation
-    delta * mean(diag) on the diagonal, doubling delta until the Cholesky
-    factorization succeeds and the condition number is acceptable.
-    """
+    """Make a sample covariance usable in an SPD solve, whatever the
+    predictors' units: (matrix, ridged, delta). Usability, a Cholesky
+    factorization and a condition number at most ``MAX_CONDITION``, is judged
+    on the correlation matrix R = inv(D) sigma inv(D), D the standard
+    deviations (1 for a constant predictor). A usable sigma is returned as it
+    is; otherwise delta doubles from ``RIDGE_START`` until R + delta I is
+    usable, and D (R + delta I) D is returned."""
     sigma = np.asarray(sigma, dtype=float)
     sym = 0.5 * (sigma + sigma.T)
+    sd = np.sqrt(np.diag(sym))
+    sd[sd == 0.0] = 1.0
+    R = sym / np.outer(sd, sd)
 
     def usable(m: np.ndarray) -> bool:
         try:
@@ -149,17 +176,14 @@ def condition_covariance(sigma: np.ndarray) -> tuple[np.ndarray, bool, float]:
             return False
         return np.linalg.cond(m) <= MAX_CONDITION
 
-    if usable(sym):
+    if usable(R):
         return sym, False, 0.0
-    scale = float(np.mean(np.diag(sym)))
-    if scale <= 0.0:
-        scale = 1.0
     d = RIDGE_START
-    eye = np.eye(sym.shape[0])
+    eye = np.eye(len(R))
     while d < 1e8:
-        candidate = sym + (d * scale) * eye
+        candidate = R + d * eye
         if usable(candidate):
-            return candidate, True, d * scale
+            return sd[:, None] * candidate * sd, True, d
         d *= 2.0
     raise EstimationError("covariance matrix cannot be conditioned to SPD")
 
@@ -228,13 +252,12 @@ def _smooth(weeks: np.ndarray, keep) -> None:
         state = row
 
 
-def _quad_form(S: np.ndarray, smoothed_cov: np.ndarray) -> np.ndarray:
-    """E = S' inv(smoothed_cov) S per (..., d) state, S unchanged: forward
-    substitution (``_substitute``) on one column-major copy of the states.
-    Elementwise operations only, so E does not depend on where S sits, and
-    each state's E is the same whichever other states it is formed with; its
-    first k terms are the leading k x k block's."""
-    L = np.linalg.cholesky(smoothed_cov)
+def _quad_form(S: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """E = S' inv(L L') S per (..., d) state, for a lower-triangular factor
+    L, S unchanged: forward substitution (``_substitute``) on one
+    column-major copy of the states. Elementwise operations only, so E does
+    not depend on where S sits, and each state's E is the same whichever
+    other states it is formed with; its first k terms are L's first k rows'."""
     E = np.zeros(S.shape[:-1])
     _substitute(S.reshape(-1, len(L)).T.copy(), L, E.reshape(-1))
     return E
@@ -301,8 +324,9 @@ class SharedScanTable:
 
     Any subset's scan is recovered exactly by projecting the stored state
     onto the subset coordinates and forming the quadratic form with the
-    subset's covariance block; no per-subset rescans are needed. ``scan``
-    forms every scan statistic, ``run_scan``'s included.
+    subset's factor, which the null forms once (``NullModel.factor``) and
+    each lambda scales (``smoothed_factor``); no per-subset rescans are
+    needed. ``scan`` forms every scan statistic, ``run_scan``'s included.
     """
 
     null: NullModel
@@ -315,8 +339,7 @@ class SharedScanTable:
             raise KeyError(f"lambda {lam} not in shared table grid {self.lambdas}")
         idx = [self.null.predictor_names.index(n) for n in subset]
         S = self.states[lam][:, idx]
-        sub = self.null.subset(subset)
-        E = _quad_form(S, sub.smoothed_cov(lam))
+        E = _quad_form(S, smoothed_factor(self.null.factor(subset), lam))
         with np.errstate(invalid="ignore"):
             alarms = np.flatnonzero(E > h)
         return AlarmTrace(E=E, alarm_weeks=alarms, cluster_onsets=cluster_onsets(alarms), S=S)

@@ -15,6 +15,7 @@ from epiwarn.mewma import (
     estimate_null,
     precompute_shared_states,
     run_scan,
+    smoothed_factor,
     write_trace_csv,
 )
 from epiwarn.panel import WeekAxis
@@ -54,7 +55,8 @@ def test_univariate_hand_example():
     null = _null(["c1"], [0.0], [[1.0]])
     trace = run_scan(panel, null, DetectorConfig(("c1",), 0.5, 10.0))
     assert trace.S[1, 0] == pytest.approx(0.5, abs=1e-15)
-    assert null.smoothed_cov(0.5)[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert smoothed_factor(null.factor(("c1",)), 0.5)[0, 0] ** 2 == pytest.approx(
+        1.0 / 3.0, abs=1e-15)
     assert trace.E[1] == pytest.approx(0.75, abs=1e-12)
 
 
@@ -168,7 +170,7 @@ def test_quadratic_form_solve_matches_explicit_inverse():
         A = rng.normal(size=(d, d))
         sigma_s = A @ A.T + np.eye(d)
         S = np.abs(rng.normal(size=(40, d)))
-        E = _quad_form(S, sigma_s)
+        E = _quad_form(S, np.linalg.cholesky(sigma_s))
         inv = np.linalg.inv(sigma_s)
         E_ref = np.einsum("ti,ij,tj->t", S, inv, S)
         denom = np.maximum(np.abs(E_ref), 1e-30)
@@ -187,17 +189,17 @@ def test_quadratic_form_does_not_depend_on_memory_placement(d, n, offset, seed):
 
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(d, d))
-    sigma_s = A @ A.T + np.eye(d)
+    L = np.linalg.cholesky(A @ A.T + np.eye(d))
     S = np.abs(rng.normal(size=(n, d)))
     placements = (
         np.empty(offset + n * d)[offset:].reshape(n, d),  # `offset` elements into a buffer
         np.empty((n, d), order="F"),  # column-major
         np.empty((2 * n, d))[::2],  # every other row of a larger array
     )
-    E = _quad_form(S.copy(), sigma_s)
+    E = _quad_form(S.copy(), L)
     for placed in placements:
         placed[...] = S
-        assert np.array_equal(_quad_form(placed, sigma_s), E)
+        assert np.array_equal(_quad_form(placed, L), E)
 
 
 def test_quadratic_form_does_not_depend_on_row_split():
@@ -205,10 +207,10 @@ def test_quadratic_form_does_not_depend_on_row_split():
 
     rng = np.random.default_rng(12)
     A = rng.normal(size=(4, 4))
-    sigma_s = A @ A.T + np.eye(4)
+    L = np.linalg.cholesky(A @ A.T + np.eye(4))
     S = np.abs(rng.normal(size=(3000, 4)))
-    pieces = [_quad_form(S[a : a + 7], sigma_s) for a in range(0, len(S), 7)]
-    assert np.array_equal(_quad_form(S, sigma_s), np.concatenate(pieces))
+    pieces = [_quad_form(S[a : a + 7], L) for a in range(0, len(S), 7)]
+    assert np.array_equal(_quad_form(S, L), np.concatenate(pieces))
 
 
 def test_subset_projection_is_exact(synth_panel):
@@ -373,6 +375,41 @@ def test_condition_covariance_leaves_good_matrices_alone():
     out, ridged, delta = condition_covariance(sigma)
     assert not ridged and delta == 0.0
     assert np.array_equal(out, sigma)
+
+
+def test_a_constant_predictor_gets_the_ridge_as_its_variance():
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(2, 40))
+    panel = make_panel(np.zeros(40), [x, np.full(40, 7.0), 1e3 * y], names=["a", "flat", "b"])
+    null = estimate_null(panel, EventSet(5.0, 3, ()))
+    assert null.ridge_applied
+    assert np.all(np.isfinite(null.sigma))
+    assert np.all(np.linalg.eigvalsh(null.sigma) > 0.0)
+    # it has no correlation row and is scaled by 1: the ridge alone sets its
+    # variance, and every other variance grows by the same fraction
+    assert null.sigma[1, 1] == null.ridge_delta
+    assert not null.sigma[1, [0, 2]].any()
+    raw = np.cov(np.column_stack([x, 1e3 * y]), rowvar=False)
+    np.testing.assert_allclose(np.diag(null.sigma)[[0, 2]],
+                               np.diag(raw) * (1.0 + null.ridge_delta), rtol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponents=st.lists(st.integers(-40, 40), min_size=3, max_size=3),
+       collinear=st.booleans())
+def test_conditioning_does_not_depend_on_units(exponents, collinear):
+    # usability and the ridge are judged on the correlation matrix, so
+    # power-of-two units scale the conditioned matrix exactly
+    X = np.random.default_rng(5).normal(size=(20, 3))
+    if collinear:
+        X[:, 2] = X[:, 0] + X[:, 1]
+    sigma = np.cov(X, rowvar=False)
+    D = 2.0 ** np.array(exponents)
+    out, ridged, delta = condition_covariance(sigma)
+    scaled, scaled_ridged, scaled_delta = condition_covariance(D[:, None] * sigma * D)
+    assert ridged == collinear
+    assert (scaled_ridged, scaled_delta) == (ridged, delta)
+    assert np.array_equal(scaled, D[:, None] * out * D)
 
 
 def test_trace_csv_format(tmp_path):
