@@ -118,20 +118,21 @@ def fit_baseline(
 
     For each grid value the detector is scored on every fold's held-out
     events and the fold scores averaged; the argmax wins, ties to the
-    smaller parameter. Returns the winning config.
+    smaller parameter. Each fold scores every grid value's onsets in one
+    ``evaluate.timeliness`` call. Returns the winning config.
     """
     if not grid:
         raise ValueError("parameter grid must be nonempty")
+    params = sorted(set(int(p) for p in grid))
+    onsets = evaluate.onset_columns(
+        [baseline_trace(panel, kind, p).cluster_onsets for p in params], windows.n_weeks)
+    fold_scores = [evaluate.timeliness(onsets, windows.select(fold.test_seasons))
+                   for fold in folds.folds]
     best_param = None
     best_score = -np.inf
-    for param in sorted(set(int(p) for p in grid)):
-        trace = baseline_trace(panel, kind, int(param))
-        fold_scores = [
-            evaluate.performance(trace, windows.select(folds.folds[f].test_seasons))
-            for f in range(folds.n_folds)
-        ]
-        score = float(np.mean(fold_scores))
+    for param, scores in zip(params, zip(*fold_scores)):
+        score = float(np.mean(scores))
         if score > best_score:
             best_score = score
-            best_param = int(param)
+            best_param = param
     return TRIGGERS[kind](best_param)

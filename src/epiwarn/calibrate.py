@@ -25,7 +25,10 @@ week-major, one (length, sims) block per coordinate, and each candidate
 forms only its new column, ``L[-1] @ z``, elementwise (``_combine``). The
 paths are those of the scan's own recursion and quadratic form on those
 deviations, bit for bit; one subset's (``simulate_statistic_paths``) are
-the one-candidate step of its last predictor.
+the one-candidate step of its last predictor. The step's in-sample scans
+are batched the same way: each lambda scans every candidate from the
+fold's table at once (``SharedScanTable.step_scan``) and scores them in
+one ``evaluate.timeliness`` call (``optimize_step``).
 
 A calibration seed is an integer s, drawn as (s,), or a sequence of them.
 A one-predictor statistic does not depend on the null's variance, so all
@@ -511,9 +514,12 @@ def optimize_step(
     (``_step_solves``) solves them all from one draw of normals, held only
     while it runs. With a nonempty prefix every candidate is solved on its
     own paths (``step_statistic_paths``); with an empty prefix they are 1-d
-    nulls and share one solve per lambda against the unit null. Every scan
-    comes from the table and is scored over ``windows``. Each fit holds the
-    candidate's chosen point, its scan there and its solved grid points; no
+    nulls and share one solve per lambda against the unit null. Each lambda
+    scans all its candidates with a usable threshold in one batch from the
+    table (``SharedScanTable.step_scan``) and scores their alarms over
+    ``windows`` in one call (``evaluate.timeliness``). Each fit holds the
+    candidate's chosen point, its scan there, built from that point's batch
+    column (``SharedScanTable.trace``), and its solved grid points; no
     other scan is kept. Raises ``CalibrationError`` when a candidate fails
     at every lambda.
     """
@@ -521,34 +527,40 @@ def optimize_step(
     if not candidates:
         raise ValueError("need at least one candidate")
 
-    best: list[tuple | None] = [None] * len(candidates)  # (rank key, point, trace)
+    best: list[tuple | None] = [None] * len(candidates)  # (rank key, point, E)
     curves: list[list[ConstraintCurvePoint]] = [[] for _ in candidates]
     failures: list[list[str]] = [[] for _ in candidates]
     lambdas, seed = table.lambdas, _seed(seed)
     solves = _step_solves(table.null, prefix, candidates, lambdas, phi, sims, None, seed)
     for lam, lam_solves in zip(lambdas, solves):
-        for i, (cand, solved) in enumerate(zip(candidates, lam_solves)):
+        usable = []
+        for i, solved in enumerate(lam_solves):
             if isinstance(solved, CalibrationError):
                 failures[i].append(f"lam={lam}: {solved}")
-                continue
-            h, atfs = solved
-            if h <= 0.0:
+            elif solved[0] <= 0.0:
                 failures[i].append(f"lam={lam}: boundary threshold h=0 is not a usable detector")
-                continue
-            trace = table.scan(lam, prefix + (cand,), h)
-            perf = evaluate.performance(trace, windows)
+            else:
+                usable.append(i)
+        if not usable:
+            continue
+        E = table.step_scan(lam, prefix, [candidates[i] for i in usable])
+        with np.errstate(invalid="ignore"):
+            alarms = E > [lam_solves[i][0] for i in usable]
+        scores = evaluate.timeliness(evaluate.onset_mask(alarms), windows)
+        for i, column, perf in zip(usable, E.T, scores):
+            h, atfs = lam_solves[i]
             point = ConstraintCurvePoint(lam=lam, h=h, performance=perf, atfs=atfs)
             curves[i].append(point)
             key = (-perf, lam, h)  # best score, then smaller lambda, then smaller h
             if best[i] is None or key < best[i][0]:
-                best[i] = key, point, trace
+                best[i] = key, point, column.copy()
     for chosen, failed in zip(best, failures):
         if chosen is None:
             raise CalibrationError(
                 "threshold solving failed for every lambda: " + "; ".join(failed)
             )
-    return [StepFit(point, trace, tuple(curve))
-            for (_, point, trace), curve in zip(best, curves)]
+    return [StepFit(point, table.trace(point.lam, prefix + (cand,), E, point.h), tuple(curve))
+            for cand, (_, point, E), curve in zip(candidates, best, curves)]
 
 
 def _step_solves(null, prefix, candidates, lambdas, phi, sims, length, seed) -> list:

@@ -4,11 +4,18 @@ The headline score averages, over events, how early the first in-window
 cluster onset lands: 1 at the window start, 0.5 at the event start for the
 default half-window lead, 0 when the window passes with no onset. Precision
 and recall count cluster onsets, never raw alarm weeks.
+
+Timeliness is scored in batches: ``timeliness`` takes an (n_weeks, C) mask
+of cluster onsets, one column per detector, finds every window's first
+in-window onset for all columns at once, and sums each column's terms in
+window order with Python's ``sum``. ``performance``, ``first_onsets`` and
+``score`` read one trace as its one-column case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -17,38 +24,73 @@ from .mewma import AlarmTrace
 from .panel import Series, write_csv
 
 
+def onset_mask(alarms: np.ndarray) -> np.ndarray:
+    """The cluster onsets of an (n_weeks, C) alarm mask, column by column: the
+    alarm weeks whose previous week has no alarm (``mewma.cluster_onsets``)."""
+    onsets = alarms.copy()
+    onsets[1:] &= ~alarms[:-1]
+    return onsets
+
+
+def onset_columns(weeks: Sequence[np.ndarray], n_weeks: int) -> np.ndarray:
+    """The (n_weeks, C) onset mask of C detectors' cluster onset weeks (each
+    trace's ``cluster_onsets``), one column each."""
+    onsets = np.zeros((n_weeks, len(weeks)), dtype=bool)
+    for column, onset_weeks in zip(onsets.T, weeks):
+        column[onset_weeks] = True
+    return onsets
+
+
+def _first_onsets(onsets: np.ndarray, windows: DetectionWindowSet) -> np.ndarray:
+    """Each window's first onset inside it for every column of an (n_weeks, C)
+    onset mask, as (n_windows, C) weeks, -1 where it has none; the windows
+    lie inside the mask's weeks, as ``build_windows`` places them. Column
+    c's onset at week t is c n_weeks + t in one ascending array, so one
+    binary search finds every window's first onset at or after its start."""
+    n, width = onsets.shape
+    flat = np.flatnonzero(onsets.T)
+    base = np.arange(0, n * width, n)
+    starts, ends = np.array(windows.windows, dtype=int).reshape(-1, 2, 1).transpose(1, 0, 2)
+    firsts = np.append(flat, n * width)[np.searchsorted(flat, base + starts)] - base
+    return np.where(firsts <= ends, firsts, -1)
+
+
 def first_onsets(trace: AlarmTrace, windows: DetectionWindowSet) -> list[int | None]:
     """Each window's first cluster onset inside it, or None when it has none."""
-    onsets = trace.cluster_onsets
-    firsts: list[int | None] = []
-    for ws, we in windows.windows:
-        inside = onsets[(onsets >= ws) & (onsets <= we)]
-        firsts.append(int(inside[0]) if inside.size else None)
-    return firsts
+    firsts = _first_onsets(onset_columns([trace.cluster_onsets], windows.n_weeks), windows)
+    return [None if week < 0 else week for week in firsts[:, 0].tolist()]
 
 
-def _delta_t(onsets, windows: DetectionWindowSet) -> tuple[float, ...]:
-    """Lag from each window start to its first onset; T_w when it has none."""
-    t_w = windows.window_length
-    return tuple(
-        float(t_w) if onset is None else float(onset - ws)
-        for onset, (ws, _) in zip(onsets, windows.windows)
-    )
+def _delta_t(firsts: np.ndarray, windows: DetectionWindowSet) -> np.ndarray:
+    """Lag from each window start to its first onset (``_first_onsets``'s
+    weeks, -1 for none), as floats; T_w when it has none."""
+    starts = np.array(windows.windows, dtype=int).reshape(-1, 2)[:, :1]
+    return np.where(firsts < 0, float(windows.window_length), firsts - starts)
 
 
-def _timeliness(delta_t, t_w: int) -> float:
-    if not delta_t:
+def _timeliness(delta_t: np.ndarray, t_w: int) -> list[float]:
+    """Each column's mean of 1 - dT / T_w over its (n_windows, C) lags, the
+    terms summed in window order by Python's ``sum``."""
+    if not len(delta_t):
         raise ValueError("cannot score against an empty window set")
-    return sum(1.0 - dt / t_w for dt in delta_t) / len(delta_t)
+    return [sum(terms) / len(terms) for terms in (1.0 - delta_t / t_w).T.tolist()]
+
+
+def timeliness(onsets: np.ndarray, windows: DetectionWindowSet) -> list[float]:
+    """Each column's ``performance`` for an (n_weeks, C) cluster-onset mask
+    (``onset_mask``, ``onset_columns``): all columns scored at once."""
+    return _timeliness(_delta_t(_first_onsets(onsets, windows), windows), windows.window_length)
 
 
 def performance(trace: AlarmTrace, windows: DetectionWindowSet) -> float:
     """Mean timeliness over events: (1/N) sum(1 - dT_n / T_w).
 
     dT_n is the lag from window start to the first cluster onset inside
-    window n, with dT_n = T_w when no onset falls inside the window.
+    window n, with dT_n = T_w when no onset falls inside the window. The
+    one-column ``timeliness``.
     """
-    return _timeliness(_delta_t(first_onsets(trace, windows), windows), windows.window_length)
+    [score] = timeliness(onset_columns([trace.cluster_onsets], windows.n_weeks), windows)
+    return score
 
 
 @dataclass(frozen=True)
@@ -77,12 +119,13 @@ class EvaluationReport:
         all, precision is reported as 1 with ``precision_undefined`` set, so
         sweeps never divide by zero.
         """
-        delta_t = _delta_t(onsets, windows)
+        firsts = np.array([-1 if onset is None else onset for onset in onsets], dtype=int)
+        delta_t = _delta_t(firsts.reshape(-1, 1), windows)
         missed = tuple(k for k, onset in enumerate(onsets) if onset is None)
         classified = true_n + false_n
         return cls(
-            performance=_timeliness(delta_t, windows.window_length),
-            delta_t=delta_t,
+            performance=_timeliness(delta_t, windows.window_length)[0],
+            delta_t=tuple(delta_t[:, 0].tolist()),
             onsets=tuple(onsets),
             precision=true_n / classified if classified else 1.0,
             recall=(len(windows) - len(missed)) / len(windows),

@@ -160,10 +160,11 @@ def condition_covariance(sigma: np.ndarray) -> tuple[np.ndarray, bool, float]:
     predictors' units: (matrix, ridged, delta). Usability, a Cholesky
     factorization and a condition number at most ``MAX_CONDITION``, is judged
     on the correlation matrix R = inv(D) sigma inv(D), D the standard
-    deviations (1 for a constant predictor). A usable sigma is returned as it
-    is; otherwise delta doubles from ``RIDGE_START`` until R + delta I is
-    usable, and D (R + delta I) D is returned."""
-    sigma = np.asarray(sigma, dtype=float)
+    deviations (1 for a constant predictor). A one-predictor sigma may be
+    0-d, as ``np.cov`` returns it, and is read as 1 x 1. A usable sigma is
+    returned as it is; otherwise delta doubles from ``RIDGE_START`` until
+    R + delta I is usable, and D (R + delta I) D is returned."""
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     sym = 0.5 * (sigma + sigma.T)
     sd = np.sqrt(np.diag(sym))
     sd[sd == 0.0] = 1.0
@@ -257,7 +258,9 @@ def _quad_form(S: np.ndarray, L: np.ndarray) -> np.ndarray:
     L, S unchanged: forward substitution (``_substitute``) on one
     column-major copy of the states. Elementwise operations only, so E does
     not depend on where S sits, and each state's E is the same whichever
-    other states it is formed with; its first k terms are L's first k rows'."""
+    other states it is formed with; its first k terms are L's first k rows'.
+    The whole subset in one pass: ``SharedScanTable.step_scan`` forms the
+    same E, bit for bit, as a prefix's terms plus one ``_extend``."""
     E = np.zeros(S.shape[:-1])
     _substitute(S.reshape(-1, len(L)).T.copy(), L, E.reshape(-1))
     return E
@@ -287,8 +290,12 @@ def _extend(z: np.ndarray, row: np.ndarray, terms, e: np.ndarray | None,
     ``None``: the squared term alone, as adding 0.0 changes no bits), ``z``
     (...) the new coordinate's states and ``row`` the last row of the k x k
     factor. Bit for bit what ``_substitute`` does to its last row, so the
-    result equals ``_quad_form`` of the k states. The first term's product
-    is formed in ``out``, so a two-coordinate E makes no temporary."""
+    result equals ``_quad_form`` of the k states. Everything broadcasts, so
+    ``row`` may also hold one factor row per column of ``z``, as (k, C)
+    against (n, C) states, (k - 1, n, 1) terms and (n, 1) sums: each column
+    is then its own subset's E, whichever other columns it is formed with.
+    The first term's product is formed in ``out``, so a two-coordinate E
+    makes no temporary."""
     if len(terms):
         np.subtract(z, np.multiply(row[0], terms[0], out=out), out=out)
         for j in range(1, len(terms)):
@@ -326,23 +333,53 @@ class SharedScanTable:
     onto the subset coordinates and forming the quadratic form with the
     subset's factor, which the null forms once (``NullModel.factor``) and
     each lambda scales (``smoothed_factor``); no per-subset rescans are
-    needed. ``scan`` forms every scan statistic, ``run_scan``'s included.
+    needed. ``step_scan`` forms every scan statistic: a greedy step's
+    candidates at one lambda together, and ``scan`` (``run_scan``'s
+    included) as its one-candidate case.
     """
 
     null: NullModel
     lambdas: tuple[float, ...]
     states: Mapping[float, np.ndarray]
 
-    def scan(self, lam: float, subset: Sequence[str], h: float) -> AlarmTrace:
-        """``subset``'s scan at ``lam``, alarming where E > h; ``S`` is a copy."""
+    def step_scan(self, lam: float, prefix: Sequence[str],
+                  candidates: Sequence[str]) -> np.ndarray:
+        """The scan statistic E at ``lam`` of every subset prefix + (c,), one
+        column per candidate: (n_weeks, len(candidates)).
+
+        The prefix's terms and partial sum are formed once (``_substitute``
+        with the smoothed factor of ``null.factor(prefix)``, the leading rows
+        of every candidate's factor), and one ``_extend`` adds every
+        candidate's last term, its factor row broadcast over its column.
+        Elementwise operations in ``_quad_form``'s order, so each column is
+        its subset's E bit for bit, whichever candidates share the batch."""
         if lam not in self.states:
             raise KeyError(f"lambda {lam} not in shared table grid {self.lambdas}")
-        idx = [self.null.predictor_names.index(n) for n in subset]
-        S = self.states[lam][:, idx]
-        E = _quad_form(S, smoothed_factor(self.null.factor(subset), lam))
+        prefix, states, index = tuple(prefix), self.states[lam], self.null.predictor_names.index
+        terms, e = (), None
+        if prefix:
+            terms, e = states[:, [index(n) for n in prefix]].T.copy(), np.zeros(len(states))
+            _substitute(terms, smoothed_factor(self.null.factor(prefix), lam), e)
+            terms, e = terms[:, :, None], e[:, None]
+        rows = np.array([self.null.factor(prefix + (c,))[-1] for c in candidates])
+        return _extend(states[:, [index(c) for c in candidates]], smoothed_factor(rows.T, lam),
+                       terms, e, out=np.empty((len(states), len(candidates))))
+
+    def scan(self, lam: float, subset: Sequence[str], h: float) -> AlarmTrace:
+        """``subset``'s scan at ``lam``, alarming where E > h: the one-candidate
+        ``step_scan`` of its last predictor."""
+        subset = tuple(subset)
+        [E] = self.step_scan(lam, subset[:-1], subset[-1:]).T
+        return self.trace(lam, subset, E, h)
+
+    def trace(self, lam: float, subset: Sequence[str], E: np.ndarray, h: float) -> AlarmTrace:
+        """The trace of ``subset``'s scan statistic ``E`` at ``lam``, alarming
+        where E > h (a NaN never alarms); ``S`` is a copy of its states."""
         with np.errstate(invalid="ignore"):
             alarms = np.flatnonzero(E > h)
-        return AlarmTrace(E=E, alarm_weeks=alarms, cluster_onsets=cluster_onsets(alarms), S=S)
+        idx = [self.null.predictor_names.index(n) for n in subset]
+        return AlarmTrace(E=E, alarm_weeks=alarms, cluster_onsets=cluster_onsets(alarms),
+                          S=self.states[lam][:, idx])
 
 
 def precompute_shared_states(

@@ -186,10 +186,11 @@ def fit_folds(
     calibrates all candidates at all lambdas from one draw of null normals
     (``calibrate.optimize_step``), and each fold draws its own. Each
     candidate's ``calibrate.StepFit`` gives its chosen point and that
-    point's scan of the whole panel; the scan is scored on the fold's
-    held-out windows and not kept, so a step holds the scans of one fold at
-    a time. The fits themselves are appended to ``audit``'s entries if
-    given, candidate by candidate.
+    point's scan of the whole panel; the fold's scans are scored on its
+    held-out windows together, in one ``evaluate.timeliness`` call, and not
+    kept, so a step holds the scans of one fold at a time. The fits
+    themselves are appended to ``audit``'s entries if given, candidate by
+    candidate.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
     fits: list[list[FoldFit]] = [[] for _ in candidates]
@@ -198,9 +199,12 @@ def fit_folds(
             ctx.table, ctx.train_windows, prefix, candidates, phi,
             sims=sims, seed=(*calibrate._seed(seed), ctx.fold),
         )
-        for cand, fit, cand_fits in zip(candidates, step, fits):
-            held_out = evaluate.performance(fit.trace, ctx.test_windows)
-            cand_fits.append(FoldFit(ctx, prefix + (cand,), fit.point, held_out))
+        windows = ctx.test_windows
+        held_out = evaluate.timeliness(
+            evaluate.onset_columns([fit.trace.cluster_onsets for fit in step], windows.n_weeks),
+            windows)
+        for cand, fit, score, cand_fits in zip(candidates, step, held_out, fits):
+            cand_fits.append(FoldFit(ctx, prefix + (cand,), fit.point, score))
     if audit is not None:
         audit.entries.extend(fit for cand_fits in fits for fit in cand_fits)
     return fits

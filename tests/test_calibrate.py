@@ -303,12 +303,65 @@ def per_step_paths(null, lam, sims, length, seed):
     lam=st.floats(0.05, 0.95),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(d=2, sims=21, length=20, lam=0.5, seed=191)
 def test_paths_match_per_step_reference(d, sims, length, lam, seed):
+    # A near-zero E is a state the recursion and L z cancel down to, so its
+    # absolute error is set by the path set's scale, not its own: at the
+    # pinned example E = 2.9e-8 at path 20, week 0 differs by 2e-12 relative,
+    # and exact arithmetic puts the program within 1.5e-13 of it
+    # (test_paths_at_the_pinned_example_match_exact_arithmetic)
     null = unit_null(d, seed=seed % 1000 + 1)
     E = simulate_statistic_paths(null, lam, sims, length, seed)
     reference = per_step_paths(null, lam, sims, length, seed)
     assert E.shape == (sims, length)
-    np.testing.assert_allclose(E, reference, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(E, reference, rtol=1e-12, atol=1e-15 * reference.max())
+
+
+def exact_step_paths(null, lam, sims, length, seed):
+    """The statistic paths in exact rational arithmetic on the program's own
+    draws and factors: deviations L z with L = ``null.factor``, the EWMA
+    recursion, and the squared terms of a forward solve with
+    ``smoothed_factor(L, lam)``, every float input taken as its exact value."""
+    from fractions import Fraction
+
+    d = null.dim
+    L = null.factor(null.predictor_names)
+    factor = [[Fraction(v) for v in row] for row in L.tolist()]
+    smoothed = [[Fraction(v) for v in row] for row in mewma.smoothed_factor(L, lam).tolist()]
+    z = calibrate._normals(seed, (sims, length, d))
+    lam = Fraction(lam)
+    E = [[None] * length for _ in range(sims)]
+    for p in range(sims):
+        state = [Fraction(0)] * d
+        for t in range(length):
+            draws = [Fraction(v) for v in z[:, t, p].tolist()]
+            x = [sum(factor[r][j] * draws[j] for j in range(r + 1)) for r in range(d)]
+            state = [max(Fraction(0), lam * x[r] + (1 - lam) * state[r]) for r in range(d)]
+            terms = []
+            for r in range(d):
+                partial = sum(smoothed[r][j] * terms[j] for j in range(r))
+                terms.append((state[r] - partial) / smoothed[r][r])
+            E[p][t] = sum(term * term for term in terms)
+    return E
+
+
+def test_paths_at_the_pinned_example_match_exact_arithmetic():
+    from fractions import Fraction
+
+    d, sims, length, lam, seed = 2, 21, 20, 0.5, 191
+    null = unit_null(d, seed=seed % 1000 + 1)
+    E = simulate_statistic_paths(null, lam, sims, length, seed)
+    exact = exact_step_paths(null, lam, sims, length, seed)
+    errors = []
+    for row, exact_row in zip(E.tolist(), exact):
+        for value, truth in zip(row, exact_row):
+            if truth == 0:
+                assert value == 0.0
+            else:
+                errors.append(float(abs(Fraction(value) - truth) / truth))
+    # measured: 1.51e-13 relative at most, at the cell of E = 2.9e-8 where
+    # the LAPACK reference differs by 2e-12; 1.5e-16 at the median cell
+    assert max(errors) <= 2e-13
 
 
 def scaled_null(variance):
@@ -865,6 +918,49 @@ def whole_product_paths(null, lam, sims, length, seed):
     return mewma._quad_form(mewma._ewma_states(deviations, lam), smoothed)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    prefix_size=st.integers(0, 4),
+    n_candidates=st.integers(1, 6),
+    length=st.integers(1, 40),
+    lambdas=st.lists(st.sampled_from(DEFAULT_LAMBDA_GRID), min_size=1, max_size=3, unique=True),
+    kind=st.sampled_from(["unit", "ridged", "collinear"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_step_scan_columns_are_each_subsets_scan_byte_for_byte(
+        prefix_size, n_candidates, length, lambdas, kind, seed, data):
+    d = prefix_size + n_candidates
+    if kind == "unit":
+        null = unit_null(d, seed=seed % 1000 + 1)
+    elif kind == "ridged":
+        null = step_null(d, seed, ridged=True)
+    else:
+        null = collinear_null(d, seed)
+    names = null.predictor_names
+    prefix, candidates = names[:prefix_size], names[prefix_size:]
+    deviations = np.random.default_rng(seed).standard_normal((length, d)) * np.sqrt(
+        np.diag(null.sigma))
+    table = mewma.SharedScanTable(null, tuple(lambdas), {
+        lam: mewma._ewma_states(deviations.copy(), lam) for lam in lambdas})
+    # the whole candidate set, a shuffle of it, and a subset of the shuffle:
+    # a column depends neither on its batch-mates nor on their order
+    shuffled = data.draw(st.permutations(candidates))
+    part = data.draw(st.lists(st.sampled_from(shuffled), min_size=1, unique=True))
+    for lam in lambdas:
+        for batch in (candidates, tuple(shuffled), tuple(part)):
+            E = table.step_scan(lam, prefix, batch)
+            assert E.shape == (length, len(batch))
+            for cand, column in zip(batch, E.T):
+                subset = prefix + (cand,)
+                # the one-candidate case, and the whole quadratic form
+                # substituted in one pass with the subset's own factor
+                assert column.tobytes() == table.scan(lam, subset, 1.0).E.tobytes()
+                S = table.states[lam][:, [names.index(n) for n in subset]]
+                whole = mewma._quad_form(S, mewma.smoothed_factor(null.factor(subset), lam))
+                assert column.tobytes() == whole.tobytes()
+
+
 def near_singular_null(d, seed):
     """A d-predictor null whose predictors are each the last plus a small
     independent part: every leading block is badly conditioned (up to about
@@ -978,33 +1074,39 @@ def test_a_step_forms_each_subset_factor_once_and_calls_no_lapack_cholesky(monke
     lambdas = (0.2, 0.5, 0.8)
     table = precompute_shared_states(panel, estimate_null(panel, events), lambdas)
     calibrate._UNIT_NULL.factor(("unit",))  # formed before counting starts
-    formed, scans = [], []
-    extend_factor, scan = mewma.extend_factor, mewma.SharedScanTable.scan
+    formed, batches = [], []
+    extend_factor, step_scan = mewma.extend_factor, mewma.SharedScanTable.step_scan
 
     def counted_rows(head, row):
         formed.append(row.tobytes())
         return extend_factor(head, row)
 
-    def counted_scan(self, lam, subset, h):
-        scans.append(tuple(subset))
-        return scan(self, lam, subset, h)
+    def counted_step_scan(self, lam, prefix, candidates):
+        batches.append((lam, tuple(prefix), tuple(candidates)))
+        return step_scan(self, lam, prefix, candidates)
+
+    def one_by_one(*args, **kwargs):
+        raise AssertionError("a step scanned a subset on its own")
 
     def lapack(*args, **kwargs):
         raise AssertionError("np.linalg.cholesky called")
 
     monkeypatch.setattr(mewma, "extend_factor", counted_rows)
-    monkeypatch.setattr(mewma.SharedScanTable, "scan", counted_scan)
+    monkeypatch.setattr(mewma.SharedScanTable, "step_scan", counted_step_scan)
+    monkeypatch.setattr(mewma.SharedScanTable, "scan", one_by_one)
     monkeypatch.setattr(np.linalg, "cholesky", lapack)
     names = table.null.predictor_names
     # the first step's singletons, whose nulls are the unit null, and the
     # second step's extensions of names[0]
     subsets = [(c,) for c in names] + [names[:1] + (c,) for c in names[1:]]
-    for prefix in ((), names[:1]):
+    prefixes = ((), names[:1])
+    for prefix in prefixes:
         calibrate.optimize_step(table, windows, prefix, names[len(prefix) :], 10.0, sims=60,
                                 seed=0)
-    # every subset is scanned at every lambda, and its factor is formed once,
-    # by the step or its first scan
-    assert sorted(scans) == sorted(s for s in subsets for _ in lambdas)
+    # one batched scan per (step, lambda) holds every candidate, and each
+    # subset's factor is formed once, by the step or its first batch
+    assert batches == [(lam, prefix, names[len(prefix) :])
+                       for prefix in prefixes for lam in lambdas]
     index = {n: i for i, n in enumerate(names)}
     rows = [table.null.sigma[index[s[-1]], [index[n] for n in s]].tobytes() for s in subsets]
     assert sorted(formed) == sorted(rows)

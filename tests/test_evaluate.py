@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epiwarn.events import DetectionWindowSet, build_windows, detect_events
+from epiwarn import evaluate
 from epiwarn.evaluate import lead_vs_threshold, performance, score
-from epiwarn.mewma import AlarmTrace
+from epiwarn.mewma import AlarmTrace, cluster_onsets
 from epiwarn.panel import Series
 from epiwarn.pipeline import _restrict_trace
 
@@ -176,6 +177,48 @@ def test_score_matches_loop_reference(layout):
     report = score(trace, windows)
     assert vars(report) == _reference_score(trace.cluster_onsets.tolist(), windows)
     assert performance(trace, windows) == report.performance
+
+
+@st.composite
+def alarm_batches(draw):
+    """Detection windows, the first clipped at the panel start and the last at
+    its end, and a batch of statistic columns holding NaN, with one threshold
+    per column. Column 0 alarms in week 0, in the last week and in a run that
+    crosses the last window's start; the last column never alarms."""
+    t_w = draw(st.integers(3, 12))
+    lead = draw(st.integers(1, t_w - 2))
+    values = [2.0] * draw(st.integers(1, 6))  # an event in week 0
+    for _ in range(draw(st.integers(0, 10))):
+        values += [1.0] * draw(st.integers(t_w, t_w + 8)) + [2.0] * draw(st.integers(1, 16))
+    values += [1.0] * draw(st.integers(t_w, t_w + 8)) + [2.0]  # an event in the last week
+    gold = Series(name="gold", values=np.array(values))
+    windows = build_windows(detect_events(gold, 1.5, 1), t_w, lead, gold)
+    n, width = len(values), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    E = rng.choice([0.0, 1.0, 2.0, 3.0, np.nan], size=(n, width))
+    h = rng.choice([0.5, 1.5, 2.5], size=width)
+    h[-1] = 3.5
+    start = windows.windows[-1][0]
+    E[[0, n - 1], 0] = 9.0
+    E[start - 1 : start + 2, 0] = 9.0
+    return E, h, windows
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=alarm_batches())
+def test_batched_timeliness_equals_each_columns_performance(batch):
+    E, h, windows = batch
+    assert windows.flags[0] == ("clipped_start",) and "clipped_end" in windows.flags[-1]
+    with np.errstate(invalid="ignore"):
+        scores = evaluate.timeliness(evaluate.onset_mask(E > h), windows)
+    assert len(scores) == E.shape[1]
+    for column, threshold, batched in zip(E.T, h, scores):
+        with np.errstate(invalid="ignore"):
+            alarms = np.flatnonzero(column > threshold)
+        trace = AlarmTrace(E=column, alarm_weeks=alarms, cluster_onsets=cluster_onsets(alarms))
+        assert batched == performance(trace, windows)
+        assert batched == _reference_score(trace.cluster_onsets.tolist(), windows)["performance"]
+    assert scores[-1] == 0.0
 
 
 def _gold_with_crossings(event_start=60, gap=3, n=200):

@@ -377,6 +377,18 @@ def test_condition_covariance_leaves_good_matrices_alone():
     assert np.array_equal(out, sigma)
 
 
+def test_a_one_predictor_covariance_straight_from_np_cov_is_a_1x1_matrix():
+    x = np.random.default_rng(4).normal(size=(12, 1))
+    sample = np.cov(x, rowvar=False)
+    assert sample.shape == ()
+    out, ridged, delta = condition_covariance(sample)
+    assert not ridged and delta == 0.0
+    assert out.shape == (1, 1) and out[0, 0] == sample
+    # a constant predictor's zero variance gets the ridge, as in a larger block
+    out, ridged, delta = condition_covariance(np.cov(np.full((12, 1), 3.0), rowvar=False))
+    assert ridged and out.shape == (1, 1) and out[0, 0] == delta
+
+
 def test_a_constant_predictor_gets_the_ridge_as_its_variance():
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=(2, 40))
