@@ -48,7 +48,7 @@ import numpy as np
 
 from . import evaluate, mewma
 from .events import DetectionWindowSet, EventSet
-from .mewma import AlarmTrace, NullModel, SharedScanTable, estimate_null, precompute_shared_states
+from .mewma import NullModel, SharedScanTable, estimate_null, precompute_shared_states
 from .panel import AlignedPanel, write_csv
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -93,11 +93,11 @@ class ConstraintCurvePoint:
 @dataclass(frozen=True)
 class StepFit:
     """One candidate's calibration in a greedy step: the chosen grid
-    ``point``, its in-sample scan ``trace``, and every solved grid point
-    (``curve``, in grid order)."""
+    ``point``, its scan statistic ``E`` there over the table's weeks, and
+    every solved grid point (``curve``, in grid order)."""
 
     point: ConstraintCurvePoint
-    trace: AlarmTrace
+    E: np.ndarray
     curve: tuple[ConstraintCurvePoint, ...]
 
 
@@ -518,10 +518,9 @@ def optimize_step(
     scans all its candidates with a usable threshold in one batch from the
     table (``SharedScanTable.step_scan``) and scores their alarms over
     ``windows`` in one call (``evaluate.timeliness``). Each fit holds the
-    candidate's chosen point, its scan there, built from that point's batch
-    column (``SharedScanTable.trace``), and its solved grid points; no
-    other scan is kept. Raises ``CalibrationError`` when a candidate fails
-    at every lambda.
+    candidate's chosen point, a copy of that point's batch column, and its
+    solved grid points; no other scan is kept. Raises ``CalibrationError``
+    when a candidate fails at every lambda.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
     if not candidates:
@@ -559,8 +558,7 @@ def optimize_step(
             raise CalibrationError(
                 "threshold solving failed for every lambda: " + "; ".join(failed)
             )
-    return [StepFit(point, table.trace(point.lam, prefix + (cand,), E, point.h), tuple(curve))
-            for cand, (_, point, E), curve in zip(candidates, best, curves)]
+    return [StepFit(point, E, tuple(curve)) for (_, point, E), curve in zip(best, curves)]
 
 
 def _step_solves(null, prefix, candidates, lambdas, phi, sims, length, seed) -> list:

@@ -366,15 +366,11 @@ class SharedScanTable:
                        terms, e, out=np.empty((len(states), len(candidates))))
 
     def scan(self, lam: float, subset: Sequence[str], h: float) -> AlarmTrace:
-        """``subset``'s scan at ``lam``, alarming where E > h: the one-candidate
-        ``step_scan`` of its last predictor."""
+        """``subset``'s scan at ``lam``, alarming where E > h (a NaN never
+        alarms): the one-candidate ``step_scan`` of its last predictor; ``S``
+        is a copy of its states."""
         subset = tuple(subset)
         [E] = self.step_scan(lam, subset[:-1], subset[-1:]).T
-        return self.trace(lam, subset, E, h)
-
-    def trace(self, lam: float, subset: Sequence[str], E: np.ndarray, h: float) -> AlarmTrace:
-        """The trace of ``subset``'s scan statistic ``E`` at ``lam``, alarming
-        where E > h (a NaN never alarms); ``S`` is a copy of its states."""
         with np.errstate(invalid="ignore"):
             alarms = np.flatnonzero(E > h)
         idx = [self.null.predictor_names.index(n) for n in subset]

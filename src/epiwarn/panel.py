@@ -189,52 +189,57 @@ def _read_series_csv(path: Path) -> tuple[int, np.ndarray]:
     """Read one series file; return (first week index, values).
 
     Enforces the file contract: header ``week,value``, ISO week labels,
-    decimal values, no duplicate weeks and no gaps. A file of consecutive
-    weeks in order is parsed in one bulk pass; every other file, valid or
-    not, is read row by row, and that reader builds every error.
+    decimal values, no duplicate weeks and no gaps. A plain file of
+    consecutive weeks in order is parsed in one pass over its bytes; every
+    other file, valid or not, is read row by row, and that reader builds
+    every error.
     """
     parsed = _read_in_order(path)
     return parsed if parsed is not None else _read_series_rows(path)
 
 
-def _read_in_order(path: Path) -> tuple[int, np.ndarray] | None:
-    """Bulk pass over a file of unquoted ``week,value`` lines whose labels are
-    consecutive ISO weeks in file order and whose values are finite floats.
+_LF_TO_COMMA = bytes.maketrans(b"\n", b",")
 
-    Returns None for any other file, so that ``_read_series_rows`` decides
-    it. What is accepted here reads the same there: each line starts with
-    the canonical ``label,`` of its week, and ``float`` rejects any further
-    comma in the rest and reads its padding as that reader does.
+
+def _read_in_order(path: Path) -> tuple[int, np.ndarray] | None:
+    """One pass over the bytes of a plain in-order series file.
+
+    The file is taken when it is ASCII with no quote, its lines end all in
+    LF or all in CRLF (the last line may have no end), it has the
+    ``week,value`` header, and each row is the canonical ``YYYY-Www`` label
+    of the next ISO week, a comma at column 8 and a finite float. Returns
+    None for any other file, so that ``_read_series_rows`` decides it. What
+    is accepted here reads the same there: ASCII decodes alike in every
+    ASCII-compatible encoding, and ``float`` of bytes accepts only ASCII and
+    strips only ASCII whitespace, which ``str.strip`` strips too.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = data.find(b"\n")
+    if head < 0 or not data.isascii() or b'"' in data:
+        return None
+    if [c.strip().lower() for c in data[:head].split(b",")] != [b"week", b"value"]:
+        return None
+    raw = np.frombuffer(data, np.uint8)
+    ends, crs = np.flatnonzero(raw == ord("\n")), np.flatnonzero(raw == ord("\r"))
+    commas = np.flatnonzero(raw == ord(","))[1:]  # past the header's one comma
+    n = len(commas)  # rows, when each holds one comma at column 8
+    if (not n or len(ends) != n + data.endswith(b"\n")
+            or len(crs) and not np.array_equal(crs, ends - 1)
+            or not np.array_equal(commas, ends[:n] + 9)):
+        return None
+    limit = csv.field_size_limit()
+    if len(data) > limit and np.diff(ends, prepend=-1, append=len(data)).max() > limit:
+        return None  # a line that may hold a field too long for the csv module
+    del raw
+    parts = data.translate(_LF_TO_COMMA, b"\r").split(b",")
+    del data  # the file's bytes, freed before the values are parsed
     try:
-        with open(path, newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
-    text = text.replace("\r\n", "\n")
-    if '"' in text or "\r" in text:
-        return None
-    header, _, body = text.partition("\n")
-    del text  # a second copy of the file would raise the process's peak memory
-    if [c.strip().lower() for c in header.split(",")] != ["week", "value"]:
-        return None
-    lines = body.split("\n")
-    if lines[-1] == "":  # the last line's end
-        lines.pop()
-    if not lines or max(len(header), *map(len, lines)) > csv.field_size_limit():
-        return None  # no rows, or a line that may hold a field too long for the csv module
-    try:
-        first = week_to_index(lines[0].partition(",")[0])
-        prefixes = _row_prefixes(first, len(lines))
-    except (ParseError, ValueError):  # a bad label, or weeks past year 9999
-        return None
-    if not all(map(str.startswith, lines, prefixes)):
-        return None
-    try:
-        values = np.fromiter(
-            map(float, map(str.removeprefix, lines, prefixes)), float, len(lines)
-        )
-    except ValueError:
+        first = week_to_index(parts[2].decode())
+        if tuple(parts[2 : 2 * n + 2 : 2]) != _label_bytes(first, n):
+            return None
+        values = np.fromiter(map(float, parts[3 : 2 * n + 2 : 2]), float, n)
+    except (ParseError, ValueError):  # a bad label or value, or weeks past year 9999
         return None
     if not np.isfinite(values).all():
         return None
@@ -242,9 +247,9 @@ def _read_in_order(path: Path) -> tuple[int, np.ndarray] | None:
 
 
 @functools.lru_cache(maxsize=32)
-def _row_prefixes(first: int, length: int) -> tuple[str, ...]:
-    """``label,`` for each of ``length`` weeks from index ``first``."""
-    return tuple(label + "," for label in week_labels(first, length))
+def _label_bytes(first: int, length: int) -> tuple[bytes, ...]:
+    """The ASCII bytes of each of ``length`` week labels from index ``first``."""
+    return tuple(label.encode() for label in week_labels(first, length))
 
 
 def _read_series_rows(path: Path) -> tuple[int, np.ndarray]:

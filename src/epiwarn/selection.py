@@ -186,11 +186,11 @@ def fit_folds(
     calibrates all candidates at all lambdas from one draw of null normals
     (``calibrate.optimize_step``), and each fold draws its own. Each
     candidate's ``calibrate.StepFit`` gives its chosen point and that
-    point's scan of the whole panel; the fold's scans are scored on its
-    held-out windows together, in one ``evaluate.timeliness`` call, and not
-    kept, so a step holds the scans of one fold at a time. The fits
-    themselves are appended to ``audit``'s entries if given, candidate by
-    candidate.
+    point's scan statistic over the whole panel; the fold's statistics are
+    stacked, alarmed at their thresholds and scored on its held-out windows
+    together, in one ``evaluate.timeliness`` call, and not kept, so a step
+    holds the scans of one fold at a time. The fits themselves are appended
+    to ``audit``'s entries if given, candidate by candidate.
     """
     prefix, candidates = tuple(prefix), tuple(candidates)
     fits: list[list[FoldFit]] = [[] for _ in candidates]
@@ -199,10 +199,9 @@ def fit_folds(
             ctx.table, ctx.train_windows, prefix, candidates, phi,
             sims=sims, seed=(*calibrate._seed(seed), ctx.fold),
         )
-        windows = ctx.test_windows
-        held_out = evaluate.timeliness(
-            evaluate.onset_columns([fit.trace.cluster_onsets for fit in step], windows.n_weeks),
-            windows)
+        with np.errstate(invalid="ignore"):  # a NaN statistic never alarms
+            alarms = np.column_stack([fit.E for fit in step]) > [fit.point.h for fit in step]
+        held_out = evaluate.timeliness(evaluate.onset_mask(alarms), ctx.test_windows)
         for cand, fit, score, cand_fits in zip(candidates, step, held_out, fits):
             cand_fits.append(FoldFit(ctx, prefix + (cand,), fit.point, score))
     if audit is not None:

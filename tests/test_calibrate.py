@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from epiwarn import calibrate, mewma
+from epiwarn import calibrate, evaluate, mewma
 from epiwarn.calibrate import (
     CalibrationError,
     DEFAULT_LAMBDA_GRID,
@@ -223,8 +223,9 @@ def test_optimize_step_traces_are_the_chosen_points_scans():
     assert len(fits) == len(candidates)
     for cand, fit in zip(candidates, fits):
         rescan = table.scan(fit.point.lam, (prefix, cand), fit.point.h)
-        assert np.array_equal(fit.trace.E, rescan.E)
-        assert np.array_equal(fit.trace.cluster_onsets, rescan.cluster_onsets)
+        assert np.array_equal(fit.E, rescan.E)
+        onsets = evaluate.onset_mask((fit.E > fit.point.h)[:, None])[:, 0]
+        assert np.array_equal(np.flatnonzero(onsets), rescan.cluster_onsets)
         assert fit.point in fit.curve
         assert [p.lam for p in fit.curve] == list(table.lambdas)
 

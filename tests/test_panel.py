@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import epiwarn.panel as panel_module
 from epiwarn.panel import (
     AlignedPanel,
     AlignmentError,
@@ -254,6 +257,8 @@ def test_write_series_uses_repr_round_trip(tmp_path):
 _RUN_START = week_to_index("2015-W45")
 _BAD_VALUES = ["", " ", "nan", "inf", "-inf", "1e500", "1_0", "1__0", "abc", "0x1f", "1.5.2", "+-1"]
 _BAD_LABELS = ["2015-W54", "2015-13", "15-W01", "0999-W01", "2015-w01", "", " 2016-W02 ", "2015-W53x"]
+# ASCII and Unicode whitespace, which str.strip removes and float(bytes) may not
+_PADDING = [" ", "  ", "\t", "\x1c", "\xa0", "\x0b"]
 
 
 def _mutate_rows(rows, op, draw):
@@ -268,7 +273,7 @@ def _mutate_rows(rows, op, draw):
         rows.insert(draw(st.integers(0, len(rows))), list(row))
     elif op == "pad":
         k = draw(st.integers(0, len(row) - 1))
-        row[k] = draw(st.sampled_from([" ", "  ", "\t"])) + row[k] + draw(st.sampled_from(["", " "]))
+        row[k] = draw(st.sampled_from(_PADDING)) + row[k] + draw(st.sampled_from(["", *_PADDING]))
     elif op == "quote":
         k = draw(st.integers(0, len(row) - 1))
         row[k] = f'"{row[k]}"'
@@ -282,6 +287,10 @@ def _mutate_rows(rows, op, draw):
         row[0] = draw(st.sampled_from(_BAD_LABELS))
     elif op == "far_label":
         row[0] = index_to_week(_RUN_START + draw(st.integers(-3, 40)))
+    elif op == "foreign_char":  # a byte outside ASCII, or a NUL, inside a field
+        k = draw(st.integers(0, len(row) - 1))
+        at = draw(st.integers(0, len(row[k])))
+        row[k] = row[k][:at] + draw(st.sampled_from(["\u0661", "\xa0", "\x00", "\xe9"])) + row[k][at:]
 
 
 @st.composite
@@ -293,7 +302,7 @@ def _series_files(draw):
     rows = [[index_to_week(first + i), fmt(v)] for i, v in enumerate(values)]
     ops = draw(st.lists(st.sampled_from([
         "shuffle", "gap", "duplicate", "pad", "quote", "extra_field", "drop_field",
-        "bad_value", "bad_label", "far_label",
+        "bad_value", "bad_label", "far_label", "foreign_char",
     ]), max_size=3))
     for op in ops:
         _mutate_rows(rows, op, draw)
@@ -304,9 +313,22 @@ def _series_files(draw):
     lines = [header] + [",".join(row) for row in rows]
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  "])))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
-    intact = not ops and header == "week,value" and len(lines) == len(rows) + 1
+    newline = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    ends = [newline] * len(lines)
+    if newline == "mixed":  # each line's own end, LF or CRLF
+        ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                             max_size=len(lines)))
+    text = "".join(map(str.__add__, lines[:-1], ends)) + lines[-1] + draw(
+        st.sampled_from([ends[-1], ""]))
+    intact = (not ops and header == "week,value" and len(lines) == len(rows) + 1
+              and len(set(ends)) == 1)
+    for damage in draw(st.lists(st.sampled_from(["bom", "bare_cr", "nul"]), max_size=2)):
+        if damage == "bom":
+            text = "\ufeff" + text
+        else:
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + ("\r" if damage == "bare_cr" else "\x00") + text[at:]
+        intact = False
     if draw(st.integers(0, 3)) == 0:
         text, intact = text[: draw(st.integers(0, len(text)))], False
     return text, intact
@@ -315,7 +337,7 @@ def _series_files(draw):
 def _outcome(read, path):
     try:
         first, values = read(path)
-    except PanelError as exc:
+    except (PanelError, csv.Error) as exc:  # csv.Error: a NUL byte before Python 3.11
         return type(exc), str(exc)
     return first, values.tobytes()
 
@@ -323,7 +345,7 @@ def _outcome(read, path):
 def _load_outcome(path):
     try:
         panel = load_panel(path, [path])
-    except PanelError as exc:
+    except (PanelError, csv.Error) as exc:
         return type(exc), str(exc)
     return week_to_index(panel.axis.start), panel.gold.values.tobytes()
 
@@ -332,6 +354,18 @@ def _load_outcome(path):
 @given(case=_series_files())
 @example(case=("week,value\n2015-W45,1.0\n2015-W46,2.0,3.0\n", False))  # extra last field
 @example(case=("week,value\r\n2015-W45,1.0\r\n2015-W46,2.0\r", False))  # bare CR at the end
+@example(case=("week,val\n2015-W45,0.0\n", False))  # a bad header over good rows
+@example(case=("\rweek,value\n2015-W45,0.0\n", False))  # bare CR before the header
+@example(case=("week,value\r\n2015-W45,1.\r5\r\n", False))  # bare CR inside a value
+@example(case=("week,value\n2015-W45,1.0\r\n2015-W46,2.0\n", False))  # mixed line ends
+@example(case=("week,value\n2015-W45,1.0,2015-W46\n2.0\n", False))  # commas in the wrong rows
+@example(case=("week,value\n2015-W45,1.0\n2015-W46,2.0\n2015-W47\n", False))  # a last row's comma
+@example(case=("week,value\n2015-W45,0.0\n2015-W46,0.0\n\n\n", False))  # blank lines at the end
+@example(case=("week,value\n2015-W45,nan\n", False))  # a non-finite value
+@example(case=("\ufeffweek,value\n2015-W45,1.0\n", False))  # a UTF-8 byte order mark
+@example(case=("week,value\n2015-W45,\u0661\n2015-W46,\xa02.0\n", False))  # Unicode digit, space
+@example(case=("week,value\n2015-W45,1.0\x00\n", False))  # NUL
+@example(case=("week,value\n2015-W45,\x1c1.0\n2015-W46,\t2.0\t\n", False))  # ASCII padding
 def test_bulk_and_row_parsers_agree(tmp_path_factory, case):
     """The public loader reads every file as the row-by-row reader does, and
     the bulk pass accepts at least every intact in-order file."""
@@ -349,3 +383,48 @@ def test_bulk_and_row_parsers_agree(tmp_path_factory, case):
         assert loaded[0] is AlignmentError  # fewer than 3 weeks form no panel
     else:
         assert loaded == rows
+
+
+@pytest.mark.parametrize("start", ["2010-W01", "0999-W50"])
+def test_written_panels_are_read_in_one_pass_over_their_bytes(tmp_path, monkeypatch, start):
+    """``write_panel``'s files (CRLF, ``repr`` floats), and the same files with
+    LF line ends and no final newline, never reach the row reader; from
+    0999-W50 the zero-padded labels cross into year 1000."""
+    panel = generate_synthetic(SyntheticPanelSpec(seasons=2, predictor_count=3, start_week=start))
+    manifest = write_panel(panel, tmp_path)
+    files = sorted(tmp_path.glob("*.csv"))
+    if start == "0999-W50":
+        assert "1000-W01" in panel.axis.labels()
+
+    def refused(path):
+        raise AssertionError(f"{path} was read row by row")
+
+    monkeypatch.setattr(panel_module, "_read_series_rows", refused)
+    for line_end in (b"\r\n", b"\n"):
+        for f in files:
+            data = f.read_bytes()
+            if line_end == b"\r\n":
+                assert data.endswith(b"\r\n") and data.count(b"\r\n") == data.count(b"\n")
+            else:
+                f.write_bytes(data.replace(b"\r\n", b"\n").removesuffix(b"\n"))
+        loaded = load_panel_from_manifest(manifest)
+        assert loaded.axis == panel.axis
+        for old, new in zip((panel.gold, *panel.candidates), (loaded.gold, *loaded.candidates)):
+            assert new.name == old.name
+            assert np.array_equal(new.values, old.values)
+
+
+def test_byte_pass_leaves_lines_over_the_csv_field_limit_to_the_row_reader(tmp_path):
+    short = tmp_path / "short.csv"
+    short.write_text("week,value\n2015-W45,1.0\n2015-W46,1.5\n2015-W47,2.0\n")
+    long = tmp_path / "long.csv"
+    long.write_text("week,value\n2015-W45,1.0\n2015-W46," + "0" * 40 + "1.5\n2015-W47,2.0\n")
+    default = csv.field_size_limit(30)  # under each file's size
+    try:
+        assert _read_in_order(short)[1].tolist() == [1.0, 1.5, 2.0]
+        assert _read_in_order(long) is None
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_panel(long, [long])
+    finally:
+        csv.field_size_limit(default)
+    assert _read_in_order(long)[1].tolist() == [1.0, 1.5, 2.0]
