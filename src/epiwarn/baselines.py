@@ -13,7 +13,7 @@ import numpy as np
 
 from . import evaluate
 from .events import DetectionWindowSet, EventSet
-from .mewma import AlarmTrace, cluster_onsets
+from .mewma import AlarmTrace
 from .panel import AlignedPanel
 from .selection import FoldPlan
 
@@ -69,12 +69,7 @@ def week_trigger(panel: AlignedPanel, config: WeekTriggerConfig) -> AlarmTrace:
     if n < 52:
         raise AxisTooShortError("week trigger needs an axis spanning at least one year")
     alarm = panel.axis.iso_weeks == config.trigger_week
-    weeks = np.flatnonzero(alarm)
-    return AlarmTrace(
-        E=alarm.astype(float),
-        alarm_weeks=weeks,
-        cluster_onsets=cluster_onsets(weeks),
-    )
+    return AlarmTrace.from_alarms(alarm.astype(float), alarm)
 
 
 def rise_trigger(panel: AlignedPanel, config: RiseTriggerConfig) -> AlarmTrace:
@@ -91,12 +86,7 @@ def rise_trigger(panel: AlignedPanel, config: RiseTriggerConfig) -> AlarmTrace:
         run = run + 1 if up else 0
         if run >= n:
             alarm[i + 1] = True
-    weeks = np.flatnonzero(alarm)
-    return AlarmTrace(
-        E=alarm.astype(float),
-        alarm_weeks=weeks,
-        cluster_onsets=cluster_onsets(weeks),
-    )
+    return AlarmTrace.from_alarms(alarm.astype(float), alarm)
 
 
 def baseline_trace(panel: AlignedPanel, kind: str, param: int) -> AlarmTrace:

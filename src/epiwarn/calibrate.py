@@ -274,29 +274,14 @@ def atfs_from_paths(E: np.ndarray, h: float) -> float:
 
     Equals the long-run mean alarm-to-alarm gap (1 / alarm rate) and is
     exactly nondecreasing in h, which pairwise gap averages are not once
-    finite windows censor the long inter-cluster gaps. Thresholds h <= 0
-    alarm every week by convention (ATFS = 1 exactly); with no alarms at
-    all the sentinel +inf is returned.
+    finite windows censor the long inter-cluster gaps. Path-weeks alarm by
+    the scan's rule, E > h (``mewma.alarm_mask``); with no alarms at all the
+    sentinel +inf is returned.
     """
-    if h <= 0.0:
-        return 1.0
-    count = int(np.count_nonzero(_above(E, h)))
+    count = int(np.count_nonzero(mewma.alarm_mask(E, h)))
     if count == 0:
         return math.inf
     return E.size / count
-
-
-def _above(values: np.ndarray, t: float) -> np.ndarray:
-    """The mask values > t, exact as a float64 comparison. A float32 array
-    compared with a Python float compares in float32 under numpy 2, with t
-    rounded to nearest, and misses a value less than an ulp above t; so t
-    is rounded down instead, to the largest value of the values' dtype at
-    most t, and no value of that dtype lies between the two. Nothing is cast
-    or buffered."""
-    bound = values.dtype.type(t)
-    if float(bound) > t:
-        bound = np.nextafter(bound, values.dtype.type(-math.inf))
-    return np.greater(values, bound)
 
 
 def simulate_atfs(
@@ -340,9 +325,9 @@ def solve_threshold(
 
     One set of statistic paths is simulated, and on it ATFS(h) is the number
     of path-weeks over the number of them above h, so h is read off an order
-    statistic of the pooled values (``_solve_paths``). Targets phi <= 1
-    return the boundary solution h = 0, where every week alarms. Raises
-    ``CalibrationError`` when no h > 0 comes within ``ATFS_TOL`` of phi.
+    statistic of the pooled values (``_solve_paths``). Raises
+    ``CalibrationError`` for a target outside 1 < phi < inf
+    (``_checked_length``) and when no h > 0 comes within ``ATFS_TOL`` of phi.
 
     This is the one-candidate greedy step of the null's last predictor at the
     one lambda ``lam`` (``_step_solves``), so a 1-d null is solved against
@@ -357,9 +342,11 @@ def solve_threshold(
 
 
 def _checked_length(phi: float, length: int | None = None) -> int:
-    """Path length for target ``phi``: ``length``, or 10 * phi weeks (at least 50)."""
-    if phi < 1.0:
-        raise CalibrationError(f"target ATFS must be >= 1 week, got {phi}")
+    """Path length for target ``phi``: ``length``, or 10 * phi weeks (at least
+    50). The target must be finite and above 1 week, as the config's ``atfs``
+    must: at ATFS 1 every week alarms, and no threshold h > 0 reaches it."""
+    if not 1.0 < phi < math.inf:
+        raise CalibrationError(f"target ATFS must be finite and > 1 week, got {phi}")
     return max(int(10 * phi), 50) if length is None else length
 
 
@@ -407,7 +394,8 @@ def _solve_paths(E: np.ndarray, phi: float) -> tuple[float, float]:
     the largest at most N / phi and the smallest at least N / phi are the
     only ones that can be nearest phi, and the one whose ATFS is nearer
     wins (the fewer alarms on a tie). h is the midpoint of the gap between
-    its smallest alarming value and t.
+    its smallest alarming value and t, or t itself where that midpoint
+    rounds up to the alarming value (two adjacent doubles).
 
     One partition places the top ceil(N / phi) values last, and one max
     finds the largest value before them, ``low``. Every value before the top
@@ -415,8 +403,6 @@ def _solve_paths(E: np.ndarray, phi: float) -> tuple[float, float]:
     at a threshold t >= low reads the top slice alone; the values before it
     are read again only where ``low`` ties with the slice's least value.
     """
-    if phi <= 1.0:
-        return 0.0, atfs_from_paths(E, 0.0)
     values = E.ravel(order="K")
     n = values.size
     # ascending positions of the (floor(n/phi) + 1)-th and ceil(n/phi)-th
@@ -433,24 +419,24 @@ def _solve_paths(E: np.ndarray, phi: float) -> tuple[float, float]:
     def alarms(t: float) -> tuple[int, np.ndarray]:
         """#{values > t} and the top slice's mask of them; where t < low,
         low ties top, and the values before the slice above t equal top"""
-        mask = _above(top_slice, t)
+        mask = top_slice > t
         count = int(np.count_nonzero(mask))
         if t < low:
-            count += int(np.count_nonzero(_above(rest, t)))
+            count += int(np.count_nonzero(rest > t))
         return count, mask
 
     floors = {max(low if below < above else top, 0.0)}
     if top > 0.0:
-        # alarm at every value >= top: t is the largest value below it, or 0;
-        # top is one of the values, so comparing in their dtype is exact
+        # alarm at every value >= top: t is the largest value below it, or 0
         floors.add(max(low, 0.0) if low < top else
                    float(np.max(rest, where=rest < top, initial=0.0)))
     options = []
     for t in floors:
         count, mask = alarms(t)
         if count:
-            midpoint = 0.5 * (t + float(np.min(top_slice, where=mask, initial=math.inf)))
-            options.append((abs(n / count - phi), count, midpoint))
+            least = float(np.min(top_slice, where=mask, initial=math.inf))
+            midpoint = 0.5 * (t + least)
+            options.append((abs(n / count - phi), count, midpoint if midpoint < least else t))
     if options:
         h = min(options)[2]
         count = alarms(h)[0] if h > 0.0 else 0
@@ -536,16 +522,13 @@ def optimize_step(
         for i, solved in enumerate(lam_solves):
             if isinstance(solved, CalibrationError):
                 failures[i].append(f"lam={lam}: {solved}")
-            elif solved[0] <= 0.0:
-                failures[i].append(f"lam={lam}: boundary threshold h=0 is not a usable detector")
             else:
                 usable.append(i)
         if not usable:
             continue
         E = table.step_scan(lam, prefix, [candidates[i] for i in usable])
-        with np.errstate(invalid="ignore"):
-            alarms = E > [lam_solves[i][0] for i in usable]
-        scores = evaluate.timeliness(evaluate.onset_mask(alarms), windows)
+        alarms = mewma.alarm_mask(E, [lam_solves[i][0] for i in usable])
+        scores = evaluate.timeliness(mewma.onset_mask(alarms), windows)
         for i, column, perf in zip(usable, E.T, scores):
             h, atfs = lam_solves[i]
             point = ConstraintCurvePoint(lam=lam, h=h, performance=perf, atfs=atfs)

@@ -3,7 +3,10 @@
 The headline score averages, over events, how early the first in-window
 cluster onset lands: 1 at the window start, 0.5 at the event start for the
 default half-window lead, 0 when the window passes with no onset. Precision
-and recall count cluster onsets, never raw alarm weeks.
+and recall count cluster onsets, never raw alarm weeks. A cluster onset is
+an alarm week after a quiet week, and ``mewma.onset_mask`` is that rule for
+every detector: the scan, whose weeks alarm where E > h
+(``mewma.alarm_mask``), and the calendar and rise triggers.
 
 Timeliness is scored in batches: ``timeliness`` takes an (n_weeks, C) mask
 of cluster onsets, one column per detector, finds every window's first
@@ -22,14 +25,6 @@ import numpy as np
 from .events import BASELINE, EVENT_AFTER_WINDOW, IN_WINDOW, DetectionWindowSet, EventSet
 from .mewma import AlarmTrace
 from .panel import Series, write_csv
-
-
-def onset_mask(alarms: np.ndarray) -> np.ndarray:
-    """The cluster onsets of an (n_weeks, C) alarm mask, column by column: the
-    alarm weeks whose previous week has no alarm (``mewma.cluster_onsets``)."""
-    onsets = alarms.copy()
-    onsets[1:] &= ~alarms[:-1]
-    return onsets
 
 
 def onset_columns(weeks: Sequence[np.ndarray], n_weeks: int) -> np.ndarray:
@@ -78,7 +73,7 @@ def _timeliness(delta_t: np.ndarray, t_w: int) -> list[float]:
 
 def timeliness(onsets: np.ndarray, windows: DetectionWindowSet) -> list[float]:
     """Each column's ``performance`` for an (n_weeks, C) cluster-onset mask
-    (``onset_mask``, ``onset_columns``): all columns scored at once."""
+    (``mewma.onset_mask``, ``onset_columns``): all columns scored at once."""
     return _timeliness(_delta_t(_first_onsets(onsets, windows), windows), windows.window_length)
 
 

@@ -131,6 +131,22 @@ class DetectorConfig:
             raise ValueError(f"h must be > 0, got {self.h}")
 
 
+def alarm_mask(E: np.ndarray, h) -> np.ndarray:
+    """The alarm rule: the mask E > h, for one threshold ``h`` or one per
+    column of an (n_weeks, C) E. A NaN statistic never alarms."""
+    with np.errstate(invalid="ignore"):
+        return np.greater(E, h)
+
+
+def onset_mask(alarms: np.ndarray) -> np.ndarray:
+    """The onset rule: the cluster onsets of an (n_weeks,) or (n_weeks, C)
+    alarm mask, column by column, the alarm weeks whose previous week has
+    no alarm."""
+    onsets = alarms.copy()
+    onsets[1:] &= ~alarms[:-1]
+    return onsets
+
+
 @dataclass(frozen=True, eq=False)
 class AlarmTrace:
     """Per-week test statistic with alarm weeks and clustered alarm onsets."""
@@ -140,15 +156,12 @@ class AlarmTrace:
     cluster_onsets: np.ndarray
     S: np.ndarray | None = None
 
-
-def cluster_onsets(alarm_weeks) -> np.ndarray:
-    """First week of each maximal run of consecutive alarm weeks."""
-    aw = np.asarray(alarm_weeks, dtype=int)
-    if aw.size == 0:
-        return aw
-    keep = np.ones(aw.size, dtype=bool)
-    keep[1:] = np.diff(aw) > 1
-    return aw[keep]
+    @classmethod
+    def from_alarms(cls, E: np.ndarray, alarms: np.ndarray, S=None) -> "AlarmTrace":
+        """The trace of statistic ``E`` whose (n_weeks,) alarm mask is
+        ``alarms``: its alarm weeks and their onsets (``onset_mask``)."""
+        return cls(E=E, alarm_weeks=np.flatnonzero(alarms),
+                   cluster_onsets=np.flatnonzero(onset_mask(alarms)), S=S)
 
 
 MAX_CONDITION = 1e12  # largest condition number of a usable correlation matrix
@@ -366,16 +379,13 @@ class SharedScanTable:
                        terms, e, out=np.empty((len(states), len(candidates))))
 
     def scan(self, lam: float, subset: Sequence[str], h: float) -> AlarmTrace:
-        """``subset``'s scan at ``lam``, alarming where E > h (a NaN never
-        alarms): the one-candidate ``step_scan`` of its last predictor; ``S``
-        is a copy of its states."""
+        """``subset``'s scan at ``lam``, alarming by ``alarm_mask``: the
+        one-candidate ``step_scan`` of its last predictor; ``S`` is a copy
+        of its states."""
         subset = tuple(subset)
         [E] = self.step_scan(lam, subset[:-1], subset[-1:]).T
-        with np.errstate(invalid="ignore"):
-            alarms = np.flatnonzero(E > h)
         idx = [self.null.predictor_names.index(n) for n in subset]
-        return AlarmTrace(E=E, alarm_weeks=alarms, cluster_onsets=cluster_onsets(alarms),
-                          S=self.states[lam][:, idx])
+        return AlarmTrace.from_alarms(E, alarm_mask(E, h), S=self.states[lam][:, idx])
 
 
 def precompute_shared_states(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -257,7 +257,7 @@ def _read_series_rows(path: Path) -> tuple[int, np.ndarray]:
     order, blank lines and quoted fields, and builds every error."""
     rows: list[tuple[int, float]] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _records(path, fh)
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header] != ["week", "value"]:
             raise ParseError(f"{path}: line 1: expected header 'week,value'")
@@ -292,6 +292,17 @@ def _read_series_rows(path: Path) -> tuple[int, np.ndarray]:
         if cur != prev + 1:
             raise MissingDataError(f"{path}: missing week {index_to_week(prev + 1)}")
     return indices[0], np.array([r[1] for r in rows], dtype=float)
+
+
+def _records(path: Path, fh) -> Iterator[list[str]]:
+    """The csv records of the open file ``fh``; one the csv module rejects (a
+    field over ``csv.field_size_limit()``, or a NUL byte before Python 3.11)
+    raises ``ParseError`` naming the path and line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def load_panel(gold_file, candidate_files) -> AlignedPanel:

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import calibrate, evaluate
 from .events import DetectionWindowSet, EventSet
-from .mewma import AlarmTrace, SharedScanTable, estimate_null, precompute_shared_states
+from .mewma import (AlarmTrace, SharedScanTable, alarm_mask, estimate_null, onset_mask,
+                    precompute_shared_states)
 from .panel import AlignedPanel, write_csv
 
 
@@ -199,9 +200,9 @@ def fit_folds(
             ctx.table, ctx.train_windows, prefix, candidates, phi,
             sims=sims, seed=(*calibrate._seed(seed), ctx.fold),
         )
-        with np.errstate(invalid="ignore"):  # a NaN statistic never alarms
-            alarms = np.column_stack([fit.E for fit in step]) > [fit.point.h for fit in step]
-        held_out = evaluate.timeliness(evaluate.onset_mask(alarms), ctx.test_windows)
+        E = np.column_stack([fit.E for fit in step])
+        alarms = alarm_mask(E, [fit.point.h for fit in step])
+        held_out = evaluate.timeliness(onset_mask(alarms), ctx.test_windows)
         for cand, fit, score, cand_fits in zip(candidates, step, held_out, fits):
             cand_fits.append(FoldFit(ctx, prefix + (cand,), fit.point, score))
     if audit is not None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from epiwarn import calibrate, evaluate, mewma
+from epiwarn import calibrate, mewma
 from epiwarn.calibrate import (
     CalibrationError,
     DEFAULT_LAMBDA_GRID,
@@ -35,11 +35,6 @@ def unit_null(d=1, seed=None):
 
 def test_default_lambda_grid():
     assert DEFAULT_LAMBDA_GRID == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-
-
-def test_h_zero_alarm_every_week():
-    est = simulate_atfs(unit_null(), 0.3, 0.0, sims=50, length=100, seed=1)
-    assert est.atfs == 1.0
 
 
 def test_huge_threshold_returns_inf_sentinel():
@@ -69,10 +64,6 @@ def test_self_consistency_different_seed_within_ten_percent():
     h = solve_threshold(null, 0.3, 20.0, seed=0)
     est = simulate_atfs(null, 0.3, h, sims=1000, length=200, seed=555)
     assert abs(est.atfs - 20.0) <= 2.0
-
-
-def test_solve_phi_one_returns_boundary():
-    assert solve_threshold(unit_null(), 0.3, 1.0, seed=0) == 0.0
 
 
 def test_solved_threshold_monotone_in_target():
@@ -146,7 +137,7 @@ def brute_force_solve(values, phi):
         max_size=200,
     ),
     sims=st.integers(1, 2),
-    phi=st.floats(1.0, 60.0),
+    phi=st.floats(1.0, 60.0, exclude_min=True),
 )
 @example(values=[float(k) for k in range(1, 13)], sims=1, phi=3.5)  # ATFS 4 and 3 tie
 # phi divides N, so the order statistics at N - N/phi - 1 and N - N/phi differ:
@@ -159,6 +150,8 @@ def brute_force_solve(values, phi):
 @example(values=[0.5] * 5 + [2.0, 2.0, 5.0, 6.0, 7.0], sims=1, phi=3.2)
 # every value below top is 0.0, and t = 0 is the nearer floor
 @example(values=[0.0] * 7 + [1.0, 2.0, 3.0], sims=1, phi=3.5)
+# two adjacent doubles, whose midpoint rounds to the upper one: h is the lower
+@example(values=[1.0000000000000002, 1.0000000000000004], sims=1, phi=2.0)
 def test_exact_solve_matches_brute_force(values, sims, phi):
     E = np.array(values * sims).reshape(sims, -1)
     try:
@@ -166,21 +159,20 @@ def test_exact_solve_matches_brute_force(values, sims, phi):
     except CalibrationError:
         assert brute_force_solve(E.ravel(), phi) is None
         return
-    if phi <= 1.0:
-        assert (h, atfs) == (0.0, 1.0)
-        return
     expected = brute_force_solve(E.ravel(), phi)
     assert expected is not None
     count, lower, upper = expected
     assert int((E > h).sum()) == count
-    assert 0.0 <= lower < h < upper
+    assert 0.0 <= lower < h < upper or (h == lower and np.nextafter(lower, np.inf) == upper)
     assert atfs_from_paths(E, h) == atfs == E.size / count
     assert abs(atfs - phi) <= 0.5
 
 
 def test_invalid_target_rejected():
-    with pytest.raises(CalibrationError):
-        solve_threshold(unit_null(), 0.5, 0.5, seed=0)
+    # every target must satisfy 1 < ATFS < inf, as the config's atfs must
+    for phi in (0.5, 1.0, math.inf, math.nan):
+        with pytest.raises(CalibrationError, match="finite and > 1 week"):
+            solve_threshold(unit_null(), 0.5, phi, seed=0)
 
 
 def _pulse_panel(lead=3):
@@ -224,7 +216,7 @@ def test_optimize_step_traces_are_the_chosen_points_scans():
     for cand, fit in zip(candidates, fits):
         rescan = table.scan(fit.point.lam, (prefix, cand), fit.point.h)
         assert np.array_equal(fit.E, rescan.E)
-        onsets = evaluate.onset_mask((fit.E > fit.point.h)[:, None])[:, 0]
+        onsets = mewma.onset_mask(fit.E > fit.point.h)
         assert np.array_equal(np.flatnonzero(onsets), rescan.cluster_onsets)
         assert fit.point in fit.curve
         assert [p.lam for p in fit.curve] == list(table.lambdas)
@@ -894,19 +886,16 @@ def test_step_paths_equal_per_subset_simulation_bit_for_bit(
 
 
 def test_thresholds_count_exactly_across_a_one_ulp_gap():
-    # paths of any float dtype count as a float64 comparison would: two
-    # adjacent float32 values, whose float64 midpoint rounds to the upper one
-    # in float32, where a float32 comparison counts no value above it
-    a = np.nextafter(np.float32(1.0), np.float32(2.0))
-    b = np.nextafter(a, np.float32(2.0))
-    h = 0.5 * (float(a) + float(b))
-    assert np.float32(h) == b
-    E = np.array([[a, b]], dtype=np.float32)
-    assert atfs_from_paths(E, h) == 2.0
-    # the gap's midpoint alarms at b alone, and the recheck counts it
-    assert calibrate._solve_paths(E.copy(), 2.0) == (h, 2.0)
-    assert np.array_equal(calibrate._above(E, h), [[False, True]])
-    assert np.array_equal(calibrate._above(E, float(b)), [[False, False]])
+    # two adjacent doubles, whose midpoint rounds to the upper one, where
+    # nothing lies above it: the solve takes the lower one, which alarms at
+    # the upper one alone, ATFS 2 exactly
+    a, b = 1.0000000000000002, 1.0000000000000004
+    assert np.nextafter(a, np.inf) == b and 0.5 * (a + b) == b
+    E = np.array([[a, b]])
+    assert atfs_from_paths(E, b) == math.inf
+    assert atfs_from_paths(E, a) == 2.0
+    assert calibrate._solve_paths(E.copy(), 2.0) == (a, 2.0)
+    assert np.array_equal(mewma.alarm_mask(E, a), [[False, True]])
 
 
 def whole_product_paths(null, lam, sims, length, seed):

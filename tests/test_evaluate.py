@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epiwarn.events import DetectionWindowSet, build_windows, detect_events
-from epiwarn import evaluate
+from epiwarn import evaluate, mewma
 from epiwarn.evaluate import lead_vs_threshold, performance, score
-from epiwarn.mewma import AlarmTrace, cluster_onsets
+from epiwarn.mewma import AlarmTrace
 from epiwarn.panel import Series
 from epiwarn.pipeline import _restrict_trace
 
@@ -204,18 +204,35 @@ def alarm_batches(draw):
     return E, h, windows
 
 
+def reference_cluster_onsets(alarm_weeks) -> np.ndarray:
+    """Reference: the first week of each maximal run of consecutive alarm
+    weeks, read off the sorted alarm weeks themselves."""
+    aw = np.asarray(alarm_weeks, dtype=int)
+    if aw.size == 0:
+        return aw
+    keep = np.ones(aw.size, dtype=bool)
+    keep[1:] = np.diff(aw) > 1
+    return aw[keep]
+
+
 @settings(max_examples=200, deadline=None)
 @given(batch=alarm_batches())
 def test_batched_timeliness_equals_each_columns_performance(batch):
     E, h, windows = batch
     assert windows.flags[0] == ("clipped_start",) and "clipped_end" in windows.flags[-1]
-    with np.errstate(invalid="ignore"):
-        scores = evaluate.timeliness(evaluate.onset_mask(E > h), windows)
+    alarms = mewma.alarm_mask(E, h)
+    onsets = mewma.onset_mask(alarms)
+    scores = evaluate.timeliness(onsets, windows)
     assert len(scores) == E.shape[1]
-    for column, threshold, batched in zip(E.T, h, scores):
-        with np.errstate(invalid="ignore"):
-            alarms = np.flatnonzero(column > threshold)
-        trace = AlarmTrace(E=column, alarm_weeks=alarms, cluster_onsets=cluster_onsets(alarms))
+    for column, threshold, alarm_column, onset_column, batched in zip(
+            E.T, h, alarms.T, onsets.T, scores):
+        # week by week, with Python's comparison, under which NaN never alarms
+        weeks = [t for t, value in enumerate(column.tolist()) if value > threshold]
+        trace = AlarmTrace.from_alarms(column, mewma.alarm_mask(column, threshold))
+        assert trace.alarm_weeks.tolist() == np.flatnonzero(alarm_column).tolist() == weeks
+        assert (trace.cluster_onsets.tolist() == np.flatnonzero(onset_column).tolist()
+                == reference_cluster_onsets(weeks).tolist())
+        assert trace.E is column and trace.S is None
         assert batched == performance(trace, windows)
         assert batched == _reference_score(trace.cluster_onsets.tolist(), windows)["performance"]
     assert scores[-1] == 0.0

@@ -10,9 +10,10 @@ from epiwarn.mewma import (
     DetectorConfig,
     EstimationError,
     NullModel,
-    cluster_onsets,
+    alarm_mask,
     condition_covariance,
     estimate_null,
+    onset_mask,
     precompute_shared_states,
     run_scan,
     smoothed_factor,
@@ -72,10 +73,13 @@ def test_in_control_fixed_point():
 
 
 def test_alarm_clustering_rule():
-    E = np.array([0.0, 5.0, 6.0, 0.0, 7.0])
-    alarms = np.flatnonzero(E > 4.0)
-    assert alarms.tolist() == [1, 2, 4]
-    assert cluster_onsets(alarms).tolist() == [1, 4]
+    E = np.array([0.0, 5.0, 6.0, 0.0, 7.0, np.nan])
+    alarms = alarm_mask(E, 4.0)
+    assert np.flatnonzero(alarms).tolist() == [1, 2, 4]
+    assert np.flatnonzero(onset_mask(alarms)).tolist() == [1, 4]
+    trace = AlarmTrace.from_alarms(E, alarms)
+    assert trace.alarm_weeks.tolist() == [1, 2, 4]
+    assert trace.cluster_onsets.tolist() == [1, 4]
 
 
 def test_estimate_null_two_point_sample():

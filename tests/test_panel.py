@@ -337,7 +337,7 @@ def _series_files(draw):
 def _outcome(read, path):
     try:
         first, values = read(path)
-    except (PanelError, csv.Error) as exc:  # csv.Error: a NUL byte before Python 3.11
+    except PanelError as exc:
         return type(exc), str(exc)
     return first, values.tobytes()
 
@@ -345,7 +345,7 @@ def _outcome(read, path):
 def _load_outcome(path):
     try:
         panel = load_panel(path, [path])
-    except (PanelError, csv.Error) as exc:
+    except PanelError as exc:
         return type(exc), str(exc)
     return week_to_index(panel.axis.start), panel.gold.values.tobytes()
 
@@ -423,7 +423,7 @@ def test_byte_pass_leaves_lines_over_the_csv_field_limit_to_the_row_reader(tmp_p
     try:
         assert _read_in_order(short)[1].tolist() == [1.0, 1.5, 2.0]
         assert _read_in_order(long) is None
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(ParseError, match="long.csv: line 3: field larger than field limit"):
             load_panel(long, [long])
     finally:
         csv.field_size_limit(default)
